@@ -231,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("bgf", "graph6"), default="bgf")
     p.add_argument("--with-family", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; engines run serially")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("decompose", help="tight cut decomposition into braces")
@@ -258,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a generation output file")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; engines run serially")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("survey", help="per-order summary table")
@@ -266,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", action="store_true")
     p.add_argument("--h-plus-minus", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; engines run serially")
     p.set_defaults(func=_cmd_survey)
 
     return parser

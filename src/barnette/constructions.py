@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .graphs import (
     BipartiteGraph,
     Cut,
@@ -540,34 +538,34 @@ def _cycle_constraint(
 
 
 def _solve_gf2(rows: list[list[int]], rhs: list[int], width: int) -> Optional[list[int]]:
-    if not rows:
-        return [0] * width
-    a = np.zeros((len(rows), width + 1), dtype=np.uint8)
-    for r, (cols, b) in enumerate(zip(rows, rhs)):
+    """A solution of the GF(2) system (free columns 0), or None if there is none.
+
+    Each row is an int bitset holding its right-hand side at bit ``width``
+    and is reduced against the pivot rows keyed by their highest column; a
+    row left with the right-hand side bit alone is a contradiction.
+    """
+    rhs_bit = 1 << width
+    pivots: dict[int, int] = {}
+    for cols, b in zip(rows, rhs):
+        row = rhs_bit if b else 0
         for c in cols:
-            a[r, c] ^= 1
-        a[r, width] = b
-    pivot_of_row: list[int] = []
-    row = 0
-    for col in range(width):
-        hit = np.nonzero(a[row:, col])[0]
-        if hit.size == 0:
-            continue
-        sel = row + hit[0]
-        if sel != row:
-            a[[row, sel]] = a[[sel, row]]
-        mask = a[:, col].copy()
-        mask[row] = 0
-        a[mask == 1] ^= a[row]
-        pivot_of_row.append(col)
-        row += 1
-        if row == len(rows):
-            break
-    if np.any(a[row:, width]):
-        return None
+            row ^= 1 << c
+        while row & (rhs_bit - 1):
+            col = (row & (rhs_bit - 1)).bit_length() - 1
+            if col not in pivots:
+                pivots[col] = row
+                break
+            row ^= pivots[col]
+        else:
+            if row:
+                return None
     x = [0] * width
-    for r, col in enumerate(pivot_of_row):
-        x[col] = int(a[r, width])
+    for col in sorted(pivots):
+        row = pivots[col]
+        value = row >> width & 1
+        for c in bits(row & ((1 << col) - 1)):
+            value ^= x[c]
+        x[col] = value
     return x
 
 

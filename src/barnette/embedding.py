@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .graphs import BipartiteGraph, GraphError, is_connected
 
 Dart = tuple[int, int]  # (vertex, edge id): leave vertex along edge
@@ -78,6 +76,8 @@ def euler_check(g: BipartiteGraph, emb: RotationEmbedding) -> bool:
 
 def embed_planar(g: BipartiteGraph) -> Optional[RotationEmbedding]:
     """A planar rotation system, or None for non-planar input."""
+    import networkx as nx  # only this planarity test needs it; keeps package import light
+
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges)
@@ -103,7 +103,7 @@ class C4Site:
 
     Roles: u, y in class A; v, x in class B; uv and xy are edges of a common
     facial cycle whose two arcs between them (after removing both edges) have
-    odd length.
+    odd length.  ``forward`` says whether that facial walk runs from u to v.
     """
 
     u: int
@@ -112,7 +112,7 @@ class C4Site:
     y: int
     eid_uv: int
     eid_xy: int
-    face_index: int
+    forward: bool
 
 
 def facial_c4_expansion_sites(g: BipartiteGraph, emb: RotationEmbedding) -> list[C4Site]:
@@ -124,17 +124,13 @@ def facial_c4_expansion_sites(g: BipartiteGraph, emb: RotationEmbedding) -> list
     """
     g._require_colour()
     sites: list[C4Site] = []
-    for fidx, face in enumerate(faces(g, emb)):
+    for face in faces(g, emb):
         verts = face_vertices(face)
         if len(set(verts)) != len(verts):
             raise GraphError("facial walk is not a simple cycle")
         length = len(face)
         for i in range(length):
-            for j in range(i + 2, length):
-                if (j - i) % 2 != 0:
-                    continue
-                if j - i == length:  # cannot happen, kept for clarity
-                    continue
+            for j in range(i + 2, length, 2):
                 ei = face[i][1]
                 ej = face[j][1]
                 wi, wi1 = verts[i], verts[(i + 1) % length]
@@ -145,5 +141,5 @@ def facial_c4_expansion_sites(g: BipartiteGraph, emb: RotationEmbedding) -> list
                 else:
                     u, v = wi1, wi
                     y, x = wj1, wj
-                sites.append(C4Site(u=u, v=v, x=x, y=y, eid_uv=ei, eid_xy=ej, face_index=fidx))
+                sites.append(C4Site(u=u, v=v, x=x, y=y, eid_uv=ei, eid_xy=ej, forward=u == wi))
     return sites

@@ -5,18 +5,16 @@ a seven-vertex cube gadget, and replacing two edges of a common face by a
 new quadrilateral.  Both reuse the edge ids of the edges they modify, which
 makes most family maintenance a no-op: a stored cut keeps referring to the
 right edges without renaming.  The quadrilateral expansion removes exactly
-the cuts that separate its two edges; that test is run as the linear-time
-path-parity count and cross-checked against the shore membership it stands
-for on every call.
+the cuts that separate its two edges, read off the shore membership of the
+four site vertices.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .embedding import C4Site, RotationEmbedding, euler_check, faces
+from .embedding import C4Site, RotationEmbedding, euler_check
 from .graphs import BipartiteGraph, Cut, GraphError
 from .tightcut import cubic_three_connected, is_tight
 
@@ -96,14 +94,6 @@ def cube_expand(
     return g2, emb2, cut
 
 
-def _face_runs_u_to_v(g: BipartiteGraph, emb: RotationEmbedding, site: C4Site) -> bool:
-    walk = faces(g, emb)[site.face_index]
-    for vertex, eid in walk:
-        if eid == site.eid_uv:
-            return vertex == site.u
-    raise GraphError("site edge is not on the named face")
-
-
 def c4_expand(
     g: BipartiteGraph, emb: RotationEmbedding, site: C4Site
 ) -> tuple[BipartiteGraph, RotationEmbedding]:
@@ -111,7 +101,7 @@ def c4_expand(
 
     uv keeps its edge id and becomes uu'; xy becomes xx'.  The new 4-cycle
     u'v'y'x' bounds a face inside the old one, oriented by the direction in
-    which the facial walk traverses uv.
+    which the facial walk traverses uv (``site.forward``).
     """
     g._require_colour()
     u, v, x, y = site.u, site.v, site.x, site.y
@@ -122,7 +112,6 @@ def c4_expand(
         max(x, y),
     ):
         raise GraphError("site edge ids do not match its vertices")
-    forward = _face_runs_u_to_v(g, emb, site)
 
     n0, m0 = g.n, g.edge_count
     nu, nv, nx, ny = n0, n0 + 1, n0 + 2, n0 + 3  # u', v', x', y'
@@ -154,7 +143,7 @@ def c4_expand(
         ny: [e_yy, e_xy_new, e_vy],         # y, x', v'
         nx: [site.eid_xy, e_ux, e_xy_new],  # x, u', y'
     }
-    if forward:
+    if site.forward:
         for r in new_rot.values():
             r.reverse()
     rot += [new_rot[k] for k in (nu, nv, nx, ny)]
@@ -222,43 +211,14 @@ def update_family_cube(fam: TightCutFamily, v: int, new_cut: Cut) -> TightCutFam
     return tuple(out)
 
 
-def _bfs_path_edges(g: BipartiteGraph, src: int, dst: int) -> list[int]:
-    if src == dst:
-        return []
-    parent_edge = [-1] * g.n
-    parent = [-1] * g.n
-    parent[src] = src
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        if a == dst:
-            break
-        for eid in g.incident[a]:
-            b = g.other_end(eid, a)
-            if parent[b] < 0:
-                parent[b] = a
-                parent_edge[b] = eid
-                queue.append(b)
-    if parent[dst] < 0:
-        raise GraphError("graph is not connected")
-    path = []
-    a = dst
-    while a != src:
-        path.append(parent_edge[a])
-        a = parent[a]
-    return path
-
-
 def update_family_c4(
     fam: TightCutFamily, g: BipartiteGraph, site: C4Site
 ) -> TightCutFamily:
     """Carry a family through the quadrilateral expansion at a site of g.
 
-    A cut is removable exactly when it separates {u,v} from {x,y}; that is
-    detected by an odd number of cut edges on one u-x path, guarded by the
-    cut containing neither expansion edge (a cut through uv or xy isolates a
-    single site vertex and survives).  Each verdict is cross-checked against
-    the shore membership count it encodes.  Surviving cuts through uv or xy
+    A cut is removed exactly when its shore holds two of u, v, x, y: it
+    separates {u,v} from {x,y} (a cut through uv or xy leaves a single site
+    vertex on one side and survives).  Surviving cuts through uv or xy
     have that edge renamed to the new pendant edge on the lone vertex's
     side; thanks to id reuse this is only material when the lone vertex is
     v or y.
@@ -269,17 +229,11 @@ def update_family_c4(
     e_uv, e_xy = site.eid_uv, site.eid_xy
     n0, m0 = g.n, g.edge_count
     e_vv, e_yy = m0, m0 + 1
-    path = set(_bfs_path_edges(g, u, x))
     out = []
     for cut in fam:
-        crossings = len(path & cut.edge_ids)
-        removable = (
-            crossings % 2 == 1 and e_uv not in cut.edge_ids and e_xy not in cut.edge_ids
-        )
         on_shore = [(cut.shore >> w) & 1 for w in (u, v, x, y)]
         count = sum(on_shore)
-        assert removable == (count == 2), "path parity disagrees with the shores"
-        if removable:
+        if count == 2:
             continue
         edge_ids = set(cut.edge_ids)
         if count in (1, 3):

@@ -265,84 +265,20 @@ def is_connected(g: BipartiteGraph, removed_mask: int = 0) -> bool:
 
 
 def is_k_connected(g: BipartiteGraph, k: int) -> bool:
-    """k-connectivity for k in 1..4.
-
-    Subset enumeration for k <= 3; vertex-disjoint path computations via
-    unit-capacity flow for k = 4.
-    """
-    if k not in (1, 2, 3, 4):
-        raise GraphError("k must be between 1 and 4")
+    """k-connectivity for k in 1..3, by vertex-subset enumeration."""
+    if k not in (1, 2, 3):
+        raise GraphError("k must be between 1 and 3")
     if k > g.n - 1:
         raise GraphError("k must be at most n - 1")
     if not is_connected(g):
         return False
-    if k == 1:
-        return True
     if any(g.degree(v) < k for v in range(g.n)):
         return False
-    if k <= 3:
-        for size in range(1, k):
-            for sub in combinations(range(g.n), size):
-                if not is_connected(g, vertex_mask(sub)):
-                    return False
-        return True
-    # k == 4: Menger via flow over all non-adjacent pairs, plus adjacent pairs
-    # handled by removing the shared edge's contribution.
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            need = 4 if not g.has_edge(s, t) else 3
-            if _disjoint_paths(g, s, t, skip_direct=g.has_edge(s, t)) < need:
+    for size in range(1, k):
+        for sub in combinations(range(g.n), size):
+            if not is_connected(g, vertex_mask(sub)):
                 return False
     return True
-
-
-def _disjoint_paths(g: BipartiteGraph, s: int, t: int, skip_direct: bool = False) -> int:
-    """Number of internally vertex-disjoint s-t paths (unit-capacity flow).
-
-    With ``skip_direct`` the edge st itself is ignored, so the result counts
-    paths through intermediate vertices only.
-    """
-    # Split each internal vertex v into v_in / v_out with capacity 1.
-    # Node encoding: 2*v = in, 2*v + 1 = out.
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + 1
-        cap.setdefault((b, a), 0)
-
-    for v in range(g.n):
-        if v not in (s, t):
-            add(2 * v, 2 * v + 1)
-    for u, v in g.edges:
-        if {u, v} == {s, t} and skip_direct:
-            continue
-        add(2 * u + 1, 2 * v)
-        add(2 * v + 1, 2 * u)
-    source, sink = 2 * s + 1, 2 * t
-    adj: dict[int, list[int]] = {}
-    for (a, b) in cap:
-        adj.setdefault(a, []).append(b)
-    flow = 0
-    while flow < 4:
-        # BFS augmenting path
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            a = queue.pop(0)
-            for b in adj.get(a, ()):  # noqa: B905
-                if b not in parent and cap[(a, b)] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
-            break
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    return flow
 
 
 # ----- 2-colouring -----

@@ -9,8 +9,9 @@ one matching already witness a crossing count above one.)
 
 For cubic 3-connected bipartite graphs the non-trivial tight cuts are exactly
 the non-trivial 3-edge cuts, and those are automatically 3-matchings, so they
-can be enumerated combinatorially: fix two disjoint edges, remove them, and
-every bridge of the remainder completes a disconnecting triple.
+can be enumerated combinatorially.  One primitive answers every small-cut
+question here: ``cut_labels`` gives each edge the set of fundamental cycles
+through it, and an edge set is a cut exactly when its labels XOR to zero.
 
 Graphs that are merely 2-connected (hub-and-gadget shapes) need the general
 route: a failed 2-extendability witness (a1, a2, b1, b2) yields, via Hall's
@@ -36,9 +37,7 @@ from .graphs import (
     BipartiteGraph,
     Cut,
     GraphError,
-    bits,
     connected_components,
-    is_connected,
     shore_colour_balance,
 )
 from .matching import _matching, has_perfect_matching, is_matching_covered
@@ -68,41 +67,45 @@ def is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     return True
 
 
-def _bridges(g: BipartiteGraph, skip: frozenset[int]) -> list[int]:
-    """Bridge edge ids of g with the edges in `skip` removed."""
+def cut_labels(g: BipartiteGraph) -> Optional[list[int]]:
+    """Cycle-space label of every edge id, or None when g is disconnected.
+
+    Each non-tree edge of a spanning tree gets its own bit; a tree edge gets
+    the XOR of the bits of the non-tree edges that leave the subtree below it.
+    A label is thus the set of fundamental cycles through the edge, and an
+    edge set is an edge cut exactly when its labels XOR to zero: a zero label
+    is a bridge, two equal labels are a 2-edge cut (Pritchard & Thurimella,
+    "Fast computation of small cuts via cycle space sampling", TALG 2011, in
+    its exact form).
+    """
     n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, peid, idx = stack.pop()
-            inc = g.incident[v]
-            if idx < len(inc):
-                stack.append((v, peid, idx + 1))
-                eid = inc[idx]
-                if eid == peid or eid in skip:
-                    continue
-                w = g.other_end(eid, v)
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[v] = min(low[v], disc[w])
-            elif peid != -1:
-                # v is finished; fold its low value into its parent
-                u = g.other_end(peid, v)
-                if low[v] > disc[u]:
-                    out.append(peid)
-                low[u] = min(low[u], low[v])
-    return out
+    parent_edge = [-1] * n
+    order = [0] if n else []  # breadth-first, so every vertex after its parent
+    reached = 1
+    for v in order:
+        for eid in g.incident[v]:
+            w = g.other_end(eid, v)
+            if not reached >> w & 1:
+                reached |= 1 << w
+                parent_edge[w] = eid
+                order.append(w)
+    if len(order) != n:
+        return None
+    labels = [0] * g.edge_count
+    leaving = [0] * n  # XOR of the non-tree bits at each vertex, then its subtree
+    bit = 1
+    for eid, (u, v) in enumerate(g.edges):
+        if parent_edge[u] != eid and parent_edge[v] != eid:
+            labels[eid] = bit
+            leaving[u] ^= bit
+            leaving[v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        eid = parent_edge[v]
+        if eid >= 0:
+            labels[eid] = leaving[v]
+            leaving[g.other_end(eid, v)] ^= leaving[v]
+    return labels
 
 
 def _edges_adjacent(g: BipartiteGraph, e: int, f: int) -> bool:
@@ -115,19 +118,15 @@ def cubic_three_connected(g: BipartiteGraph) -> bool:
     """3-connectivity for cubic graphs via edge cuts.
 
     For simple cubic graphs vertex and edge connectivity coincide, so it
-    suffices to rule out bridges and 2-edge cuts; much cheaper than the
-    vertex-subset test at this size.
+    suffices to rule out bridges and 2-edge cuts: g must be connected with
+    no zero cut label and no two equal ones.
     """
     if not g.is_regular(3):
         raise GraphError("cubic graph expected")
-    if g.n < 4 or not is_connected(g):
+    if g.n < 4:
         return False
-    if _bridges(g, frozenset()):
-        return False
-    for e in range(g.edge_count):
-        if _bridges(g, frozenset((e,))):
-            return False
-    return True
+    labels = cut_labels(g)
+    return labels is not None and 0 not in labels and len(set(labels)) == len(labels)
 
 
 def _disconnecting_triples(
@@ -135,11 +134,13 @@ def _disconnecting_triples(
     rng: Optional[random.Random] = None,
     first_only: bool = False,
 ) -> list[frozenset[int]]:
-    """3-matchings whose removal disconnects g, via the pair-plus-bridge scan.
+    """3-matchings whose removal disconnects g, in the order of their first pair.
 
-    Complete for 3-edge-connected graphs: removing two edges leaves the graph
-    connected, so the third edge of any disconnecting triple is a bridge of
-    the remainder.
+    Needs a 3-edge-connected g, whose cut labels are non-zero and distinct:
+    the third edge of a disconnecting triple through disjoint e and f is
+    then the one edge labelled label[e] ^ label[f].  It is disjoint from
+    both, since a cut edge sharing a vertex w with another would leave a
+    2-edge cut once w changes sides.
     """
     m = g.edge_count
     pairs = [
@@ -150,18 +151,20 @@ def _disconnecting_triples(
     ]
     if rng is not None:
         rng.shuffle(pairs)
+    labels = cut_labels(g)
+    edge_of = {label: eid for eid, label in enumerate(labels)}
     found: set[frozenset[int]] = set()
     order: list[frozenset[int]] = []
     for e, f in pairs:
-        for b in _bridges(g, frozenset((e, f))):
-            if _edges_adjacent(g, b, e) or _edges_adjacent(g, b, f):
-                continue
-            triple = frozenset((e, f, b))
-            if triple not in found:
-                found.add(triple)
-                order.append(triple)
-                if first_only:
-                    return order
+        b = edge_of.get(labels[e] ^ labels[f])
+        if b is None:
+            continue
+        triple = frozenset((e, f, b))
+        if triple not in found:
+            found.add(triple)
+            order.append(triple)
+            if first_only:
+                return order
     return order
 
 
@@ -189,7 +192,7 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     """All non-trivial tight cuts of a cubic 3-connected bipartite graph.
 
     These are exactly the non-trivial 3-edge cuts, which in this class are
-    3-matchings, so the pair-plus-bridge enumeration is exhaustive.  Results
+    3-matchings, so the cut-label enumeration is exhaustive.  Results
     are sorted by edge-id triple.
     """
     if g.colour is None or not g.is_regular(3):
@@ -440,36 +443,13 @@ def _coloured(g: BipartiteGraph) -> BipartiteGraph:
 def is_cyclically_4_connected(g: BipartiteGraph) -> bool:
     """No edge cut of order < 4 leaves two components that contain cycles.
 
-    For cubic 3-connected graphs this reduces to the absence of non-trivial
-    3-edge cuts (a tree side of a 3-cut must be a single vertex, because a
-    k-vertex tree side emits k+2 edges).  Smaller connectivity is handled by
-    direct enumeration of 1-, 2- and 3-edge cuts.
+    A side of a 1- or 2-edge cut of a simple connected cubic graph has at
+    least as many internal edges as vertices, so both sides contain a cycle
+    and g must be 3-connected.  Then only non-trivial 3-edge cuts remain to
+    rule out (a tree side of a 3-cut must be a single vertex, because a
+    k-vertex tree side emits k+2 edges).
     """
-    if not g.is_regular(3):
-        raise GraphError("cubic graph expected")
-    if not is_connected(g):
-        return False
-    if cubic_three_connected(g):
-        return not _disconnecting_triples(g, first_only=True)
-    for size in (1, 2, 3):
-        for combo in itertools.combinations(range(g.edge_count), size):
-            skip = frozenset(combo)
-            comps = connected_components(g, edge_skip=skip)
-            if len(comps) < 2:
-                continue
-            cyclic = 0
-            for comp in comps:
-                verts = list(bits(comp))
-                internal = sum(
-                    1
-                    for eid, (u, v) in enumerate(g.edges)
-                    if eid not in skip and comp >> u & 1 and comp >> v & 1
-                )
-                if internal >= len(verts):
-                    cyclic += 1
-            if cyclic >= 2:
-                return False
-    return True
+    return cubic_three_connected(g) and not _disconnecting_triples(g, first_only=True)
 
 
 # ---------------------------------------------------------------------------

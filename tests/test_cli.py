@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import barnette
 from barnette.canon import canonical_form
 from barnette.cli import main
 from barnette.io import from_bgf, split_records
@@ -203,3 +208,13 @@ def test_empty_stdin(capsys, monkeypatch):
     code, _, err = run(capsys, "decompose", stdin="", monkeypatch=monkeypatch)
     assert code == 2
     assert "error:" in err
+
+
+def test_package_import_loads_neither_numpy_nor_networkx():
+    src = str(Path(barnette.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, barnette; print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from barnette.bruteforce import pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
     CycleSaturationError,
+    _solve_gf2,
     braces_pfaffian_consistency,
     conformal_cross,
     conformal_cycles,
@@ -128,6 +132,29 @@ def test_pfaffian_solver_matches_enumeration(cube, k33, c6):
         got = find_pfaffian_orientation(g) is not None
         assert got == expect
         assert pfaffian_by_enumeration(g) == expect
+
+
+def test_gf2_solver_matches_exhaustive_search():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        width = rng.randint(0, 8)
+        rows = [
+            [rng.randrange(width) for _ in range(rng.randint(0, 2 * width))] if width else []
+            for _ in range(rng.randint(0, 12))
+        ]
+        rhs = [rng.randint(0, 1) for _ in rows]
+
+        def satisfies(x):
+            return all(sum(x[c] for c in cols) % 2 == b for cols, b in zip(rows, rhs))
+
+        feasible = any(satisfies(x) for x in itertools.product((0, 1), repeat=width))
+        got = _solve_gf2(rows, rhs, width)
+        outcomes.add(feasible)
+        assert (got is not None) == feasible
+        if got is not None:
+            assert len(got) == width and satisfies(got)
+    assert outcomes == {True, False}
 
 
 def test_orientation_is_odd_on_all_conformal_cycles(cube, heawood):

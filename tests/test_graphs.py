@@ -67,7 +67,8 @@ def test_connectivity_ladder(cube, k33):
     assert is_connected(cube)
     for k in (1, 2, 3):
         assert is_k_connected(cube, k)
-    assert not is_k_connected(cube, 4)
+    with pytest.raises(GraphError):
+        is_k_connected(cube, 4)
     assert is_k_connected(k33, 3)
     path = _path(4)
     assert is_k_connected(path, 1)

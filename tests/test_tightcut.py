@@ -1,14 +1,16 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from barnette.bruteforce import oracle_is_tight
+from barnette.bruteforce import cubic_bipartite_classes, oracle_is_tight
 from barnette.canon import canonical_form
-from barnette.graphs import BipartiteGraph, Cut, GraphError
+from barnette.graphs import BipartiteGraph, Cut, GraphError, connected_components, with_colouring
 from barnette.tightcut import (
     contract,
     cubic_three_connected,
+    cut_labels,
     cut_from_edge_ids,
     cuts_compatible,
     family_is_laminar,
@@ -151,6 +153,60 @@ def test_cyclic_connectivity_fixtures(cube, heawood, asano):
     assert is_cyclically_4_connected(cube)
     assert is_cyclically_4_connected(heawood)
     assert not is_cyclically_4_connected(asano.graph)
+    assert not is_cyclically_4_connected(_two_cubes_bridged())
+
+
+def _small_edge_cuts(g):
+    """Edge sets of size 1..3 whose removal disconnects g, with their components."""
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(range(g.edge_count), size):
+            comps = connected_components(g, edge_skip=frozenset(combo))
+            if len(comps) > 1:
+                yield frozenset(combo), comps
+
+
+def _has_cycle(g, comp, removed):
+    internal = sum(
+        1
+        for eid, (u, v) in enumerate(g.edges)
+        if eid not in removed and comp >> u & 1 and comp >> v & 1
+    )
+    return internal >= bin(comp).count("1")
+
+
+def test_small_cuts_match_edge_subset_enumeration():
+    rng = random.Random(3)
+    graphs = [g for n in (8, 10, 12) for g in cubic_bipartite_classes(n)]
+    assert len(graphs) == 8
+    verdicts = Counter()
+    for base in graphs:
+        for _ in range(3):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            g = with_colouring(base.relabel(perm))
+            cuts = list(_small_edge_cuts(g))
+            three_connected = all(len(edges) == 3 for edges, _ in cuts)
+            cyclic4 = not any(
+                sum(_has_cycle(g, comp, edges) for comp in comps) >= 2 for edges, comps in cuts
+            )
+            assert cubic_three_connected(g) == three_connected
+            assert is_cyclically_4_connected(g) == cyclic4
+            verdicts[three_connected, cyclic4] += 1
+            if not three_connected:
+                with pytest.raises(GraphError):
+                    find_tight_cuts_cubic(g)
+                continue
+            nontrivial = {
+                edges for edges, comps in cuts if all(bin(c).count("1") > 1 for c in comps)
+            }
+            assert {c.edge_ids for c in find_tight_cuts_cubic(g)} == nontrivial
+    assert verdicts == {(True, True): 15, (True, False): 6, (False, False): 3}
+
+
+def test_cut_labels_disconnected(cube):
+    two_cubes = BipartiteGraph(16, cube.edges + tuple((u + 8, v + 8) for u, v in cube.edges))
+    assert cut_labels(two_cubes) is None
+    assert not cubic_three_connected(two_cubes)
 
 
 def test_laminar_utilities(c6):
