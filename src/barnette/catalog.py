@@ -65,7 +65,8 @@ def _cube_rotation(g: BipartiteGraph) -> RotationEmbedding:
         tuple(g.edge_id(v, w) for w in neighbour_rotation[v]) for v in range(g.n)
     )
     emb = RotationEmbedding(rotation)
-    euler_check(g, emb)
+    if not euler_check(g, emb):
+        raise CatalogError("cube rotation fails Euler's formula")
     return emb
 
 

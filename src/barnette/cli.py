@@ -17,7 +17,6 @@ from .catalog import CatalogError, catalog, catalog_names
 from .constructions import (
     braces_pfaffian_consistency,
     find_conformal_k33_bisubdivision,
-    find_pfaffian_orientation,
 )
 from .graphs import BipartiteGraph, GraphError, with_colouring
 from .generator import GenerationRecord, generate, survey, verify_record
@@ -46,10 +45,6 @@ def _parse_records(text: str) -> list[ParsedRecord]:
         if line.strip():
             out.append((from_graph6(line.strip()), None, []))
     return out
-
-
-def _coloured(g: BipartiteGraph) -> BipartiteGraph:
-    return g if g.colour is not None else with_colouring(g)
 
 
 def _print_json(payload: dict) -> None:
@@ -83,7 +78,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     records = _parse_records(_read_text(args.file))
     for i, (g, _rot, _cuts) in enumerate(records):
-        result = tight_cut_decomposition(_coloured(g))
+        result = tight_cut_decomposition(with_colouring(g))
         if args.json:
             _print_json(
                 {
@@ -109,7 +104,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_check_properties(args: argparse.Namespace) -> int:
     for g, _rot, _cuts in _parse_records(_read_text(args.file)):
-        profile = property_profile(_coloured(g))
+        profile = property_profile(with_colouring(g))
         if args.json:
             _print_json({"n": g.n, **profile})
         else:
@@ -121,7 +116,7 @@ def _cmd_check_properties(args: argparse.Namespace) -> int:
 def _cmd_pfaffian(args: argparse.Namespace) -> int:
     failed = False
     for g, _rot, _cuts in _parse_records(_read_text(args.file)):
-        g = _coloured(g)
+        g = with_colouring(g)
         report = braces_pfaffian_consistency(g)
         witness = None
         if not report["pfaffian"] and g.n <= oracle_bound():
@@ -178,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     any_failed = False
     for block in split_records(text):
         g, rotation, cut_triples = from_bgf(block)
-        g = _coloured(g)
+        g = with_colouring(g)
         if rotation is None:
             print("verify needs bgf records with rotations", file=sys.stderr)
             return 2

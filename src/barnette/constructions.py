@@ -29,7 +29,6 @@ from .graphs import (
     with_colouring,
 )
 from .matching import (
-    _matching,
     has_perfect_matching,
     is_brace,
     is_matching_covered,
@@ -328,9 +327,7 @@ class K33Bisubdivision:
             raise GraphError("bisubdivision is not conformal")
 
 
-def find_conformal_k33_bisubdivision(
-    g: BipartiteGraph, bound: Optional[int] = None
-) -> Optional[K33Bisubdivision]:
+def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivision]:
     """Exact search for a conformal bisubdivision of K33.
 
     Branch triples are drawn one per colour class in ascending order; the
@@ -339,9 +336,8 @@ def find_conformal_k33_bisubdivision(
     Returns None exactly when no witness exists, which for bipartite graphs
     with a perfect matching means the graph is Pfaffian.
     """
-    if g.colour is None:
-        g = with_colouring(g)
-    limit = oracle_bound() if bound is None else bound
+    g = with_colouring(g)
+    limit = oracle_bound()
     if g.n > limit:
         raise OracleBoundError(
             f"{g.n} vertices exceed the exact-search bound {limit}"
@@ -352,16 +348,13 @@ def find_conformal_k33_bisubdivision(
     side_b = g.class_b()
     if len(side_a) < 3 or len(side_b) < 3:
         return None
-    _, base = _matching(g)
 
     pair_order = [(i, j) for i in range(3) for j in range(3)]
 
     for tri_a in itertools.combinations(side_a, 3):
         for tri_b in itertools.combinations(side_b, 3):
             branch_mask = vertex_mask(tri_a) | vertex_mask(tri_b)
-            witness = _grow_paths(
-                g, tri_a, tri_b, branch_mask, pair_order, base
-            )
+            witness = _grow_paths(g, tri_a, tri_b, branch_mask, pair_order)
             if witness is not None:
                 witness.validate(g)
                 return witness
@@ -384,7 +377,6 @@ def _grow_paths(
     tri_b: tuple[int, ...],
     branch_mask: int,
     pair_order: list[tuple[int, int]],
-    base: list[int],
 ) -> Optional[K33Bisubdivision]:
     done: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -411,9 +403,7 @@ def _grow_paths(
 
     def grow(idx: int, used: int) -> bool:
         if idx == len(pair_order):
-            free = g.full_mask & ~used
-            size, _ = _matching(g, removed_mask=used, seed=base)
-            return 2 * size == bin(free).count("1")
+            return has_perfect_matching(g, used)
         i, j = pair_order[idx]
         src, dst = tri_a[i], tri_b[j]
         path = [src]
@@ -501,22 +491,15 @@ def enumerate_simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> list[tuple
     return out
 
 
-def conformal_cycles(
-    g: BipartiteGraph, cap: int = 10 ** 6
-) -> list[tuple[int, ...]]:
+def conformal_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """Simple cycles whose vertex-complement has a perfect matching."""
     if not has_perfect_matching(g):
         return []
-    _, base = _matching(g)
-    keep = []
-    for cyc in enumerate_simple_cycles(g, cap):
-        if len(cyc) % 2:
-            continue
-        mask = vertex_mask(cyc)
-        size, _ = _matching(g, removed_mask=mask, seed=base)
-        if 2 * size == g.n - len(cyc):
-            keep.append(cyc)
-    return keep
+    return [
+        cyc
+        for cyc in enumerate_simple_cycles(g)
+        if len(cyc) % 2 == 0 and has_perfect_matching(g, vertex_mask(cyc))
+    ]
 
 
 def _cycle_constraint(
@@ -569,42 +552,34 @@ def _solve_gf2(rows: list[list[int]], rhs: list[int], width: int) -> Optional[li
     return x
 
 
-def find_pfaffian_orientation(
-    g: BipartiteGraph,
-    bound: Optional[int] = None,
-    cycle_cap: int = 10 ** 6,
-) -> Optional[Orientation]:
+def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     """Orientation making every conformal cycle oddly oriented, or None.
 
     Each conformal cycle contributes one GF(2) parity constraint on the edge
     direction bits; any solution of the system is returned.  None means the
     graph is not Pfaffian.
     """
-    limit = oracle_bound() if bound is None else bound
+    limit = oracle_bound()
     if g.n > limit:
         raise OracleBoundError(
             f"{g.n} vertices exceed the exact-search bound {limit}"
         )
-    if g.colour is None:
-        g = with_colouring(g)
+    g = with_colouring(g)
     if not is_matching_covered(g):
         raise GraphError("Pfaffian test expects a matching covered graph")
     rows: list[list[int]] = []
     rhs: list[int] = []
-    cycles = conformal_cycles(g, cycle_cap)
-    for cyc in cycles:
+    for cyc in conformal_cycles(g):
         ids, b = _cycle_constraint(g, cyc)
         rows.append(ids)
         rhs.append(b)
     solution = _solve_gf2(rows, rhs, g.edge_count)
     if solution is None:
         return None
-    orientation = Orientation(tuple(solution))
-    for cyc, b in zip(cycles, rhs):
-        ids, _ = _cycle_constraint(g, cyc)
+    for ids, b in zip(rows, rhs):
         if sum(solution[e] for e in ids) % 2 != b:
             raise AssertionError("solver returned an infeasible orientation")
-    return orientation
+    return Orientation(tuple(solution))
 
 
 def is_oddly_oriented(
@@ -621,19 +596,17 @@ def is_oddly_oriented(
     return agree % 2 == 1
 
 
-def braces_pfaffian_consistency(g: BipartiteGraph, bound: Optional[int] = None) -> dict:
+def braces_pfaffian_consistency(g: BipartiteGraph) -> dict:
     """Compare the direct Pfaffian verdict with the one through the braces.
 
     A matching covered graph is Pfaffian exactly when all its braces are, so
     the brace route also covers graphs beyond the direct solver's bound; in
     that case the direct entry is None and no comparison is made.
     """
-    from .canon import canonical_form  # local import to keep module load light
     from .io import from_graph6
     from .tightcut import tight_cut_decomposition
 
-    limit = oracle_bound() if bound is None else bound
-    decomposition = tight_cut_decomposition(g if g.colour else with_colouring(g))
+    decomposition = tight_cut_decomposition(g)
     pieces = [
         (with_colouring(from_graph6(form)), form) for form in decomposition.braces
     ]
@@ -643,14 +616,14 @@ def braces_pfaffian_consistency(g: BipartiteGraph, bound: Optional[int] = None) 
     brace_verdicts: dict[str, bool] = {}
     via_braces = True
     for piece, form in pieces:
-        verdict = find_pfaffian_orientation(piece, bound=limit) is not None
+        verdict = find_pfaffian_orientation(piece) is not None
         brace_verdicts[form] = verdict
         if not verdict:
             via_braces = False
             break
     direct: Optional[bool] = None
-    if g.n <= limit:
-        direct = find_pfaffian_orientation(g, bound=limit) is not None
+    if g.n <= oracle_bound():
+        direct = find_pfaffian_orientation(g) is not None
     return {
         "pfaffian": via_braces,
         "direct": direct,

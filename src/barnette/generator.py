@@ -10,7 +10,7 @@ checking downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .canon import canonical_form
@@ -25,7 +25,7 @@ from .expansion import (
     update_family_cube,
 )
 from .graphs import BipartiteGraph, GraphError, two_colour
-from .hamiltonicity import HamiltonicityEngine, is_hamiltonian, is_pk_hamiltonian, has_h_plus_minus
+from .hamiltonicity import HamiltonicityEngine, is_pk_hamiltonian, has_h_plus_minus
 from .matching import is_brace
 from .tightcut import (
     cubic_three_connected,
@@ -171,7 +171,7 @@ def survey(
         row["graphs"] += 1
         row["braces"] += rec.is_brace
         engine = HamiltonicityEngine(rec.graph)
-        row["hamiltonian"] += bool(is_hamiltonian(rec.graph))
+        row["hamiltonian"] += engine.cycle_with() is not None
         if with_p2:
             row["p2"] = row.get("p2", 0) + bool(
                 is_pk_hamiltonian(rec.graph, 2, engine=engine)

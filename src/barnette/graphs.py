@@ -85,10 +85,6 @@ class BipartiteGraph:
     # ----- basic accessors -----
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -200,12 +196,6 @@ class Cut:
     @property
     def is_trivial(self) -> bool:
         return _popcount(self.shore) == 1 or _popcount(self.complement_mask()) == 1
-
-    def same_cut(self, other: "Cut") -> bool:
-        """True if both objects describe the same cut, up to shore complement."""
-        return self.edge_ids == other.edge_ids and (
-            self.shore == other.shore or self.shore == other.complement_mask()
-        )
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

@@ -1,22 +1,33 @@
 """Perfect matchings, allowed edges, k-extendability and the brace test.
 
-The solver-independent facts used here: a bipartite graph is matching covered
-(1-extendable) iff it is connected and every edge lies in some perfect
-matching; allowed edges are found from one perfect matching by strongly
-connected components of the alternating digraph; k-extendability for k in
-{1, 2} is decided by deleting k vertices from each colour class in all ways
-and testing for a perfect matching of the rest; a brace is either a 4-cycle or
-a 2-extendable bipartite graph.
+This module alone handles partner arrays.  Every graph gets one
+deterministic maximum matching, computed on first use and cached on the
+graph object; each further matching question (``has_perfect_matching`` with
+vertices removed) starts from it.  The solver-independent facts used here: a
+bipartite graph is matching covered (1-extendable) iff it is connected and
+every edge lies in some perfect matching; allowed edges are found from one
+perfect matching by strongly connected components of the alternating
+digraph; 2-extendability is decided by one quartet scan, which deletes two
+vertices from each colour class in all ways and tests the rest for a
+perfect matching; a failed quartet's Hall set T ∪ N(T) gives a tight cut;
+a brace is either a 4-cycle or a 2-extendable bipartite graph.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from .graphs import BipartiteGraph, GraphError, bits, is_connected, with_colouring
+from .graphs import (
+    BipartiteGraph,
+    GraphError,
+    is_connected,
+    vertex_mask,
+    with_colouring,
+)
 
 DEFAULT_ORACLE_BOUND = 40
 
@@ -55,60 +66,80 @@ class PerfectMatching:
 # ----- matching kernel -----
 
 
-def _matching(
-    g: BipartiteGraph, removed_mask: int = 0, seed: Optional[list[int]] = None
-) -> tuple[int, list[int]]:
-    """Maximum matching; returns (size, partner array with -1 for unmatched).
+def _warm_start(g: BipartiteGraph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Class A, its mask and one maximum matching of g, computed once per graph.
 
-    Deterministic: A-vertices in increasing order, neighbours in stored order.
+    Cached on the graph object like its edge index, so the cache lives exactly
+    as long as the graph does.  The matching is the deterministic one built
+    from nothing: A-vertices in increasing order, neighbours in stored order.
     """
-    g._require_colour()
+    cached = getattr(g, "_warm_start_cache", None)
+    if cached is None:
+        a_class = with_colouring(g).class_a()
+        partner = [-1] * g.n
+        for a in a_class:
+            _augment(g, a, partner, g.full_mask)
+        cached = (a_class, vertex_mask(a_class), tuple(partner))
+        object.__setattr__(g, "_warm_start_cache", cached)
+    return cached
+
+
+def _matching(g: BipartiteGraph, removed_mask: int = 0) -> tuple[int, list[int]]:
+    """Maximum matching of g minus removed_mask: (size, partner array, -1 unmatched).
+
+    Starts from g's cached matching with the pairs of removed vertices undone
+    and augments the A-vertices left free, in increasing order.
+    """
+    a_class, _, base = _warm_start(g)
     alive = g.full_mask & ~removed_mask
-    partner = list(seed) if seed is not None else [-1] * g.n
-    for v in range(g.n):
-        if not (alive >> v & 1) and partner[v] != -1:
-            w = partner[v]
-            partner[v] = -1
-            if w >= 0:
-                partner[w] = -1
+    partner = list(base)
+    for a in a_class:
+        b = partner[a]
+        if b >= 0 and (removed_mask >> a | removed_mask >> b) & 1:
+            partner[a] = partner[b] = -1
     size = 0
-    a_class = [v for v in range(g.n) if g.colour[v] == "A" and alive >> v & 1]
     for a in a_class:
-        if partner[a] != -1:
-            size += 1
-    for a in a_class:
-        if partner[a] != -1:
-            continue
-        if _augment_rec(g, a, partner, alive, set()):
+        if alive >> a & 1 and (partner[a] != -1 or _augment(g, a, partner, alive)):
             size += 1
     return size, partner
 
 
-def _augment_rec(
-    g: BipartiteGraph, a: int, partner: list[int], alive: int, visited: set[int]
-) -> bool:
-    for b in g.neighbours[a]:
-        if not (alive >> b & 1) or b in visited:
-            continue
-        visited.add(b)
-        if partner[b] == -1 or _augment_rec(g, partner[b], partner, alive, visited):
-            partner[b] = a
-            partner[a] = b
-            return True
+def _augment(g: BipartiteGraph, a: int, partner: list[int], alive: int) -> bool:
+    """Depth-first augmenting path from the free A-vertex a; flips it if found.
+
+    Iterative, so path length is not bounded by the recursion limit.  Each
+    stack entry is (A-vertex, its unscanned neighbours, the B-vertex that led
+    to it); neighbours are tried in stored order, as a recursive search would.
+    """
+    visited: set[int] = set()
+    stack = [(a, iter(g.neighbours[a]), -1)]
+    while stack:
+        x, todo, _ = stack[-1]
+        for b in todo:
+            if not (alive >> b & 1) or b in visited:
+                continue
+            visited.add(b)
+            if partner[b] == -1:
+                for x, _, via in reversed(stack):
+                    partner[b] = x
+                    partner[x] = b
+                    b = via
+                return True
+            stack.append((partner[b], iter(g.neighbours[partner[b]]), b))
+            break
+        else:
+            stack.pop()
     return False
 
 
 def has_perfect_matching(g: BipartiteGraph, removed_mask: int = 0) -> bool:
+    """Does g minus the vertices in removed_mask have a perfect matching?"""
+    _, a_mask, _ = _warm_start(g)
     alive = g.full_mask & ~removed_mask
     count = bin(alive).count("1")
-    if count % 2:
+    if 2 * bin(alive & a_mask).count("1") != count:
         return False
-    g2 = with_colouring(g) if g.colour is None else g
-    amask = g2.colour_mask("A") & alive
-    bmask = g2.colour_mask("B") & alive
-    if bin(amask).count("1") != bin(bmask).count("1"):
-        return False
-    size, _ = _matching(g2, removed_mask)
+    size, _ = _matching(g, removed_mask)
     return 2 * size == count
 
 
@@ -221,52 +252,88 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
 # ----- extendability and braces -----
 
 
-def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
-    """k-extendability for k in {1, 2} via colour-class deletions.
+def blocking_quartet(
+    g: BipartiteGraph, rng: Optional[random.Random] = None
+) -> Optional[int]:
+    """Mask of the first {a1, a2, b1, b2} whose removal kills every perfect matching.
 
-    Deletes every choice of k vertices from each class and tests the rest for
-    a perfect matching; also requires connectivity and at least 2k+2 vertices.
+    Pairs from class A form the outer loop and pairs from class B the inner
+    one, each in lexicographic order or shuffled by `rng` (A-pairs first).
+    None means g minus any two vertices of each class has a perfect matching.
+    """
+    a_pairs = list(combinations(g.class_a(), 2))
+    b_pairs = list(combinations(g.class_b(), 2))
+    if rng is not None:
+        rng.shuffle(a_pairs)
+        rng.shuffle(b_pairs)
+    for a1, a2 in a_pairs:
+        for b1, b2 in b_pairs:
+            removed = 1 << a1 | 1 << a2 | 1 << b1 | 1 << b2
+            if not has_perfect_matching(g, removed):
+                return removed
+    return None
+
+
+def hall_set(g: BipartiteGraph, removed_mask: int) -> int:
+    """Mask of T ∪ N(T) for a removal that leaves no perfect matching.
+
+    T is the set of A-vertices reached by alternating paths from the first
+    A-vertex left free by the maximum matching of g minus the removal, so
+    every neighbour of T outside the removal is matched into T.  In a
+    matching covered g, where no nonempty proper T has |N(T)| <= |T|, the
+    full neighbourhood then has exactly |T| + 1 vertices.
+    """
+    _, partner = _matching(g, removed_mask)
+    alive = g.full_mask & ~removed_mask
+    start = next((a for a in g.class_a() if alive >> a & 1 and partner[a] == -1), -1)
+    if start < 0:
+        raise GraphError("matching saturates class A")
+    t_set = {start}
+    reached: set[int] = set()
+    queue = [start]
+    while queue:
+        a = queue.pop()
+        for b in g.neighbours[a]:
+            if not (alive >> b & 1) or b in reached:
+                continue
+            reached.add(b)
+            nxt = partner[b]
+            if nxt != -1 and nxt not in t_set:
+                t_set.add(nxt)
+                queue.append(nxt)
+    full_n = {b for a in t_set for b in g.neighbours[a]}
+    if len(full_n) != len(t_set) + 1:
+        raise GraphError("graph is not matching covered")
+    return vertex_mask(t_set | full_n)
+
+
+def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
+    """k-extendability for k in {1, 2}: every k disjoint edges extend to a
+    perfect matching of the connected graph g on at least 2k+2 vertices.
+
+    For k = 1 this is being matching covered: a connected bipartite graph
+    with a perfect matching is matching covered exactly when g minus any a
+    in A and b in B still has one.  For k = 2 the quartet scan must find no
+    blocking removal.
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
     g = with_colouring(g)
-    if g.n < 2 * k + 2 or not is_connected(g):
-        return False
-    a_class, b_class = g.class_a(), g.class_b()
-    if len(a_class) != len(b_class):
-        return False
-    size, base = _matching(g)
-    if 2 * size != g.n:
-        return False
-    for asub in combinations(a_class, k):
-        for bsub in combinations(b_class, k):
-            removed = 0
-            for v in asub + bsub:
-                removed |= 1 << v
-            seed = list(base)
-            for v in asub + bsub:
-                w = seed[v]
-                seed[v] = -1
-                if w >= 0 and seed[w] == v:
-                    seed[w] = -1
-            alive_count = g.n - 2 * k
-            size2, _ = _matching(g, removed, seed)
-            if 2 * size2 != alive_count:
-                return False
-    return True
+    if k == 1:
+        return g.n >= 4 and is_matching_covered(g)
+    return (
+        g.n >= 6
+        and is_connected(g)
+        and has_perfect_matching(g)
+        and blocking_quartet(g) is None
+    )
 
 
 def is_brace(g: BipartiteGraph) -> bool:
     """A brace is a 4-cycle or a 2-extendable connected bipartite graph."""
-    if g.n == 4 and g.edge_count == 4 and g.is_regular(2) and is_connected(g):
-        return two_colourable(g)
+    if g.n == 4 and g.is_regular(2) and is_connected(g):
+        return True
     return is_k_extendable(g, 2)
-
-
-def two_colourable(g: BipartiteGraph) -> bool:
-    from .graphs import two_colour
-
-    return g.colour is not None or two_colour(g) is not None
 
 
 # ----- enumeration oracle -----

@@ -1,11 +1,13 @@
 """Tight cuts in matching covered bipartite graphs.
 
 A cut is tight when every perfect matching crosses it exactly once.  The
-recognition test here is polynomial: the shore must carry a colour imbalance
-of exactly one, and no two vertex-disjoint cut edges may lie in a common
-perfect matching.  (With imbalance 1 the crossing count is always odd, so a
-second crossing edge forces a third; conversely two disjoint cut edges inside
-one matching already witness a crossing count above one.)
+recognition test reads the allowed edges (those in some perfect matching):
+the shore must carry a colour imbalance of exactly one, and no allowed edge
+may leave it from its minority class.  (With imbalance +1 every perfect
+matching crosses once more from class A than from class B, so it crosses
+exactly once iff it uses no cut edge at a B-vertex of the shore; this is the
+bipartite tight-cut characterisation of Lovász & Plummer, *Matching Theory*,
+restricted to allowed edges.)
 
 For cubic 3-connected bipartite graphs the non-trivial tight cuts are exactly
 the non-trivial 3-edge cuts, and those are automatically 3-matchings, so they
@@ -14,9 +16,10 @@ question here: ``cut_labels`` gives each edge the set of fundamental cycles
 through it, and an edge set is a cut exactly when its labels XOR to zero.
 
 Graphs that are merely 2-connected (hub-and-gadget shapes) need the general
-route: a failed 2-extendability witness (a1, a2, b1, b2) yields, via Hall's
-condition, a set T on one colour class with |N(T)| = |T| + 1, and
-T ∪ N(T) is then the shore of a non-trivial tight cut.
+route: the matching kernel's quartet scan finds a removal of two vertices
+from each colour class that kills every perfect matching, its Hall set
+T ∪ N(T) has |N(T)| = |T| + 1, and T ∪ N(T) is then the complement of the
+shore of a non-trivial tight cut.
 
 Contracting either shore to a single vertex (parallel edges merged) preserves
 matching coveredness, and iterating until no non-trivial tight cut remains
@@ -39,30 +42,37 @@ from .graphs import (
     GraphError,
     connected_components,
     shore_colour_balance,
+    with_colouring,
 )
-from .matching import _matching, has_perfect_matching, is_matching_covered
+from .matching import (
+    allowed_edges,
+    blocking_quartet,
+    hall_set,
+    has_perfect_matching,
+    is_matching_covered,
+)
 
 
 def is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     """Does every perfect matching cross the cut exactly once?
 
-    Runs in polynomial time via the imbalance-plus-pair test; the graph must
-    be coloured and have a perfect matching.
+    Exactly when the shore's colour imbalance is ±1 and no allowed edge
+    leaves the shore from its minority class; the graph must be coloured and
+    have a perfect matching.
     """
     if g.colour is None:
         raise GraphError("tightness test needs a two-coloured graph")
     if not has_perfect_matching(g):
         raise GraphError("tightness is only meaningful with a perfect matching")
-    if abs(shore_colour_balance(g, cut.shore)) != 1:
+    balance = shore_colour_balance(g, cut.shore)
+    if abs(balance) != 1:
         return False
-    cut_edges = sorted(cut.edge_ids)
-    for e, f in itertools.combinations(cut_edges, 2):
-        u1, v1 = g.edges[e]
-        u2, v2 = g.edges[f]
-        if len({u1, v1, u2, v2}) < 4:
-            continue
-        removed = 1 << u1 | 1 << v1 | 1 << u2 | 1 << v2
-        if has_perfect_matching(g, removed):
+    minority = "B" if balance == 1 else "A"
+    allowed = allowed_edges(g)
+    for eid in cut.edge_ids:
+        u, v = g.edges[eid]
+        inside = u if cut.shore >> u & 1 else v
+        if g.colour[inside] == minority and eid in allowed:
             return False
     return True
 
@@ -205,80 +215,24 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     return cuts
 
 
-def _hall_violator_cut(
-    g: BipartiteGraph,
-    partner: list[int],
-    removed: int,
-) -> Cut:
-    """Tight cut from a maximum matching that misses part of class A.
-
-    `partner` is a maximum matching of g minus `removed` that is not perfect
-    there.  Alternating reachability from an unmatched A-vertex yields T with
-    all neighbours matched into T; in the full graph |N(T)| = |T| + 1 because
-    a matching covered graph cannot contain a set with |N(T)| = |T|.  The
-    stored shore is the complement of T ∪ N(T), the A-excess side.
-    """
-    start = -1
-    for a in g.class_a():
-        if not removed >> a & 1 and partner[a] == -1:
-            start = a
-            break
-    if start < 0:
-        raise GraphError("matching saturates class A")
-    t_set = {start}
-    n_set: set[int] = set()
-    queue = [start]
-    while queue:
-        a = queue.pop()
-        for b in g.neighbours[a]:
-            if removed >> b & 1 or b in n_set:
-                continue
-            n_set.add(b)
-            nxt = partner[b]
-            if nxt != -1 and nxt not in t_set:
-                t_set.add(nxt)
-                queue.append(nxt)
-    full_n: set[int] = set()
-    for a in t_set:
-        full_n.update(g.neighbours[a])
-    if len(full_n) != len(t_set) + 1:
-        raise GraphError("graph is not matching covered")
-    x_mask = 0
-    for v in t_set | full_n:
-        x_mask |= 1 << v
-    return Cut.from_shore(g, g.full_mask & ~x_mask)
-
-
 def _general_tight_cut(
     g: BipartiteGraph, rng: Optional[random.Random] = None
 ) -> Optional[Cut]:
     """One non-trivial tight cut of a matching covered bipartite graph.
 
-    Scans 2-extendability witnesses; the first quartet whose removal kills
-    all perfect matchings produces a Hall-violator cut.  Returns None when
-    the graph is 2-extendable (or C4), i.e. a brace.
+    The first blocking quartet's Hall set T ∪ N(T) is the complement of the
+    shore, which is the A-excess side.  Returns None when the graph is
+    2-extendable (or C4), i.e. a brace.
     """
-    a_side = g.class_a()
-    b_side = g.class_b()
-    _, base = _matching(g)
-    if any(base[v] == -1 for v in range(g.n)):
+    if not has_perfect_matching(g):
         raise GraphError("graph has no perfect matching")
-    a_pairs = list(itertools.combinations(a_side, 2))
-    b_pairs = list(itertools.combinations(b_side, 2))
-    if rng is not None:
-        rng.shuffle(a_pairs)
-        rng.shuffle(b_pairs)
-    want = (g.n - 4) // 2
-    for a1, a2 in a_pairs:
-        for b1, b2 in b_pairs:
-            removed = 1 << a1 | 1 << a2 | 1 << b1 | 1 << b2
-            size, partner = _matching(g, removed_mask=removed, seed=base)
-            if size < want:
-                cut = _hall_violator_cut(g, partner, removed)
-                if not is_tight(g, cut):
-                    raise AssertionError("violator cut failed the tightness test")
-                return cut
-    return None
+    removed = blocking_quartet(g, rng)
+    if removed is None:
+        return None
+    cut = Cut.from_shore(g, g.full_mask & ~hall_set(g, removed))
+    if not is_tight(g, cut):
+        raise AssertionError("violator cut failed the tightness test")
+    return cut
 
 
 def find_nontrivial_tight_cut(
@@ -405,8 +359,7 @@ def tight_cut_decomposition(
     not depend on the order of contractions or on which cuts are picked, so a
     supplied rng perturbs only the trace.
     """
-    if g.colour is None:
-        g = _coloured(g)
+    g = with_colouring(g)
     if not is_matching_covered(g):
         raise GraphError("decomposition needs a matching covered graph")
     braces: Counter = Counter()
@@ -432,12 +385,6 @@ def tight_cut_decomposition(
         work.append(inner.graph)
         work.append(outer.graph)
     return DecompositionResult(braces, tuple(trace))
-
-
-def _coloured(g: BipartiteGraph) -> BipartiteGraph:
-    from .graphs import with_colouring
-
-    return with_colouring(g)
 
 
 def is_cyclically_4_connected(g: BipartiteGraph) -> bool:

@@ -9,7 +9,8 @@ import pytest
 import barnette
 from barnette.canon import canonical_form
 from barnette.cli import main
-from barnette.io import from_bgf, split_records
+from barnette.graphs import BipartiteGraph
+from barnette.io import from_bgf, split_records, to_graph6
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -208,6 +209,19 @@ def test_empty_stdin(capsys, monkeypatch):
     code, _, err = run(capsys, "decompose", stdin="", monkeypatch=monkeypatch)
     assert code == 2
     assert "error:" in err
+
+
+def test_decompose_long_path_is_a_clean_error(capsys, tmp_path):
+    n = 3000
+    path = BipartiteGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    g6 = tmp_path / "path.g6"
+    g6.write_text(to_graph6(path) + "\n", encoding="ascii")
+    code, out, err = run(capsys, "decompose", str(g6))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_package_import_loads_neither_numpy_nor_networkx():

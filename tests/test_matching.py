@@ -126,3 +126,13 @@ def test_allowed_edges_matches_enumeration(cube, heawood, c6):
         for pm in enumerate_perfect_matchings(g):
             by_enum |= pm.edge_ids
         assert allowed_edges(g) == frozenset(by_enum)
+
+
+def test_has_perfect_matching_on_long_path():
+    # augmenting from vertex 2k first walks the alternating path back to 0,
+    # so the search runs about n/2 levels deep
+    n = 3000
+    path = BipartiteGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+    assert has_perfect_matching(path)
+    assert not has_perfect_matching(path, removed_mask=0b110)  # strands vertex 0
+    assert has_perfect_matching(path, removed_mask=0b1001)

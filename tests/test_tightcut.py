@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 from collections import Counter
 
@@ -6,7 +8,9 @@ import pytest
 
 from barnette.bruteforce import cubic_bipartite_classes, oracle_is_tight
 from barnette.canon import canonical_form
+from barnette.catalog import catalog
 from barnette.graphs import BipartiteGraph, Cut, GraphError, connected_components, with_colouring
+from barnette.matching import has_perfect_matching, is_matching_covered
 from barnette.tightcut import (
     contract,
     cubic_three_connected,
@@ -45,6 +49,29 @@ def test_c6_tightness_matches_oracle(c6):
         m = (1 << i) | (1 << ((i + 1) % 6)) | (1 << ((i + 2) % 6))
         consecutive.add(min(m, c6.full_mask & ~m))
     assert tight_shores == consecutive
+
+
+def test_tightness_matches_oracle_when_not_matching_covered():
+    # with a perfect matching but some edge in none, a cut edge can be one
+    # that no perfect matching uses; every shore of every graph is checked
+    rng = random.Random(11)
+    graphs = [with_colouring(BipartiteGraph(6, tuple((i, i + 1) for i in range(5))))]
+    while len(graphs) < 10:
+        half = rng.choice((3, 4))
+        edges = tuple(
+            (a, b) for a in range(half) for b in range(half, 2 * half) if rng.random() < 0.45
+        )
+        g = BipartiteGraph(2 * half, edges, ("A",) * half + ("B",) * half)
+        if has_perfect_matching(g) and not is_matching_covered(g):
+            graphs.append(g)
+    verdicts = Counter()
+    for g in graphs:
+        for shore in range(1, g.full_mask):
+            cut = Cut.from_shore(g, shore)
+            verdict = is_tight(g, cut)
+            assert verdict == oracle_is_tight(g, cut), (g.edges, shore)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_is_tight_requires_colour_and_matching(cube):
@@ -224,3 +251,24 @@ def test_laminar_utilities(c6):
 
 def test_heawood_has_no_tight_cuts(heawood):
     assert find_tight_cuts_cubic(heawood) == []
+
+
+GOLDEN_TRACES = pathlib.Path(__file__).parent / "golden" / "decomposition_traces.json"
+
+
+def test_decomposition_traces_match_golden():
+    """The cut each route picks, frozen by scripts/derive_golden_traces.py."""
+    for case in json.loads(GOLDEN_TRACES.read_text())["cases"]:
+        g = catalog(case["graph"]).graph
+        if case["relabel_seed"] is not None:
+            perm = list(range(g.n))
+            random.Random(case["relabel_seed"]).shuffle(perm)
+            g = with_colouring(g.relabel(perm))
+        rng = None if case["rng_seed"] is None else random.Random(case["rng_seed"])
+        result = tight_cut_decomposition(g, rng)
+        trace = [
+            [s.n, list(s.cut_edge_ids), s.shore_size, list(s.piece_sizes)]
+            for s in result.trace
+        ]
+        assert trace == case["trace"], case
+        assert dict(result.braces) == case["braces"], case
