@@ -4,6 +4,11 @@ The canonical form of a graph is the lexicographically smallest graph6 string
 over all vertex labellings, computed by equitable partition refinement with
 backtracking over the refined orbits.  Colourings are deliberately ignored so
 that isomorphism is plain graph isomorphism.  Intended for n up to roughly 64.
+
+This is the general route: it serves non-planar input (braces, the oracles)
+and verification (``generator.verify_record``).  The generator rejects its
+duplicates by ``embedding.planar_code`` instead and asks for this form only
+once per admitted class.
 """
 
 from __future__ import annotations

@@ -40,6 +40,18 @@ def _opp(colour: str) -> str:
     return "B" if colour == "A" else "A"
 
 
+def _check_cubic_three_connected(g2: BipartiteGraph, surgery: str) -> None:
+    """Raise unless a surgery's result is cubic and 3-connected.
+
+    Plain raises, not asserts, so the checks also run under ``python -O``:
+    de-duplication by planar code is exact only on 3-connected embeddings.
+    """
+    if not g2.is_regular(3):
+        raise GraphError(f"{surgery} left a vertex of degree other than 3")
+    if not cubic_three_connected(g2):
+        raise GraphError(f"{surgery} is not 3-connected")
+
+
 def cube_expand(
     g: BipartiteGraph, emb: RotationEmbedding, v: int
 ) -> tuple[BipartiteGraph, RotationEmbedding, Cut]:
@@ -86,11 +98,12 @@ def cube_expand(
     emb2 = RotationEmbedding(tuple(tuple(r) for r in rot))
     if not euler_check(g2, emb2):
         raise GraphError("cube expansion broke the embedding")
-    assert g2.is_regular(3)
-    assert cubic_three_connected(g2)
+    _check_cubic_three_connected(g2, "cube expansion")
     cut = Cut.from_shore(g2, frozenset({v, *u}))
-    assert cut.edge_ids == frozenset({e1, e2, e3})
-    assert is_tight(g2, cut)
+    if cut.edge_ids != frozenset({e1, e2, e3}):
+        raise GraphError("cube expansion's gadget cut is not its attachment edges")
+    if not is_tight(g2, cut):
+        raise GraphError("cube expansion's gadget cut is not tight")
     return g2, emb2, cut
 
 
@@ -152,8 +165,7 @@ def c4_expand(
     emb2 = RotationEmbedding(tuple(tuple(r) for r in rot))
     if not euler_check(g2, emb2):
         raise GraphError("quadrilateral expansion broke the embedding")
-    assert g2.is_regular(3)
-    assert cubic_three_connected(g2)
+    _check_cubic_three_connected(g2, "quadrilateral expansion")
     return g2, emb2
 
 

@@ -1,11 +1,17 @@
 """Exhaustive generation of the class from the cube, with families attached.
 
 Breadth-first by vertex count: every graph is expanded at every vertex (the
-cube gadget) and at every facial edge pair (the quadrilateral), duplicates
-are rejected by canonical form, and each record carries the laminar family
-of tight cuts maintained incrementally through the surgeries.  An empty
-family marks a brace, which is the only case whose Hamiltonicity ever needs
-checking downstream.
+cube gadget) and at every facial edge pair (the quadrilateral), and each
+record carries the laminar family of tight cuts maintained incrementally
+through the surgeries.  An empty family marks a brace, which is the only case
+whose Hamiltonicity ever needs checking downstream.
+
+Duplicates are rejected by the planar code of the rotation system each
+candidate carries (``embedding.planar_code``), which decides isomorphism
+because every surgery checks that its result is 3-connected.  Only a
+candidate with a new code gets its family and its graph6 canonical form, so
+``canon.canonical_form`` runs once per admitted class; buckets stay keyed and
+ordered by that form.
 """
 
 from __future__ import annotations
@@ -15,7 +21,12 @@ from typing import Iterator, Optional
 
 from .canon import canonical_form
 from .catalog import catalog
-from .embedding import RotationEmbedding, euler_check, facial_c4_expansion_sites
+from .embedding import (
+    RotationEmbedding,
+    euler_check,
+    facial_c4_expansion_sites,
+    planar_code,
+)
 from .expansion import (
     ExpansionSite,
     TightCutFamily,
@@ -70,15 +81,29 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         canonical=canonical_form(seed.graph),
     )
     buckets: dict[int, dict[str, GenerationRecord]] = {8: {root.canonical: root}}
-    seen = {root.canonical}
+    seen = {planar_code(seed.graph, seed.rotation)}
 
-    def admit(rec: GenerationRecord) -> None:
-        if rec.canonical in seen:
+    def admit(parent, site, g2, emb2, update_family, *args) -> None:
+        """Keep a candidate whose planar code is new, with its updated family."""
+        code = planar_code(g2, emb2)
+        if code in seen:
             return
-        if not _family_bound_ok(rec.family, rec.n):
+        fam = update_family(parent.family, *args)
+        if not _family_bound_ok(fam, g2.n):
             raise GraphError("family outgrew its bound")
-        seen.add(rec.canonical)
-        buckets.setdefault(rec.n, {})[rec.canonical] = rec
+        seen.add(code)
+        canonical = canonical_form(g2)
+        level = buckets.setdefault(g2.n, {})
+        if canonical in level:
+            raise GraphError("planar code split an isomorphism class")
+        level[canonical] = GenerationRecord(
+            graph=g2,
+            embedding=emb2,
+            family=fam,
+            canonical=canonical,
+            parent_canonical=parent.canonical,
+            site=site,
+        )
 
     for n in range(8, n_max + 1, 2):
         bucket = buckets.get(n)
@@ -92,29 +117,13 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
             if n + 6 <= n_max:
                 for v in range(n):
                     g2, emb2, cut = cube_expand(g, emb, v)
-                    admit(
-                        GenerationRecord(
-                            graph=g2,
-                            embedding=emb2,
-                            family=update_family_cube(rec.family, v, cut),
-                            canonical=canonical_form(g2),
-                            parent_canonical=rec.canonical,
-                            site=ExpansionSite(kind="cube", vertex=v),
-                        )
-                    )
+                    site = ExpansionSite(kind="cube", vertex=v)
+                    admit(rec, site, g2, emb2, update_family_cube, v, cut)
             if n + 4 <= n_max:
                 for s in facial_c4_expansion_sites(g, emb):
                     g2, emb2 = c4_expand(g, emb, s)
-                    admit(
-                        GenerationRecord(
-                            graph=g2,
-                            embedding=emb2,
-                            family=update_family_c4(rec.family, g, s),
-                            canonical=canonical_form(g2),
-                            parent_canonical=rec.canonical,
-                            site=ExpansionSite(kind="c4", c4=s),
-                        )
-                    )
+                    site = ExpansionSite(kind="c4", c4=s)
+                    admit(rec, site, g2, emb2, update_family_c4, g, s)
 
 
 def class_counts(n_max: int) -> dict[int, int]:

@@ -19,6 +19,8 @@ offset by 63.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .graphs import BipartiteGraph, GraphError
@@ -70,35 +72,42 @@ def to_graph6(g: BipartiteGraph) -> str:
 
 
 def from_graph6(line: str) -> BipartiteGraph:
-    """Decode one graph6 line to an uncoloured graph."""
+    """Decode one graph6 line to an uncoloured graph.
+
+    Edge ids follow the column order of the bits; only the non-zero 6-bit
+    groups are visited, so the cost follows the edges rather than n(n-1)/2.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
-        raise GraphError("invalid graph6 bytes")
-    if not data:
+    try:
+        raw = s.encode("ascii")
+    except UnicodeEncodeError:
+        raise GraphError("invalid graph6 bytes") from None
+    if not raw:
         raise GraphError("empty graph6 line")
-    if data[0] == 63:  # leading byte 126
-        if len(data) < 4:
+    if min(raw) < 63 or max(raw) > 126:
+        raise GraphError("invalid graph6 bytes")
+    if raw[0] == 126:
+        if len(raw) < 4:
             raise GraphError("truncated graph6 size")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
+        body = raw[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = raw[0] - 63
+        body = raw[1:]
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphError("graph6 length does not match vertex count")
     edges = []
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[b // 6]
-            bit = (byte >> (5 - b % 6)) & 1
-            if bit:
-                edges.append((i, j))
-            b += 1
+    for group in re.finditer(rb"[^?]", body):  # "?" is an all-zero group
+        pos = group.start()
+        bits = body[pos] - 63
+        for k in range(6):
+            b = 6 * pos + k
+            if (bits >> (5 - k)) & 1 and b < nbits:
+                j = (1 + isqrt(8 * b + 1)) // 2  # b = j(j-1)/2 + i, 0 <= i < j
+                edges.append((b - j * (j - 1) // 2, j))
     return BipartiteGraph(n, tuple(edges))
 
 

@@ -1,5 +1,10 @@
+import random
+
 import pytest
 
+from barnette.canon import canonical_form
+from barnette.expansion import c4_expand, cube_expand
+from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, GraphError, with_colouring
 from barnette.embedding import (
     RotationEmbedding,
@@ -9,6 +14,7 @@ from barnette.embedding import (
     faces,
     facial_c4_expansion_sites,
     next_dart,
+    planar_code,
 )
 
 
@@ -81,3 +87,58 @@ def test_expansion_sites_reject_non_simple_face():
     emb = embed_planar(p3)
     with pytest.raises(GraphError):
         facial_c4_expansion_sites(p3, emb)
+
+
+def _all_expansions(rec):
+    g, emb = rec.graph, rec.embedding
+    out = [cube_expand(g, emb, v)[:2] for v in range(g.n)]
+    out += [c4_expand(g, emb, s) for s in facial_c4_expansion_sites(g, emb)]
+    return out
+
+
+def _relabelled(g, emb, perm):
+    """g with vertex v renamed perm[v]; the rotation follows the new edge ids."""
+    h = g.relabel(perm)
+    new_id = [h.edge_id(perm[u], perm[v]) for u, v in g.edges]
+    rot = [()] * g.n
+    for v in range(g.n):
+        rot[perm[v]] = tuple(new_id[e] for e in emb.rotation[v])
+    return h, RotationEmbedding(tuple(rot))
+
+
+def test_planar_code_partitions_candidates_like_canonical_form():
+    # every expansion of every record with at most 16 vertices: 208
+    # candidates up to 22 vertices, all candidates of at most 20 among them
+    cands = [c for rec in generate(16) for c in _all_expansions(rec)]
+    assert len(cands) == 208
+    codes = [planar_code(g, emb) for g, emb in cands]
+    forms = [canonical_form(g) for g, _emb in cands]
+    pairs = set(zip(codes, forms))
+    assert len(pairs) == len(set(codes)) == len(set(forms)) == 17
+
+
+def test_planar_code_ignores_labels_and_mirroring():
+    rng = random.Random(4)
+    for rec in generate(20):
+        g, emb = rec.graph, rec.embedding
+        code = planar_code(g, emb)
+        assert len(code) == g.n + 2 * g.edge_count
+        mirror = RotationEmbedding(tuple(r[::-1] for r in emb.rotation))
+        assert planar_code(g, mirror) == code
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert planar_code(*_relabelled(g, emb, perm)) == code
+
+
+def test_planar_code_separates_the_first_members():
+    codes = {rec.n: planar_code(rec.graph, rec.embedding) for rec in generate(14)}
+    assert sorted(codes) == [8, 12, 14]
+    assert len(set(codes.values())) == 3
+
+
+def test_planar_code_needs_a_connected_graph():
+    g = BipartiteGraph(4, ((0, 1), (2, 3)))
+    emb = RotationEmbedding(((0,), (0,), (1,), (1,)))
+    with pytest.raises(GraphError):
+        planar_code(g, emb)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import barnette
+from barnette import expansion
 from barnette.embedding import facial_c4_expansion_sites
 from barnette.expansion import (
     ExpansionSite,
@@ -117,3 +123,32 @@ def test_site_description(cube, cube_rotation):
     site = facial_c4_expansion_sites(cube, cube_rotation)[0]
     text = ExpansionSite(kind="c4", c4=site).describe()
     assert text.startswith("c4@(") and str(site.u) in text
+
+
+def test_surgery_checks_raise(cube, cube_rotation, monkeypatch):
+    monkeypatch.setattr(expansion, "cubic_three_connected", lambda g: False)
+    with pytest.raises(GraphError):
+        cube_expand(cube, cube_rotation, 0)
+    site = facial_c4_expansion_sites(cube, cube_rotation)[0]
+    with pytest.raises(GraphError):
+        c4_expand(cube, cube_rotation, site)
+
+
+def test_surgery_checks_survive_optimised_mode():
+    src = str(Path(barnette.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = (
+        "from barnette import catalog, expansion\n"
+        "from barnette.graphs import GraphError\n"
+        "expansion.cubic_three_connected = lambda g: False\n"
+        "cube = catalog('cube')\n"
+        "try:\n"
+        "    expansion.cube_expand(cube.graph, cube.rotation, 0)\n"
+        "    print(__debug__, 'returned')\n"
+        "except GraphError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "raised"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -6,9 +7,11 @@ import pytest
 from barnette.canon import canonical_form
 from barnette.generator import class_counts, generate, survey, verify_record
 from barnette.graphs import GraphError
+from barnette.io import to_bgf
 from barnette.tightcut import contract
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "class_counts.json"
+GOLDEN_RECORDS = pathlib.Path(__file__).parent / "golden" / "generation_records.json"
 
 
 def test_counts_match_golden_file():
@@ -24,6 +27,26 @@ def test_counts_through_twenty():
     # snapshots from this generator; the orders at 14 and below are cross
     # checked against the independent enumeration in the oracle tests
     assert class_counts(20) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8}
+
+
+def test_generation_matches_golden():
+    # frozen by scripts/derive_golden_generation.py; the digest covers edge
+    # ids, rotation and family, so a different representative shows up
+    golden = json.loads(GOLDEN_RECORDS.read_text())
+    assert golden["schema"] == 1
+    got = []
+    for rec in generate(golden["n_max"]):
+        cuts = [(i, sorted(c.edge_ids)) for i, c in enumerate(rec.family)]
+        text = to_bgf(rec.graph, rotation=rec.embedding.rotation, cuts=cuts)
+        got.append(
+            {
+                "canonical": rec.canonical,
+                "parent_canonical": rec.parent_canonical,
+                "site": None if rec.site is None else rec.site.describe(),
+                "bgf_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            }
+        )
+    assert got == golden["records"]
 
 
 def test_generation_bound_validation():

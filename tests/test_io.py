@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,42 @@ def test_graph6_round_trip(data):
     back = from_graph6(to_graph6(g))
     assert back.n == g.n
     assert set(back.edges) == set(g.edges)
+
+
+def _reference_graph6_edges(line: str) -> list[tuple[int, int]]:
+    """Edges of a graph6 line by walking every triangle bit in column order.
+
+    The straightforward decoder that from_graph6 replaced; edge ids are
+    this order, so the fast decoder must reproduce it exactly.
+    """
+    data = [ord(c) - 63 for c in line]
+    if data[0] == 63:
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n, body = data[0], data[1:]
+    edges = []
+    b = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[b // 6] >> (5 - b % 6)) & 1:
+                edges.append((i, j))
+            b += 1
+    return edges
+
+
+def test_graph6_decoder_matches_reference_order():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 5, 12, 62, 63, 64, 90):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+            rng.shuffle(pairs)  # encoding must not depend on the input edge order
+            line = to_graph6(BipartiteGraph(n, tuple(pairs)))
+            got = from_graph6(line)
+            assert got.n == n
+            assert list(got.edges) == _reference_graph6_edges(line)
+    # padding bits past n(n-1)/2 are ignored: "~" sets all six, n = 3 uses three
+    assert list(from_graph6("B~").edges) == _reference_graph6_edges("B~") == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_bgf_round_trip_plain(heawood):
