@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     BipartiteGraph,
@@ -179,7 +179,7 @@ def trisum(
 
     pair_seen: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
-    for gi, (g, m) in enumerate(zip(graphs, maps)):
+    for g, m in zip(graphs, maps):
         for a, b in g.edges:
             x, y = m[a], m[b]
             pair = (min(x, y), max(x, y))
@@ -188,16 +188,13 @@ def trisum(
             if pair in pair_seen:
                 # only the shared 4-cycle may be common to two summands
                 if pair not in _C4_PAIRS:
-                    raise GraphError(
-                        "summands share an edge outside the 4-cycle"
-                    )
+                    raise GraphError("summands share an edge outside the 4-cycle")
                 continue
             pair_seen[pair] = len(edges)
             edges.append(pair)
 
     out = BipartiteGraph(nxt, tuple(edges))
-    colour = two_colour(out)
-    if colour is None:
+    if two_colour(out) is None:
         raise GraphError("trisum result is not bipartite")
     return with_colouring(out)
 
@@ -339,9 +336,7 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     g = with_colouring(g)
     limit = oracle_bound()
     if g.n > limit:
-        raise OracleBoundError(
-            f"{g.n} vertices exceed the exact-search bound {limit}"
-        )
+        raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
     if not has_perfect_matching(g):
         raise GraphError("host graph needs a perfect matching")
     side_a = g.class_a()
@@ -436,9 +431,7 @@ def _grow_paths(
         return K33Bisubdivision(
             tuple(tri_a),
             tuple(tri_b),
-            tuple(
-                tuple(done[i, j] for j in range(3)) for i in range(3)
-            ),
+            tuple(tuple(done[i, j] for j in range(3)) for i in range(3)),
         )
     return None
 
@@ -462,33 +455,42 @@ class CycleSaturationError(GraphError):
     """Cycle enumeration hit its cap; results would be incomplete."""
 
 
+def _simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> Iterator[tuple[int, ...]]:
+    """Simple cycles, lazily and without recursion: anchored at the least
+    vertex, walked depth-first over sorted neighbours, closed one way only."""
+    nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
+    on_path = bytearray(g.n)  # every mark is cleared again by its pop
+    found = 0
+    for anchor in range(g.n):
+        if len(nbrs[anchor]) < 2 or nbrs[anchor][-2] < anchor:
+            continue  # a cycle leaves its least vertex by two larger neighbours
+        path, stack = [anchor], [iter(nbrs[anchor])]
+        while stack:
+            for w in stack[-1]:
+                if w == anchor:
+                    # close only in one rotational direction to avoid duplicates
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        if found >= cap:
+                            raise CycleSaturationError(f"more than {cap} simple cycles")
+                        found += 1
+                        yield tuple(path)
+                elif w > anchor and not on_path[w]:
+                    path.append(w)
+                    on_path[w] = 1
+                    stack.append(iter(nbrs[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = 0
+
+
 def enumerate_simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> list[tuple[int, ...]]:
     """All simple cycles, each reported once, anchored at its least vertex.
 
-    Raises CycleSaturationError beyond `cap` cycles rather than truncating.
+    Lists an iterative, lazy walk that `find_pfaffian_orientation` may stop
+    early; raises CycleSaturationError beyond `cap` cycles, never truncates.
     """
-    out: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def dfs(anchor: int, here: int, used: int):
-        for w in sorted(g.neighbours[here]):
-            if w == anchor:
-                # close only in one rotational direction to avoid duplicates
-                if len(path) >= 3 and path[1] < path[-1]:
-                    if len(out) >= cap:
-                        raise CycleSaturationError(
-                            f"more than {cap} simple cycles"
-                        )
-                    out.append(tuple(path))
-            elif w > anchor and not used >> w & 1:
-                path.append(w)
-                dfs(anchor, w, used | 1 << w)
-                path.pop()
-
-    for anchor in range(g.n):
-        path[:] = [anchor]
-        dfs(anchor, anchor, 1 << anchor)
-    return out
+    return list(_simple_cycles(g, cap))
 
 
 def conformal_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:
@@ -497,7 +499,7 @@ def conformal_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:
         return []
     return [
         cyc
-        for cyc in enumerate_simple_cycles(g)
+        for cyc in _simple_cycles(g)
         if len(cyc) % 2 == 0 and has_perfect_matching(g, vertex_mask(cyc))
     ]
 
@@ -521,15 +523,21 @@ def _cycle_constraint(
 
 
 def _solve_gf2(rows: list[list[int]], rhs: list[int], width: int) -> Optional[list[int]]:
-    """A solution of the GF(2) system (free columns 0), or None if there is none.
+    """A solution of the GF(2) system (free columns 0), or None if there is none."""
+    return _eliminate(zip(rows, rhs), width)
+
+
+def _eliminate(rows: Iterable[tuple[list[int], int]], width: int) -> Optional[list[int]]:
+    """Solve (columns, right-hand side) rows read one at a time, or None.
 
     Each row is an int bitset holding its right-hand side at bit ``width``
     and is reduced against the pivot rows keyed by their highest column; a
-    row left with the right-hand side bit alone is a contradiction.
+    row left with the right-hand side bit alone is a contradiction, and no
+    later row is read.
     """
     rhs_bit = 1 << width
     pivots: dict[int, int] = {}
-    for cols, b in zip(rows, rhs):
+    for cols, b in rows:
         row = rhs_bit if b else 0
         for c in cols:
             row ^= 1 << c
@@ -556,27 +564,30 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     """Orientation making every conformal cycle oddly oriented, or None.
 
     Each conformal cycle contributes one GF(2) parity constraint on the edge
-    direction bits; any solution of the system is returned.  None means the
-    graph is not Pfaffian.
+    direction bits.  The route is lazy: cycles are walked, tested and reduced
+    one at a time, so None (not Pfaffian) comes at the first contradiction,
+    possibly long before the cycle cap.  A Pfaffian verdict sees every cycle
+    and is re-checked against every conformal row.
     """
     limit = oracle_bound()
     if g.n > limit:
-        raise OracleBoundError(
-            f"{g.n} vertices exceed the exact-search bound {limit}"
-        )
+        raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
     g = with_colouring(g)
     if not is_matching_covered(g):
         raise GraphError("Pfaffian test expects a matching covered graph")
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for cyc in conformal_cycles(g):
-        ids, b = _cycle_constraint(g, cyc)
-        rows.append(ids)
-        rhs.append(b)
-    solution = _solve_gf2(rows, rhs, g.edge_count)
+    rows: list[tuple[list[int], int]] = []
+
+    def conformal_rows() -> Iterator[tuple[list[int], int]]:
+        # g is bipartite, so every cycle is even; keep each row for the re-check
+        for cyc in _simple_cycles(g):
+            if has_perfect_matching(g, vertex_mask(cyc)):
+                rows.append(_cycle_constraint(g, cyc))
+                yield rows[-1]
+
+    solution = _eliminate(conformal_rows(), g.edge_count)
     if solution is None:
         return None
-    for ids, b in zip(rows, rhs):
+    for ids, b in rows:
         if sum(solution[e] for e in ids) % 2 != b:
             raise AssertionError("solver returned an infeasible orientation")
     return Orientation(tuple(solution))

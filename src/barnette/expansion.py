@@ -233,7 +233,8 @@ def update_family_c4(
     vertex on one side and survives).  Surviving cuts through uv or xy
     have that edge renamed to the new pendant edge on the lone vertex's
     side; thanks to id reuse this is only material when the lone vertex is
-    v or y.
+    v or y.  A family that contradicts these rules raises GraphError, also
+    under ``python -O``.
     """
     if not fam:
         return ()
@@ -252,16 +253,19 @@ def update_family_c4(
             lone_idx = on_shore.index(1) if count == 1 else on_shore.index(0)
             lone = (u, v, x, y)[lone_idx]
             if e_uv in edge_ids:
-                assert lone in (u, v)
+                if lone not in (u, v):
+                    raise GraphError("a cut through uv has its lone site vertex off uv")
                 if lone == v:
                     edge_ids.remove(e_uv)
                     edge_ids.add(e_vv)
             if e_xy in edge_ids:
-                assert lone in (x, y)
+                if lone not in (x, y):
+                    raise GraphError("a cut through xy has its lone site vertex off xy")
                 if lone == y:
                     edge_ids.remove(e_xy)
                     edge_ids.add(e_yy)
-        assert not (e_uv in edge_ids and e_xy in edge_ids)
+        if e_uv in edge_ids and e_xy in edge_ids:
+            raise GraphError("a surviving cut holds both site edges")
         shore = cut.shore
         if count >= 3:
             shore |= ((1 << 4) - 1) << n0

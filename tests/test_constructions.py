@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from barnette import constructions
 from barnette.bruteforce import pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
@@ -20,8 +21,9 @@ from barnette.constructions import (
     splice,
     trisum,
 )
+from barnette.catalog import catalog
 from barnette.graphs import BipartiteGraph, GraphError
-from barnette.matching import is_matching_covered
+from barnette.matching import has_perfect_matching, is_matching_covered
 from barnette.tightcut import is_tight
 
 
@@ -116,6 +118,40 @@ def test_cycle_enumeration_counts(cube, k33, c6):
         enumerate_simple_cycles(cube, cap=5)
 
 
+def _reference_cycles(g):
+    """The recursive walk the iterative one replaced, kept to pin its order."""
+    out, path = [], []
+
+    def dfs(anchor, here, used):
+        for w in sorted(g.neighbours[here]):
+            if w == anchor:
+                if len(path) >= 3 and path[1] < path[-1]:
+                    out.append(tuple(path))
+            elif w > anchor and not used >> w & 1:
+                path.append(w)
+                dfs(anchor, w, used | 1 << w)
+                path.pop()
+
+    for anchor in range(g.n):
+        path[:] = [anchor]
+        dfs(anchor, anchor, 1 << anchor)
+    return out
+
+
+def test_cycle_walk_order_matches_recursive_reference(c6, k33, cube, heawood):
+    # the order of the cycles fixes the order of the GF(2) rows, hence the
+    # orientation bits that find_pfaffian_orientation returns
+    for g in (c6, k33, cube, heawood, catalog("p5_example").graph):
+        assert enumerate_simple_cycles(g) == _reference_cycles(g)
+
+
+def test_cycle_enumeration_on_long_cycle():
+    # the walk is iterative: a cycle far longer than the recursion limit
+    n = 3000
+    g = BipartiteGraph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+    assert enumerate_simple_cycles(g) == [tuple(range(n))]
+
+
 def test_conformal_cycles_cube(cube):
     cycles = conformal_cycles(cube)
     # facial squares, Hamiltonian cycles, and the 6-cycles that omit an
@@ -196,3 +232,37 @@ def test_braces_consistency_detects_k33_piece(k33, cube):
     assert report["direct"] is False
     assert report["consistent"] is True
     assert report["braces"][canonical_form(k33)] is False
+
+
+def _batch_orientation(g):
+    """The route before streaming: every conformal row first, then one solve."""
+    rows, rhs = zip(*(constructions._cycle_constraint(g, c) for c in conformal_cycles(g)))
+    return _solve_gf2(list(rows), list(rhs), g.edge_count)
+
+
+def test_streaming_orientation_matches_batch_solve(cube, k33):
+    rng = random.Random(5)
+    for name in ("c4", "cube", "heawood", "p5_example", "asano"):
+        g = catalog(name).graph
+        perms = [rng.sample(range(g.n), g.n) for _ in range(2)]
+        for h in [g] + [g.relabel(p) for p in perms]:
+            orientation = find_pfaffian_orientation(h)
+            assert orientation is not None
+            assert list(orientation.bits) == _batch_orientation(h)
+    for g in (k33, catalog("b_horton").graph, splice(cube, 0, k33, 0).graph):
+        assert find_pfaffian_orientation(g) is None
+        assert _batch_orientation(g) is None
+
+
+def test_pfaffian_verdict_stops_at_first_contradiction(monkeypatch):
+    calls = []
+
+    def counting(g, removed=0):
+        calls.append(1)
+        return has_perfect_matching(g, removed)
+
+    monkeypatch.setattr(constructions, "has_perfect_matching", counting)
+    assert find_pfaffian_orientation(catalog("b_horton").graph) is None
+    # the whole route tests all 63,928 cycles of B-Horton; the first
+    # contradiction comes at its 63rd
+    assert 0 < len(calls) < 1000

@@ -18,7 +18,7 @@ from barnette.expansion import (
     update_family_c4,
     update_family_cube,
 )
-from barnette.graphs import GraphError
+from barnette.graphs import Cut, GraphError
 from barnette.matching import is_k_extendable, is_matching_covered
 from barnette.tightcut import family_is_laminar, find_tight_cuts_cubic, is_tight
 from conftest import random_edge_pair
@@ -152,3 +152,53 @@ def test_surgery_checks_survive_optimised_mode():
         [sys.executable, "-O", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "raised"]
+
+
+def _corrupted_c4_families(cube, cube_rotation):
+    """A cube site and three one-cut families that contradict it: a cut
+    through uv whose lone site vertex is x, one through xy whose lone vertex
+    is u, and one holding both site edges."""
+    site = facial_c4_expansion_sites(cube, cube_rotation)[0]
+    outside = next(w for w in range(cube.n) if w not in (site.u, site.v, site.x, site.y))
+    cuts = (
+        Cut(1 << site.x, frozenset({site.eid_uv}), cube.n),
+        Cut(1 << site.u, frozenset({site.eid_xy}), cube.n),
+        Cut(1 << outside, frozenset({site.eid_uv, site.eid_xy}), cube.n),
+    )
+    return site, [(cut,) for cut in cuts]
+
+
+def test_family_c4_bookkeeping_raises(cube, cube_rotation):
+    site, families = _corrupted_c4_families(cube, cube_rotation)
+    for fam, check in zip(families, ("off uv", "off xy", "both site edges")):
+        with pytest.raises(GraphError, match=check):
+            update_family_c4(fam, cube, site)
+
+
+def test_family_c4_checks_survive_optimised_mode():
+    src = str(Path(barnette.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, (src, tests, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "from barnette import catalog\n"
+        "from barnette.expansion import update_family_c4\n"
+        "from barnette.graphs import GraphError\n"
+        "from test_expansion import _corrupted_c4_families\n"
+        "cube = catalog('cube')\n"
+        "site, families = _corrupted_c4_families(cube.graph, cube.rotation)\n"
+        "print(__debug__)\n"
+        "for fam in families:\n"
+        "    try:\n"
+        "        update_family_c4(fam, cube.graph, site)\n"
+        "        print('returned')\n"
+        "    except GraphError:\n"
+        "        print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "raised", "raised", "raised"]
