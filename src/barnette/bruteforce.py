@@ -1,9 +1,9 @@
-"""Independent brute-force oracles used to audit the main engines.
+"""Brute-force oracles used to audit the main engines.
 
-Nothing here shares logic with the generator or the orientation solver: the
-class counts come from enumerating biadjacency matrices row by row, and the
-small-scale Pfaffian and tightness verdicts come from trying every single
-orientation or perfect matching.  Slow on purpose; bounded on purpose.
+The class counts enumerate biadjacency matrices row by row but de-duplicate
+through ``canon.canonical_form``, the kernel that names generated records.
+The small Pfaffian and tightness verdicts try every orientation or perfect
+matching and share no logic with the solver.  Slow and bounded on purpose.
 """
 
 from __future__ import annotations

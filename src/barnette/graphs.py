@@ -17,10 +17,6 @@ class GraphError(ValueError):
     """Raised for malformed graph data or violated preconditions."""
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def bits(mask: int) -> Iterable[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -195,7 +191,7 @@ class Cut:
 
     @property
     def is_trivial(self) -> bool:
-        return _popcount(self.shore) == 1 or _popcount(self.complement_mask()) == 1
+        return self.shore.bit_count() == 1 or self.complement_mask().bit_count() == 1
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -310,4 +306,4 @@ def with_colouring(g: BipartiteGraph) -> BipartiteGraph:
 def shore_colour_balance(g: BipartiteGraph, mask: int) -> int:
     """|X inter A| - |X inter B| for the vertex set given by ``mask``."""
     g._require_colour()
-    return _popcount(mask & g.colour_mask("A")) - _popcount(mask & g.colour_mask("B"))
+    return (mask & g.colour_mask("A")).bit_count() - (mask & g.colour_mask("B")).bit_count()

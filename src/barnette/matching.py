@@ -136,8 +136,8 @@ def has_perfect_matching(g: BipartiteGraph, removed_mask: int = 0) -> bool:
     """Does g minus the vertices in removed_mask have a perfect matching?"""
     _, a_mask, _ = _warm_start(g)
     alive = g.full_mask & ~removed_mask
-    count = bin(alive).count("1")
-    if 2 * bin(alive & a_mask).count("1") != count:
+    count = alive.bit_count()
+    if 2 * (alive & a_mask).bit_count() != count:
         return False
     size, _ = _matching(g, removed_mask)
     return 2 * size == count

@@ -107,14 +107,14 @@ def _relabelled(g, emb, perm):
 
 
 def test_planar_code_partitions_candidates_like_canonical_form():
-    # every expansion of every record with at most 16 vertices: 208
-    # candidates up to 22 vertices, all candidates of at most 20 among them
-    cands = [c for rec in generate(16) for c in _all_expansions(rec)]
-    assert len(cands) == 208
+    # every expansion of every record with at most 20 vertices: 898
+    # candidates up to 26 vertices, all candidates of at most 24 among them
+    cands = [c for rec in generate(20) for c in _all_expansions(rec)]
+    assert len(cands) == 898
     codes = [planar_code(g, emb) for g, emb in cands]
     forms = [canonical_form(g) for g, _emb in cands]
     pairs = set(zip(codes, forms))
-    assert len(pairs) == len(set(codes)) == len(set(forms)) == 17
+    assert len(pairs) == len(set(codes)) == len(set(forms)) == 84
 
 
 def test_planar_code_ignores_labels_and_mirroring():
