@@ -18,6 +18,7 @@ from .constructions import (
     braces_pfaffian_consistency,
     find_conformal_k33_bisubdivision,
 )
+from .embedding import RotationEmbedding
 from .graphs import BipartiteGraph, GraphError, with_colouring
 from .generator import GenerationRecord, generate, survey, verify_record
 from .hamiltonicity import property_profile
@@ -166,19 +167,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_text(args.file)
-    if detect_format(text) != "bgf":
-        print("verify needs bgf records with rotations", file=sys.stderr)
-        return 2
     any_failed = False
-    for block in split_records(text):
-        g, rotation, cut_triples = from_bgf(block)
-        g = with_colouring(g)
+    for g, rotation, cut_triples in _parse_records(_read_text(args.file)):
         if rotation is None:
             print("verify needs bgf records with rotations", file=sys.stderr)
             return 2
-        from .embedding import RotationEmbedding
-
+        g = with_colouring(g)
         rec = GenerationRecord(
             graph=g,
             embedding=RotationEmbedding(rotation),

@@ -112,9 +112,10 @@ def c4_expand(
 ) -> tuple[BipartiteGraph, RotationEmbedding]:
     """Insert a quadrilateral across two opposite-parity edges of one face.
 
-    uv keeps its edge id and becomes uu'; xy becomes xx'.  The new 4-cycle
-    u'v'y'x' bounds a face inside the old one, oriented by the direction in
-    which the facial walk traverses uv (``site.forward``).
+    The edges come from ``general_c4_expand``: uv keeps its edge id and
+    becomes uu'; xy becomes xx'.  The new 4-cycle u'v'y'x' bounds a face
+    inside the old one, oriented by the direction in which the facial walk
+    traverses uv (``site.forward``).
     """
     g._require_colour()
     u, v, x, y = site.u, site.v, site.x, site.y
@@ -126,42 +127,19 @@ def c4_expand(
     ):
         raise GraphError("site edge ids do not match its vertices")
 
-    n0, m0 = g.n, g.edge_count
-    nu, nv, nx, ny = n0, n0 + 1, n0 + 2, n0 + 3  # u', v', x', y'
-    edges = list(g.edges)
-    edges[site.eid_uv] = (min(u, nu), max(u, nu))
-    edges[site.eid_xy] = (min(x, nx), max(x, nx))
-    e_vv = m0
-    e_yy = m0 + 1
-    e_uv_new = m0 + 2  # u'v'
-    e_xy_new = m0 + 3  # x'y'
-    e_ux = m0 + 4  # u'x'
-    e_vy = m0 + 5  # v'y'
-    edges += [
-        (min(v, nv), max(v, nv)),
-        (min(y, ny), max(y, ny)),
-        (nu, nv),
-        (nx, ny),
-        (nu, nx),
-        (nv, ny),
-    ]
-    colour = g.colour + ("B", "A", "A", "B")
-
+    g2 = general_c4_expand(g, site.eid_uv, site.eid_xy)
+    e_vv, e_yy, e_uv_new, e_xy_new, e_ux, e_vy = range(g.edge_count, g.edge_count + 6)
     rot = [list(r) for r in emb.rotation]
     rot[v][rot[v].index(site.eid_uv)] = e_vv
     rot[y][rot[y].index(site.eid_xy)] = e_yy
-    new_rot = {
-        nu: [site.eid_uv, e_uv_new, e_ux],  # u, v', x'
-        nv: [e_vv, e_vy, e_uv_new],         # v, y', u'
-        ny: [e_yy, e_xy_new, e_vy],         # y, x', v'
-        nx: [site.eid_xy, e_ux, e_xy_new],  # x, u', y'
-    }
-    if site.forward:
-        for r in new_rot.values():
-            r.reverse()
-    rot += [new_rot[k] for k in (nu, nv, nx, ny)]
+    new_rot = [
+        [site.eid_uv, e_uv_new, e_ux],  # u': u, v', x'
+        [e_vv, e_vy, e_uv_new],         # v': v, y', u'
+        [site.eid_xy, e_ux, e_xy_new],  # x': x, u', y'
+        [e_yy, e_xy_new, e_vy],         # y': y, x', v'
+    ]
+    rot += [r[::-1] if site.forward else r for r in new_rot]
 
-    g2 = BipartiteGraph(n0 + 4, tuple(edges), colour=colour)
     emb2 = RotationEmbedding(tuple(tuple(r) for r in rot))
     if not euler_check(g2, emb2):
         raise GraphError("quadrilateral expansion broke the embedding")
@@ -170,38 +148,35 @@ def c4_expand(
 
 
 def general_c4_expand(g: BipartiteGraph, eid_uv: int, eid_xy: int) -> BipartiteGraph:
-    """The same edge surgery without any planarity or facial requirement.
+    """Replace edges uv and xy by a quadrilateral u'v'y'x', with no planarity
+    or facial requirement; ``c4_expand`` adds the rotation to it.
 
     Roles are read off the colouring: u and y are the A-ends of the two
-    edges.  Keeps the input matching covered, and 2-extendable inputs stay
-    2-extendable; both are asserted by tests, not here.
+    edges.  uv keeps its id as uu' and xy as xx'.  The new vertices u', v',
+    x', y' get ids n..n+3 and the new edges ids m..m+5 in the order vv',
+    yy', u'v', x'y', u'x', v'y'; ``c4_expand``'s rotation and
+    ``update_family_c4`` rely on both orders.  Keeps the input matching
+    covered, and 2-extendable inputs stay 2-extendable; both are asserted by
+    tests, not here.
     """
     g._require_colour()
     if eid_uv == eid_xy:
         raise GraphError("the two expansion edges must differ")
-    a1, b1 = g.edges[eid_uv]
-    a2, b2 = g.edges[eid_xy]
-    if g.colour[a1] != "A":
-        a1, b1 = b1, a1
-    if g.colour[a2] != "A":
-        a2, b2 = b2, a2
-    u, v, y, x = a1, b1, a2, b2
+    u, v = g.edges[eid_uv]
+    y, x = g.edges[eid_xy]
+    if g.colour[u] != "A":
+        u, v = v, u
+    if g.colour[y] != "A":
+        y, x = x, y
     if len({u, v, x, y}) != 4:
         raise GraphError("expansion edges must not share a vertex")
 
-    n0, m0 = g.n, g.edge_count
+    n0 = g.n
     nu, nv, nx, ny = n0, n0 + 1, n0 + 2, n0 + 3
     edges = list(g.edges)
-    edges[eid_uv] = (min(u, nu), max(u, nu))
-    edges[eid_xy] = (min(x, nx), max(x, nx))
-    edges += [
-        (min(v, nv), max(v, nv)),
-        (min(y, ny), max(y, ny)),
-        (nu, nv),
-        (nx, ny),
-        (nu, nx),
-        (nv, ny),
-    ]
+    edges[eid_uv] = (u, nu)
+    edges[eid_xy] = (x, nx)
+    edges += [(v, nv), (y, ny), (nu, nv), (nx, ny), (nu, nx), (nv, ny)]
     colour = g.colour + ("B", "A", "A", "B")
     return BipartiteGraph(n0 + 4, tuple(edges), colour=colour)
 

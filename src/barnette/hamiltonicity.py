@@ -176,37 +176,6 @@ class _State:
         return HamiltonianCycle(tuple(order), frozenset(chosen))
 
 
-def _forced_edges_are_paths(g: BipartiteGraph, forced: Iterable[int]) -> bool:
-    """Disjoint union of paths; a single spanning cycle is also accepted."""
-    forced = set(forced)
-    deg = [0] * g.n
-    for eid in forced:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-        if deg[u] > 2 or deg[v] > 2:
-            return False
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    closures = 0
-    for eid in forced:
-        u, v = g.edges[eid]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            closures += 1
-        else:
-            parent[ru] = rv
-    if closures == 0:
-        return True
-    return closures == 1 and len(forced) == g.n
-
-
 def find_hamiltonian_cycle(
     g: BipartiteGraph,
     forced: Iterable[int] = (),
@@ -216,7 +185,9 @@ def find_hamiltonian_cycle(
 
     Returns None when no such cycle exists.  Overlapping constraint sets and
     forced sets that are not disjoint unions of paths raise GraphError; an
-    unsatisfiable but well-formed query simply returns None.
+    unsatisfiable but well-formed query simply returns None.  Forced edges
+    go in first, through ``_State.set_in``, which refuses a third edge at a
+    vertex and a cycle that closes before it spans.
     """
     forced = frozenset(forced)
     forbidden = frozenset(forbidden)
@@ -227,15 +198,13 @@ def find_hamiltonian_cycle(
             raise GraphError(f"edge id {eid} out of range")
     if g.n < 3:
         return None
-    if not _forced_edges_are_paths(g, forced):
-        raise GraphError("forced edges must form a disjoint union of paths")
 
     st = _State(g)
-    for eid in forbidden:
-        if not st.set_out(eid):
-            return None
     for eid in sorted(forced):
         if not st.set_in(eid):
+            raise GraphError("forced edges must form a disjoint union of paths")
+    for eid in forbidden:
+        if not st.set_out(eid):
             return None
     if not st.propagate():
         return None
@@ -245,39 +214,41 @@ def find_hamiltonian_cycle(
 
 
 def _branch_edge(st: _State) -> int:
-    """Undecided edge at the most constrained vertex; -1 when none remain."""
+    """First undecided edge at the most constrained vertex; -1 when none remain."""
     g = st.g
-    best_v = -1
+    best_eid = -1
     best_avail = 10 ** 9
     for v in range(g.n):
         if st.deg_in[v] < 2 and st.avail[v] < best_avail:
             for eid in g.incident[v]:
                 if st.status[eid] == _UNDECIDED:
-                    best_v = v
+                    best_eid = eid
                     best_avail = st.avail[v]
                     break
-    if best_v < 0:
-        return -1
-    for eid in g.incident[best_v]:
-        if st.status[eid] == _UNDECIDED:
-            return eid
-    raise AssertionError("unreachable")
+    return best_eid
 
 
 def _solve(st: _State) -> bool:
-    if st.in_count == st.g.n:
-        return True
-    eid = _branch_edge(st)
-    if eid < 0:
-        return False
-    mark = st.mark()
-    if st.set_in(eid) and st.propagate() and _solve(st):
-        return True
-    st.undo(mark)
-    if st.set_out(eid) and st.propagate() and _solve(st):
-        return True
-    st.undo(mark)
-    return False
+    """Depth-first search on an explicit stack of (branch edge, trail mark).
+
+    Each branch tries "in" before "out"; its entry stays on the stack while
+    the "in" side is searched, and is popped when the "out" side is tried.
+    """
+    stack: list[tuple[int, int]] = []
+    while st.in_count < st.g.n:
+        eid = _branch_edge(st)
+        if eid >= 0:
+            stack.append((eid, st.mark()))
+            if st.set_in(eid) and st.propagate():
+                continue
+        while True:
+            if not stack:
+                return False
+            eid, mark = stack.pop()
+            st.undo(mark)
+            if st.set_out(eid) and st.propagate():
+                break
+    return True
 
 
 def is_hamiltonian(g: BipartiteGraph) -> bool:

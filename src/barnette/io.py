@@ -172,14 +172,16 @@ def from_bgf(
     cuts: list[tuple[int, tuple[int, ...]]] = []
     for ln in lines[2 + m :]:
         parts = ln.split()
-        if parts[0] == "rot":
-            v = int(parts[1].rstrip(":"))
-            rot[v] = tuple(int(x) for x in parts[2:])
-        elif parts[0] == "cut":
-            label = int(parts[1].rstrip(":"))
-            cuts.append((label, tuple(int(x) for x in parts[2:])))
-        else:
+        if parts[0] not in ("rot", "cut"):
             raise GraphError(f"unrecognized bgf line: {ln!r}")
+        if len(parts) < 2:
+            raise GraphError(f"bgf line has no label: {ln!r}")
+        label = int(parts[1].rstrip(":"))
+        ids = tuple(int(x) for x in parts[2:])
+        if parts[0] == "rot":
+            rot[label] = ids
+        else:
+            cuts.append((label, ids))
     rotation: Optional[tuple[tuple[int, ...], ...]] = None
     if rot:
         if sorted(rot) != list(range(n)):

@@ -10,7 +10,7 @@ import barnette
 from barnette.canon import canonical_form
 from barnette.cli import main
 from barnette.graphs import BipartiteGraph
-from barnette.io import from_bgf, split_records, to_graph6
+from barnette.io import from_bgf, split_records, to_bgf, to_graph6
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -182,6 +182,45 @@ def test_verify_requires_rotation(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", stdin=g6, monkeypatch=monkeypatch)
     assert code == 2
     assert "rotation" in err
+
+
+@pytest.mark.parametrize("line", ["rot", "cut"])
+def test_bgf_line_without_label_is_an_input_error(capsys, monkeypatch, line):
+    text = f"4 4\nABAB\n0 1\n1 2\n2 3\n0 3\n{line}\n"
+    code, out, err = run(capsys, "verify", stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["asano", "c6"])
+def test_verify_reports_a_graph_outside_the_class(capsys, monkeypatch, asano, c6, name):
+    from barnette.embedding import embed_planar
+
+    g = asano.graph if name == "asano" else c6
+    text = to_bgf(g, rotation=embed_planar(g).rotation)
+    code, out, _ = run(capsys, "verify", stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    failed = out.split(": FAIL ")[1].split()
+    assert "three_connected" in failed and "family_complete" in failed
+    assert ("cubic" in failed) == (name == "c6")
+    code, out, _ = run(capsys, "verify", "--json", stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["three_connected"] is False and payload["ok"] is False
+    assert payload["cubic"] is (name == "asano")
+
+
+def test_verify_json_carries_the_record_name(capsys, monkeypatch):
+    _, text, _ = run(capsys, "generate", "--max-n", "14", "--with-family")
+    code, out, _ = run(capsys, "verify", "--json", stdin=text, monkeypatch=monkeypatch)
+    assert code == 0
+    payloads = [json.loads(ln) for ln in out.splitlines()]
+    records = [from_bgf(block)[0] for block in split_records(text)]
+    assert len(payloads) == len(records) == 3
+    for payload, g in zip(payloads, records):
+        assert payload["canonical"] == canonical_form(g)
+        assert payload["ok"] is True
 
 
 def test_survey_table(capsys):

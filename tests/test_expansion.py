@@ -89,6 +89,25 @@ def test_family_bound_is_sharp_after_cube_expansion(cube, cube_rotation):
     assert 6 * len(fam) == g14.n - 8  # bound met with equality
 
 
+def test_c4_expand_is_the_general_surgery_on_every_site(generated_16):
+    checked = 0
+    for rec in generated_16:
+        g = rec.graph
+        for site in facial_c4_expansion_sites(g, rec.embedding):
+            g2, _emb2 = c4_expand(g, rec.embedding, site)
+            general = general_c4_expand(g, site.eid_uv, site.eid_xy)
+            assert (g2.edges, g2.colour) == (general.edges, general.colour)
+            # the documented id order: u', v', x', y' = n..n+3, then new
+            # edges vv', yy', u'v', x'y', u'x', v'y'; uv becomes uu', xy xx'
+            nu, nv, nx, ny = range(g.n, g.n + 4)
+            pairs = [(site.v, nv), (site.y, ny), (nu, nv), (nx, ny), (nu, nx), (nv, ny)]
+            assert g2.edges[g.edge_count:] == tuple(pairs)
+            assert g2.edges[site.eid_uv] == (site.u, nu)
+            assert g2.edges[site.eid_xy] == (site.x, nx)
+            checked += 1
+    assert checked == 142  # the facial sites of generate(16)'s five records
+
+
 def test_general_expansion_on_nonplanar_hosts(k33, heawood):
     rng = random.Random(7)
     for g in (k33, heawood):

@@ -1,8 +1,16 @@
+import random
+from typing import Iterable, Optional
+
 import pytest
 
-from barnette.graphs import GraphError
+from barnette.catalog import catalog
+from barnette.embedding import faces
+from barnette.graphs import BipartiteGraph, GraphError, with_colouring
 from barnette.hamiltonicity import (
+    _UNDECIDED,
+    HamiltonianCycle,
     HamiltonicityEngine,
+    _State,
     cycle_to_matchings,
     find_hamiltonian_cycle,
     has_h_minus,
@@ -122,3 +130,148 @@ def test_shared_engine_consistency(heawood):
     assert a and b
     # the shared cache should have accumulated genuinely distinct cycles
     assert len({c.edge_ids for c in engine.cycles}) == len(engine.cycles)
+
+
+def test_forced_cycle_that_closes_early_is_rejected(cube, cube_rotation):
+    face = faces(cube, cube_rotation)[0]
+    assert len(face) == 4
+    with pytest.raises(GraphError):
+        find_hamiltonian_cycle(cube, forced=[eid for _v, eid in face])
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the circular ladder C1200 x K2: 2,400 vertices, one branch level per rung
+    k = 1200
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    g = with_colouring(BipartiteGraph(2 * k, tuple(rims + [(i, k + i) for i in range(k)])))
+    cycle = find_hamiltonian_cycle(g)
+    assert cycle is not None
+    cycle.validate(g)
+
+
+# The search as it was before the forced edges were checked by _State.set_in:
+# a union-find on the forced edges, forbidden edges applied first, and a
+# recursive _solve.  Kept verbatim as the reference for the current route.
+
+
+def _forced_edges_are_paths(g: BipartiteGraph, forced: Iterable[int]) -> bool:
+    """Disjoint union of paths; a single spanning cycle is also accepted."""
+    forced = set(forced)
+    deg = [0] * g.n
+    for eid in forced:
+        u, v = g.edges[eid]
+        deg[u] += 1
+        deg[v] += 1
+        if deg[u] > 2 or deg[v] > 2:
+            return False
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    closures = 0
+    for eid in forced:
+        u, v = g.edges[eid]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closures += 1
+        else:
+            parent[ru] = rv
+    if closures == 0:
+        return True
+    return closures == 1 and len(forced) == g.n
+
+
+def _reference_find_hamiltonian_cycle(
+    g: BipartiteGraph,
+    forced: Iterable[int] = (),
+    forbidden: Iterable[int] = (),
+) -> Optional[HamiltonianCycle]:
+    forced = frozenset(forced)
+    forbidden = frozenset(forbidden)
+    if forced & forbidden:
+        raise GraphError("an edge is both forced and forbidden")
+    for eid in forced | forbidden:
+        if not 0 <= eid < g.edge_count:
+            raise GraphError(f"edge id {eid} out of range")
+    if g.n < 3:
+        return None
+    if not _forced_edges_are_paths(g, forced):
+        raise GraphError("forced edges must form a disjoint union of paths")
+
+    st = _State(g)
+    for eid in forbidden:
+        if not st.set_out(eid):
+            return None
+    for eid in sorted(forced):
+        if not st.set_in(eid):
+            return None
+    if not st.propagate():
+        return None
+    if _reference_solve(st):
+        return st.extract_cycle()
+    return None
+
+
+def _reference_branch_edge(st: _State) -> int:
+    g = st.g
+    best_v = -1
+    best_avail = 10 ** 9
+    for v in range(g.n):
+        if st.deg_in[v] < 2 and st.avail[v] < best_avail:
+            for eid in g.incident[v]:
+                if st.status[eid] == _UNDECIDED:
+                    best_v = v
+                    best_avail = st.avail[v]
+                    break
+    if best_v < 0:
+        return -1
+    for eid in g.incident[best_v]:
+        if st.status[eid] == _UNDECIDED:
+            return eid
+    raise AssertionError("unreachable")
+
+
+def _reference_solve(st: _State) -> bool:
+    if st.in_count == st.g.n:
+        return True
+    eid = _reference_branch_edge(st)
+    if eid < 0:
+        return False
+    mark = st.mark()
+    if st.set_in(eid) and st.propagate() and _reference_solve(st):
+        return True
+    st.undo(mark)
+    if st.set_out(eid) and st.propagate() and _reference_solve(st):
+        return True
+    st.undo(mark)
+    return False
+
+
+def _outcome(search, g, forced, forbidden):
+    try:
+        cycle = search(g, forced, forbidden)
+    except GraphError:
+        return "raise"
+    return None if cycle is None else (cycle.vertices, cycle.edge_ids)
+
+
+def test_matches_reference_on_random_queries(generated_16):
+    names = ("c4", "cube", "k33", "heawood", "p5_example", "asano", "b_horton")
+    graphs = [catalog(name).graph for name in names] + [rec.graph for rec in generated_16]
+    rng = random.Random(20221)
+    kinds = {"raise": 0, "none": 0, "cycle": 0}
+    for _ in range(2400):
+        g = rng.choice(graphs)
+        edges = list(range(g.edge_count))
+        rng.shuffle(edges)
+        n_forced = rng.randrange(min(g.n, 9) + 1)
+        forced = edges[:n_forced]
+        forbidden = edges[n_forced:n_forced + rng.randrange(5)]
+        got = _outcome(find_hamiltonian_cycle, g, forced, forbidden)
+        assert got == _outcome(_reference_find_hamiltonian_cycle, g, forced, forbidden)
+        kinds["raise" if got == "raise" else "none" if got is None else "cycle"] += 1
+    assert min(kinds.values()) >= 300, kinds
