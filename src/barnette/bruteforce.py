@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from .canon import canonical_form
 from .embedding import embed_planar
 from .graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
-from .matching import enumerate_perfect_matchings, oracle_bound
+from .matching import enumerate_perfect_matchings
 
 
 def _matrices_with_line_sums_three(half: int) -> Iterator[tuple[int, ...]]:
@@ -127,11 +127,8 @@ def pfaffian_by_enumeration(g: BipartiteGraph, max_edges: int = 20) -> bool:
 
 def oracle_is_tight(g: BipartiteGraph, cut: Cut, bound: Optional[int] = None) -> bool:
     """Tightness by listing every perfect matching and counting crossings."""
-    limit = oracle_bound() if bound is None else bound
-    if g.n > limit:
-        raise GraphError("matching enumeration exceeds the oracle bound")
     found = False
-    for matching in enumerate_perfect_matchings(g, bound=limit):
+    for matching in enumerate_perfect_matchings(g, bound=bound):
         found = True
         if len(matching.edge_ids & cut.edge_ids) != 1:
             return False

@@ -11,6 +11,8 @@ solver that turns every conformal cycle into a parity constraint over GF(2),
 and a search for a conformal bisubdivision of K33, whose absence is
 equivalent to being Pfaffian for bipartite graphs with a perfect matching.
 The two answers are cross-checked in tests rather than merged.
+Cycles, conformal crosses and K33 paths all come from one iterative walker,
+`_simple_paths`, so no search here depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -240,39 +242,52 @@ def is_conformal_subgraph(g: BipartiteGraph, h) -> bool:
     return has_perfect_matching(g, _subgraph_vertices(g, h))
 
 
+def _simple_paths(
+    nbrs: Sequence[Sequence[int]], src: int, dst: int, blocked: int
+) -> Iterator[tuple[int, ...]]:
+    """Simple paths src -> dst, lazily, depth-first in `nbrs` order on a stack.
+
+    A path is yielded when dst comes up, before the `blocked` mask is read;
+    other vertices are entered only if neither blocked nor on the path.  With
+    src == dst the yields are closed walks, both directions and back-and-forth.
+    """
+    seen = bytearray(len(nbrs))  # blocked or on the path; a pop clears its mark
+    for v in bits(blocked | 1 << src):
+        seen[v] = 1
+    path, stack = [src], [iter(nbrs[src])]
+    while stack:
+        for w in stack[-1]:
+            if w == dst:
+                yield (*path, dst)
+            elif not seen[w]:
+                path.append(w)
+                seen[w] = 1
+                stack.append(iter(nbrs[w]))
+                break
+        else:
+            stack.pop()
+            seen[path.pop()] = 0
+
+
 def conformal_cross(
     g: BipartiteGraph, c4: Sequence[int]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Paths L (a to c) and R (b to d) with C + L + R conformal, or None.
 
     `c4` lists the cycle as a,b,c,d in cyclic order.  The paths avoid the
-    cycle internally and each other entirely; the search is exhaustive, so
-    None means no cross exists.  The host graph must be a brace.
+    cycle internally and each other entirely; the first conformal pair in
+    `_simple_paths` order is returned, and None means no cross exists.  The
+    host graph must be a brace.
     """
     if not is_brace(g):
         raise GraphError("conformal crosses are defined over braces")
     _check_c4(g, c4)
     a, b, c, d = c4
     c_mask = vertex_mask(c4)
-
-    def paths(src: int, dst: int, blocked: int):
-        # simple paths src -> dst whose internal vertices avoid `blocked`
-        path = [src]
-
-        def step(here: int, used: int):
-            for w in sorted(g.neighbours[here]):
-                if w == dst:
-                    yield tuple(path) + (dst,)
-                elif not (used >> w & 1 or blocked >> w & 1):
-                    path.append(w)
-                    yield from step(w, used | 1 << w)
-                    path.pop()
-
-        yield from step(src, 1 << src)
-
-    for left in paths(a, c, c_mask | 1 << b | 1 << d):
+    nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
+    for left in _simple_paths(nbrs, a, c, c_mask | 1 << b | 1 << d):
         left_mask = vertex_mask(left)
-        for right in paths(b, d, c_mask | left_mask):
+        for right in _simple_paths(nbrs, b, d, c_mask | left_mask):
             used = c_mask | left_mask | vertex_mask(right)
             if has_perfect_matching(g, used):
                 return left, right
@@ -328,10 +343,10 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     """Exact search for a conformal bisubdivision of K33.
 
     Branch triples are drawn one per colour class in ascending order; the
-    nine paths are grown depth-first, pairwise internally disjoint, and the
-    completed system is kept only if its complement has a perfect matching.
-    Returns None exactly when no witness exists, which for bipartite graphs
-    with a perfect matching means the graph is Pfaffian.
+    nine paths come in row-major order from `_simple_paths` over unused
+    vertices, and the system is kept only if its complement has a perfect
+    matching.  Returns None exactly when no witness exists, which for
+    bipartite graphs with a perfect matching means the graph is Pfaffian.
     """
     g = with_colouring(g)
     limit = oracle_bound()
@@ -345,11 +360,12 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
         return None
 
     pair_order = [(i, j) for i in range(3) for j in range(3)]
+    nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
 
     for tri_a in itertools.combinations(side_a, 3):
         for tri_b in itertools.combinations(side_b, 3):
             branch_mask = vertex_mask(tri_a) | vertex_mask(tri_b)
-            witness = _grow_paths(g, tri_a, tri_b, branch_mask, pair_order)
+            witness = _grow_paths(g, nbrs, tri_a, tri_b, branch_mask, pair_order)
             if witness is not None:
                 witness.validate(g)
                 return witness
@@ -368,6 +384,7 @@ def _free_vertex_alive(g: BipartiteGraph, used: int, branch_mask: int) -> bool:
 
 def _grow_paths(
     g: BipartiteGraph,
+    nbrs: list[list[int]],
     tri_a: tuple[int, ...],
     tri_b: tuple[int, ...],
     branch_mask: int,
@@ -376,7 +393,8 @@ def _grow_paths(
     done: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def reachable_ok(used: int, from_idx: int) -> bool:
-        # every remaining pair must still admit a path over unused vertices
+        # every remaining pair must still reach dst: a plain DFS, as the walker
+        # would list every path before giving up on an unreachable dst
         for i, j in pair_order[from_idx:]:
             src, dst = tri_a[i], tri_b[j]
             seen = 1 << src
@@ -400,30 +418,16 @@ def _grow_paths(
         if idx == len(pair_order):
             return has_perfect_matching(g, used)
         i, j = pair_order[idx]
-        src, dst = tri_a[i], tri_b[j]
-        path = [src]
-
-        def step(here: int, interior: int) -> bool:
-            for w in sorted(g.neighbours[here]):
-                if w == dst:
-                    path.append(dst)
-                    done[i, j] = tuple(path)
-                    nxt = used | interior
-                    if (
-                        _free_vertex_alive(g, nxt, branch_mask)
-                        and reachable_ok(nxt, idx + 1)
-                        and grow(idx + 1, nxt)
-                    ):
-                        return True
-                    path.pop()
-                elif not (interior >> w & 1 or used >> w & 1 or branch_mask >> w & 1):
-                    path.append(w)
-                    if step(w, interior | 1 << w):
-                        return True
-                    path.pop()
-            return False
-
-        return step(src, 0)
+        for path in _simple_paths(nbrs, tri_a[i], tri_b[j], used):
+            nxt = used | vertex_mask(path)
+            if (
+                _free_vertex_alive(g, nxt, branch_mask)
+                and reachable_ok(nxt, idx + 1)
+                and grow(idx + 1, nxt)
+            ):
+                done[i, j] = path
+                return True
+        return False
 
     if not reachable_ok(branch_mask, 0):
         return None
@@ -456,32 +460,19 @@ class CycleSaturationError(GraphError):
 
 
 def _simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> Iterator[tuple[int, ...]]:
-    """Simple cycles, lazily and without recursion: anchored at the least
-    vertex, walked depth-first over sorted neighbours, closed one way only."""
+    """Simple cycles, lazily: `_simple_paths` walks of 4+ entries from the least
+    vertex back to itself over larger ones, each kept in one direction only."""
     nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
-    on_path = bytearray(g.n)  # every mark is cleared again by its pop
     found = 0
     for anchor in range(g.n):
         if len(nbrs[anchor]) < 2 or nbrs[anchor][-2] < anchor:
             continue  # a cycle leaves its least vertex by two larger neighbours
-        path, stack = [anchor], [iter(nbrs[anchor])]
-        while stack:
-            for w in stack[-1]:
-                if w == anchor:
-                    # close only in one rotational direction to avoid duplicates
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        if found >= cap:
-                            raise CycleSaturationError(f"more than {cap} simple cycles")
-                        found += 1
-                        yield tuple(path)
-                elif w > anchor and not on_path[w]:
-                    path.append(w)
-                    on_path[w] = 1
-                    stack.append(iter(nbrs[w]))
-                    break
-            else:
-                stack.pop()
-                on_path[path.pop()] = 0
+        for walk in _simple_paths(nbrs, anchor, anchor, (1 << anchor) - 1):
+            if len(walk) >= 4 and walk[1] < walk[-2]:
+                if found >= cap:
+                    raise CycleSaturationError(f"more than {cap} simple cycles")
+                found += 1
+                yield walk[:-1]
 
 
 def enumerate_simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> list[tuple[int, ...]]:
@@ -520,11 +511,6 @@ def _cycle_constraint(
         if g.edges[eid] != (x, y):
             rhs ^= 1
     return ids, rhs
-
-
-def _solve_gf2(rows: list[list[int]], rhs: list[int], width: int) -> Optional[list[int]]:
-    """A solution of the GF(2) system (free columns 0), or None if there is none."""
-    return _eliminate(zip(rows, rhs), width)
 
 
 def _eliminate(rows: Iterable[tuple[list[int], int]], width: int) -> Optional[list[int]]:

@@ -12,7 +12,7 @@ Derived predicates: a graph is Pk-Hamiltonian when every path on k vertices
 extends to a Hamiltonian cycle; H-minus when every single edge can be avoided;
 H-plus-minus when for every ordered pair of distinct edges some Hamiltonian
 cycle contains the first and avoids the second.  The engine caches found
-cycles and reuses them across queries keyed by (contains, avoids) edge sets.
+cycles and serves any later query one of them satisfies.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .graphs import BipartiteGraph, GraphError
 from .matching import PerfectMatching
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
-
-# trail record kinds
-_T_OUT, _T_MERGE, _T_CLOSE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,9 @@ class _State:
 
     ``link[v]`` is meaningful only while v is a fragment endpoint (fewer than
     two chosen edges): it names the opposite endpoint, itself for an isolated
-    vertex.  Interior vertices keep stale links that are never read.
+    vertex.  Interior vertices keep stale links that are never read.  A trail
+    entry is (edge id, eu, ev): eu = -1 for "out", else the ends' old links,
+    which the closing edge leaves as they were (eu == v and ev == u).
     """
 
     __slots__ = ("g", "status", "deg_in", "avail", "link", "in_count", "trail")
@@ -78,27 +77,25 @@ class _State:
         self.avail = [g.degree(v) for v in range(g.n)]
         self.link = list(range(g.n))
         self.in_count = 0
-        self.trail: list[tuple[int, int, int, int]] = []
+        self.trail: list[tuple[int, int, int]] = []
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
         while len(self.trail) > mark:
-            kind, eid, eu, ev = self.trail.pop()
+            eid, eu, ev = self.trail.pop()
             u, v = self.g.edges[eid]
             self.status[eid] = _UNDECIDED
-            if kind == _T_OUT:
+            if eu < 0:
                 self.avail[u] += 1
                 self.avail[v] += 1
                 continue
             self.in_count -= 1
             self.deg_in[u] -= 1
             self.deg_in[v] -= 1
-            if kind == _T_MERGE:
-                # before the merge, eu was linked to u and ev to v
-                self.link[eu] = u
-                self.link[ev] = v
+            self.link[eu] = u
+            self.link[ev] = v
 
     def set_out(self, eid: int) -> bool:
         if self.status[eid] == _OUT:
@@ -107,7 +104,7 @@ class _State:
             return False
         u, v = self.g.edges[eid]
         self.status[eid] = _OUT
-        self.trail.append((_T_OUT, eid, -1, -1))
+        self.trail.append((eid, -1, -1))
         self.avail[u] -= 1
         self.avail[v] -= 1
         return self.avail[u] >= 2 and self.avail[v] >= 2
@@ -121,15 +118,11 @@ class _State:
         if self.deg_in[u] >= 2 or self.deg_in[v] >= 2:
             return False
         eu, ev = self.link[u], self.link[v]
-        if eu == v:
-            # closes the fragment through u and v: legal only as final edge
-            if self.in_count + 1 != self.g.n:
-                return False
-            self.trail.append((_T_CLOSE, eid, -1, -1))
-        else:
-            self.trail.append((_T_MERGE, eid, eu, ev))
-            self.link[eu] = ev
-            self.link[ev] = eu
+        if eu == v and self.in_count + 1 != self.g.n:
+            return False  # closes the fragment through u and v before it spans
+        self.trail.append((eid, eu, ev))
+        self.link[eu] = ev
+        self.link[ev] = eu
         self.status[eid] = _IN
         self.in_count += 1
         self.deg_in[u] += 1
@@ -274,18 +267,17 @@ def cycle_to_matchings(
 
 
 class HamiltonicityEngine:
-    """Cycle-query engine over one graph with positive and negative caching.
+    """Cycle-query engine over one graph with a cache of found cycles.
 
     Every found cycle is kept; a query first scans the cache for a cycle
     containing all required edges and avoiding all excluded ones, and only
-    then calls the solver.  Exhausted queries are remembered by their exact
-    (contains, avoids) key so repeats are free.
+    then calls the solver.  Failed queries are not kept: each predicate
+    stops at its first failure, and no two predicates ask the same query.
     """
 
     def __init__(self, g: BipartiteGraph):
         self.g = g
         self.cycles: list[HamiltonianCycle] = []
-        self._no_cycle: set[tuple[frozenset[int], frozenset[int]]] = set()
 
     def cycle_with(
         self,
@@ -297,13 +289,8 @@ class HamiltonicityEngine:
         for c in self.cycles:
             if contains <= c.edge_ids and not (avoids & c.edge_ids):
                 return c
-        key = (contains, avoids)
-        if key in self._no_cycle:
-            return None
         cycle = find_hamiltonian_cycle(self.g, contains, avoids)
-        if cycle is None:
-            self._no_cycle.add(key)
-        else:
+        if cycle is not None:
             self.cycles.append(cycle)
         return cycle
 

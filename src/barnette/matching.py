@@ -78,7 +78,7 @@ def _warm_start(g: BipartiteGraph) -> tuple[tuple[int, ...], int, tuple[int, ...
         a_class = with_colouring(g).class_a()
         partner = [-1] * g.n
         for a in a_class:
-            _augment(g, a, partner, g.full_mask)
+            _augment(g, a, partner, g.full_mask, set())
         cached = (a_class, vertex_mask(a_class), tuple(partner))
         object.__setattr__(g, "_warm_start_cache", cached)
     return cached
@@ -99,19 +99,20 @@ def _matching(g: BipartiteGraph, removed_mask: int = 0) -> tuple[int, list[int]]
             partner[a] = partner[b] = -1
     size = 0
     for a in a_class:
-        if alive >> a & 1 and (partner[a] != -1 or _augment(g, a, partner, alive)):
+        if alive >> a & 1 and (partner[a] != -1 or _augment(g, a, partner, alive, set())):
             size += 1
     return size, partner
 
 
-def _augment(g: BipartiteGraph, a: int, partner: list[int], alive: int) -> bool:
+def _augment(g: BipartiteGraph, a: int, partner: list[int], alive: int, visited: set[int]) -> bool:
     """Depth-first augmenting path from the free A-vertex a; flips it if found.
 
     Iterative, so path length is not bounded by the recursion limit.  Each
     stack entry is (A-vertex, its unscanned neighbours, the B-vertex that led
     to it); neighbours are tried in stored order, as a recursive search would.
+    After a failed search, `visited` holds exactly the B-vertices (all matched)
+    that alternating paths from a reach.
     """
-    visited: set[int] = set()
     stack = [(a, iter(g.neighbours[a]), -1)]
     while stack:
         x, todo, _ = stack[-1]
@@ -277,30 +278,20 @@ def blocking_quartet(
 def hall_set(g: BipartiteGraph, removed_mask: int) -> int:
     """Mask of T ∪ N(T) for a removal that leaves no perfect matching.
 
-    T is the set of A-vertices reached by alternating paths from the first
-    A-vertex left free by the maximum matching of g minus the removal, so
-    every neighbour of T outside the removal is matched into T.  In a
-    matching covered g, where no nonempty proper T has |N(T)| <= |T|, the
-    full neighbourhood then has exactly |T| + 1 vertices.
+    T is the first A-vertex the maximum matching of g minus the removal
+    leaves free, plus the partners of the B-vertices a failed `_augment` from
+    it visits, so every neighbour of T outside the removal is matched into T.
+    In a matching covered g, where no nonempty proper T has |N(T)| <= |T|,
+    the full neighbourhood then has exactly |T| + 1 vertices.
     """
     _, partner = _matching(g, removed_mask)
     alive = g.full_mask & ~removed_mask
     start = next((a for a in g.class_a() if alive >> a & 1 and partner[a] == -1), -1)
     if start < 0:
         raise GraphError("matching saturates class A")
-    t_set = {start}
     reached: set[int] = set()
-    queue = [start]
-    while queue:
-        a = queue.pop()
-        for b in g.neighbours[a]:
-            if not (alive >> b & 1) or b in reached:
-                continue
-            reached.add(b)
-            nxt = partner[b]
-            if nxt != -1 and nxt not in t_set:
-                t_set.add(nxt)
-                queue.append(nxt)
+    _augment(g, start, partner, alive, reached)  # fails: the matching is maximum
+    t_set = {start} | {partner[b] for b in reached}
     full_n = {b for a in t_set for b in g.neighbours[a]}
     if len(full_n) != len(t_set) + 1:
         raise GraphError("graph is not matching covered")

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from barnette import constructions
-from barnette.bruteforce import pfaffian_by_enumeration
+from barnette.bruteforce import cubic_bipartite_classes, pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
     CycleSaturationError,
-    _solve_gf2,
+    K33Bisubdivision,
+    _eliminate,
+    _free_vertex_alive,
     braces_pfaffian_consistency,
     conformal_cross,
     conformal_cycles,
@@ -22,8 +24,8 @@ from barnette.constructions import (
     trisum,
 )
 from barnette.catalog import catalog
-from barnette.graphs import BipartiteGraph, GraphError
-from barnette.matching import has_perfect_matching, is_matching_covered
+from barnette.graphs import BipartiteGraph, GraphError, vertex_mask
+from barnette.matching import has_perfect_matching, is_brace, is_matching_covered
 from barnette.tightcut import is_tight
 
 
@@ -145,6 +147,145 @@ def test_cycle_walk_order_matches_recursive_reference(c6, k33, cube, heawood):
         assert enumerate_simple_cycles(g) == _reference_cycles(g)
 
 
+def _reference_conformal_cross(g, c4):
+    """The recursive path search conformal_cross ran before the shared walker."""
+    a, b, c, d = c4
+    c_mask = vertex_mask(c4)
+
+    def paths(src: int, dst: int, blocked: int):
+        # simple paths src -> dst whose internal vertices avoid `blocked`
+        path = [src]
+
+        def step(here: int, used: int):
+            for w in sorted(g.neighbours[here]):
+                if w == dst:
+                    yield tuple(path) + (dst,)
+                elif not (used >> w & 1 or blocked >> w & 1):
+                    path.append(w)
+                    yield from step(w, used | 1 << w)
+                    path.pop()
+
+        yield from step(src, 1 << src)
+
+    for left in paths(a, c, c_mask | 1 << b | 1 << d):
+        left_mask = vertex_mask(left)
+        for right in paths(b, d, c_mask | left_mask):
+            used = c_mask | left_mask | vertex_mask(right)
+            if has_perfect_matching(g, used):
+                return left, right
+    return None
+
+
+def _reference_grow_paths(g, tri_a, tri_b, branch_mask, pair_order):
+    """The recursive K33 path growth the shared walker replaced."""
+    done = {}
+
+    def reachable_ok(used: int, from_idx: int) -> bool:
+        # every remaining pair must still admit a path over unused vertices
+        for i, j in pair_order[from_idx:]:
+            src, dst = tri_a[i], tri_b[j]
+            seen = 1 << src
+            stack = [src]
+            hit = False
+            while stack and not hit:
+                x = stack.pop()
+                for y in g.neighbours[x]:
+                    if y == dst:
+                        hit = True
+                        break
+                    m = 1 << y
+                    if not (seen & m or used & m or branch_mask & m):
+                        seen |= m
+                        stack.append(y)
+            if not hit:
+                return False
+        return True
+
+    def grow(idx: int, used: int) -> bool:
+        if idx == len(pair_order):
+            return has_perfect_matching(g, used)
+        i, j = pair_order[idx]
+        src, dst = tri_a[i], tri_b[j]
+        path = [src]
+
+        def step(here: int, interior: int) -> bool:
+            for w in sorted(g.neighbours[here]):
+                if w == dst:
+                    path.append(dst)
+                    done[i, j] = tuple(path)
+                    nxt = used | interior
+                    if (
+                        _free_vertex_alive(g, nxt, branch_mask)
+                        and reachable_ok(nxt, idx + 1)
+                        and grow(idx + 1, nxt)
+                    ):
+                        return True
+                    path.pop()
+                elif not (interior >> w & 1 or used >> w & 1 or branch_mask >> w & 1):
+                    path.append(w)
+                    if step(w, interior | 1 << w):
+                        return True
+                    path.pop()
+            return False
+
+        return step(src, 0)
+
+    if not reachable_ok(branch_mask, 0):
+        return None
+    if grow(0, branch_mask):
+        return K33Bisubdivision(
+            tuple(tri_a),
+            tuple(tri_b),
+            tuple(tuple(done[i, j] for j in range(3)) for i in range(3)),
+        )
+    return None
+
+
+def _walker_inputs(cube, k33):
+    """Catalog graphs, a splice with a K33 piece, and two relabellings of each."""
+    rng = random.Random(8)
+    names = ("c4", "k33", "cube", "heawood", "p5_example", "b_horton")
+    bases = [catalog(name).graph for name in names] + [splice(cube, 0, k33, 0).graph]
+    return [
+        h for g in bases for h in [g] + [g.relabel(rng.sample(range(g.n), g.n)) for _ in range(2)]
+    ]
+
+
+def test_cycles_match_recursive_reference_on_relabellings(cube, k33):
+    for g in _walker_inputs(cube, k33):
+        assert enumerate_simple_cycles(g) == _reference_cycles(g)
+
+
+def test_conformal_cross_matches_recursive_reference(cube, k33):
+    # the catalog braces have at most one path per side; the cubic bipartite
+    # braces on 10 and 12 vertices have several, so their order shows
+    graphs = _walker_inputs(cube, k33) + [g for n in (10, 12) for g in cubic_bipartite_classes(n)]
+    outcomes = set()
+    for g in graphs:
+        if g.n > 14 or not is_brace(g):
+            continue
+        for cyc in enumerate_simple_cycles(g):
+            if len(cyc) != 4:
+                continue
+            for quad in (cyc, cyc[::-1]):
+                for r in range(4):
+                    rotated = quad[r:] + quad[:r]
+                    got = conformal_cross(g, rotated)
+                    assert got == _reference_conformal_cross(g, rotated)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_k33_witnesses_match_recursive_reference(cube, k33, monkeypatch):
+    graphs = _walker_inputs(cube, k33)
+    got = [find_conformal_k33_bisubdivision(g) for g in graphs]
+    monkeypatch.setattr(
+        constructions, "_grow_paths", lambda g, nbrs, *rest: _reference_grow_paths(g, *rest)
+    )
+    assert got == [find_conformal_k33_bisubdivision(g) for g in graphs]
+    assert {w is None for w in got} == {True, False}
+
+
 def test_cycle_enumeration_on_long_cycle():
     # the walk is iterative: a cycle far longer than the recursion limit
     n = 3000
@@ -185,7 +326,7 @@ def test_gf2_solver_matches_exhaustive_search():
             return all(sum(x[c] for c in cols) % 2 == b for cols, b in zip(rows, rhs))
 
         feasible = any(satisfies(x) for x in itertools.product((0, 1), repeat=width))
-        got = _solve_gf2(rows, rhs, width)
+        got = _eliminate(zip(rows, rhs), width)
         outcomes.add(feasible)
         assert (got is not None) == feasible
         if got is not None:
@@ -237,7 +378,7 @@ def test_braces_consistency_detects_k33_piece(k33, cube):
 def _batch_orientation(g):
     """The route before streaming: every conformal row first, then one solve."""
     rows, rhs = zip(*(constructions._cycle_constraint(g, c) for c in conformal_cycles(g)))
-    return _solve_gf2(list(rows), list(rhs), g.edge_count)
+    return _eliminate(zip(rows, rhs), g.edge_count)
 
 
 def test_streaming_orientation_matches_batch_solve(cube, k33):

@@ -1,11 +1,16 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from barnette.graphs import BipartiteGraph, with_colouring
+from barnette.graphs import BipartiteGraph, GraphError, vertex_mask, with_colouring
 from barnette.matching import (
     OracleBoundError,
+    _matching,
     allowed_edges,
     cover_graph,
     enumerate_perfect_matchings,
+    hall_set,
     has_perfect_matching,
     is_brace,
     is_k_extendable,
@@ -13,6 +18,7 @@ from barnette.matching import (
     oracle_bound,
     perfect_matching,
 )
+from barnette.tightcut import contract, find_nontrivial_tight_cut
 
 
 def test_perfect_matching_on_fixtures(cube, k33, heawood):
@@ -136,3 +142,59 @@ def test_has_perfect_matching_on_long_path():
     assert has_perfect_matching(path)
     assert not has_perfect_matching(path, removed_mask=0b110)  # strands vertex 0
     assert has_perfect_matching(path, removed_mask=0b1001)
+
+
+def _reference_hall_set(g, removed_mask):
+    """The BFS hall_set ran before it read the failed augmenting search."""
+    _, partner = _matching(g, removed_mask)
+    alive = g.full_mask & ~removed_mask
+    start = next((a for a in g.class_a() if alive >> a & 1 and partner[a] == -1), -1)
+    if start < 0:
+        raise GraphError("matching saturates class A")
+    t_set = {start}
+    reached: set[int] = set()
+    queue = [start]
+    while queue:
+        a = queue.pop()
+        for b in g.neighbours[a]:
+            if not (alive >> b & 1) or b in reached:
+                continue
+            reached.add(b)
+            nxt = partner[b]
+            if nxt != -1 and nxt not in t_set:
+                t_set.add(nxt)
+                queue.append(nxt)
+    full_n = {b for a in t_set for b in g.neighbours[a]}
+    if len(full_n) != len(t_set) + 1:
+        raise GraphError("graph is not matching covered")
+    return vertex_mask(t_set | full_n)
+
+
+def test_hall_set_matches_bfs_reference(asano):
+    # every blocking quartet of every piece of Asano's decomposition and of
+    # seeded random matching covered graphs
+    graphs, work = [], [asano.graph]
+    while work:
+        h = work.pop()
+        graphs.append(h)
+        cut = find_nontrivial_tight_cut(h)
+        if cut is not None:
+            work += [contract(h, cut, side).graph for side in ("complement", "shore")]
+    rng = random.Random(4)
+    while len(graphs) < 30:
+        half = rng.choice((4, 5, 6))
+        edges = tuple(
+            (a, b) for a in range(half) for b in range(half, 2 * half) if rng.random() < 0.5
+        )
+        g = BipartiteGraph(2 * half, edges, ("A",) * half + ("B",) * half)
+        if is_matching_covered(g):
+            graphs.append(g)
+    compared = 0
+    for g in graphs:
+        for a_pair in combinations(g.class_a(), 2):
+            for b_pair in combinations(g.class_b(), 2):
+                removed = vertex_mask(a_pair + b_pair)
+                if not has_perfect_matching(g, removed):
+                    assert hall_set(g, removed) == _reference_hall_set(g, removed)
+                    compared += 1
+    assert compared > 1000, compared
