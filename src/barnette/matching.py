@@ -7,10 +7,12 @@ vertices removed) starts from it.  The solver-independent facts used here: a
 bipartite graph is matching covered (1-extendable) iff it is connected and
 every edge lies in some perfect matching; allowed edges are found from one
 perfect matching by strongly connected components of the alternating
-digraph; 2-extendability is decided by one quartet scan, which deletes two
-vertices from each colour class in all ways and tests the rest for a
-perfect matching; a failed quartet's Hall set T ∪ N(T) gives a tight cut;
-a brace is either a 4-cycle or a 2-extendable bipartite graph.
+digraph; 2-extendability holds iff deleting two vertices from each colour
+class in any way leaves a perfect matching, and one matching per A-pair
+answers every B-pair, because a failed alternating search from the one
+free B-vertex finds every B-vertex some maximum matching leaves free
+(Dulmage–Mendelsohn); a blocking quartet's Hall set T ∪ N(T) gives a tight
+cut; a brace is either a 4-cycle or a 2-extendable bipartite graph.
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ def _matching(g: BipartiteGraph, removed_mask: int = 0) -> tuple[int, list[int]]
 
 
 def _augment(g: BipartiteGraph, a: int, partner: list[int], alive: int, visited: set[int]) -> bool:
-    """Depth-first augmenting path from the free A-vertex a; flips it if found.
+    """Depth-first augmenting path from the free vertex a; flips it if found.
 
-    Iterative, so path length is not bounded by the recursion limit.  Each
-    stack entry is (A-vertex, its unscanned neighbours, the B-vertex that led
-    to it); neighbours are tried in stored order, as a recursive search would.
-    After a failed search, `visited` holds exactly the B-vertices (all matched)
+    a is usually in class A; the search is the same from a free B-vertex
+    with the classes swapped.  Iterative, so path length is not bounded by
+    the recursion limit.  Each stack entry is (vertex of a's class, its
+    unscanned neighbours, the vertex that led to it); neighbours are tried
+    in stored order, as a recursive search would.  After a failed search,
+    `visited` holds exactly the vertices of the other class (all matched)
     that alternating paths from a reach.
     """
     stack = [(a, iter(g.neighbours[a]), -1)]
@@ -261,18 +265,69 @@ def blocking_quartet(
     Pairs from class A form the outer loop and pairs from class B the inner
     one, each in lexicographic order or shuffled by `rng` (A-pairs first).
     None means g minus any two vertices of each class has a perfect matching.
+
+    Each A-pair costs one matching search, not one per B-pair.  If g is
+    unbalanced, or no matching of g - a1 - a2 saturates the rest of A, no
+    removal of B-vertices can help and the first B-pair blocks.  Otherwise
+    that matching leaves exactly two B-vertices free, and `_spared` reads,
+    for each first element b1, exactly the b2 that do not block (its
+    docstring says why).  The quartets are visited in the same order with
+    the same verdicts, so the first blocking mask, and what `rng` consumes,
+    are those of a quartet-by-quartet scan.
     """
-    a_pairs = list(combinations(g.class_a(), 2))
-    b_pairs = list(combinations(g.class_b(), 2))
+    a_class, b_class = g.class_a(), g.class_b()
+    a_pairs = list(combinations(a_class, 2))
+    b_pairs = list(combinations(b_class, 2))
     if rng is not None:
         rng.shuffle(a_pairs)
         rng.shuffle(b_pairs)
+    if not b_pairs:
+        return None
+    first_b = vertex_mask(b_pairs[0])
     for a1, a2 in a_pairs:
+        removed_a = 1 << a1 | 1 << a2
+        size, partner = _matching(g, removed_a)
+        if len(a_class) != len(b_class) or size < len(a_class) - 2:
+            return removed_a | first_b
+        spared: dict[int, int] = {}
         for b1, b2 in b_pairs:
-            removed = 1 << a1 | 1 << a2 | 1 << b1 | 1 << b2
-            if not has_perfect_matching(g, removed):
-                return removed
+            if b1 not in spared:
+                spared[b1] = _spared(g, partner, removed_a, b1, b_class)
+            if not spared[b1] >> b2 & 1:
+                return removed_a | 1 << b1 | 1 << b2
     return None
+
+
+def _spared(
+    g: BipartiteGraph, partner: list[int], removed_a: int, b1: int, b_class: tuple[int, ...]
+) -> int:
+    """Mask of the B-vertices b2 for which g minus removed_a, b1 and b2 has a
+    perfect matching.
+
+    `partner` is a matching of g minus the two A-vertices of removed_a that
+    saturates the rest of A.  b1 is unmatched and its old partner
+    re-augmented inside H = g - removed_a - b1.  If that fails, no matching
+    of H saturates its A-side and the mask is empty.  Otherwise one
+    B-vertex u of H stays free, and H - b2 has a perfect matching iff some
+    maximum matching of H misses b2, i.e. iff b2 is u or the end of an even
+    alternating path from u.  A failed `_augment` from u visits exactly the
+    A-vertices on such paths, so their partners and u are the answer, read
+    the way `hall_set` reads T.
+    """
+    alive = g.full_mask & ~removed_a & ~(1 << b1)
+    p = list(partner)
+    a = p[b1]
+    if a >= 0:
+        p[a] = p[b1] = -1
+        if not _augment(g, a, p, alive, set()):
+            return 0
+    u = next(b for b in b_class if alive >> b & 1 and p[b] == -1)
+    reached: set[int] = set()
+    _augment(g, u, p, alive, reached)  # fails: every live A-vertex is matched
+    mask = 1 << u
+    for x in reached:
+        mask |= 1 << p[x]
+    return mask
 
 
 def hall_set(g: BipartiteGraph, removed_mask: int) -> int:
@@ -304,8 +359,9 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
 
     For k = 1 this is being matching covered: a connected bipartite graph
     with a perfect matching is matching covered exactly when g minus any a
-    in A and b in B still has one.  For k = 2 the quartet scan must find no
-    blocking removal.
+    in A and b in B still has one.  For k = 2, g minus any two vertices of
+    each class must still have one (Plummer 1980): `blocking_quartet` finds
+    no blocking removal, at one matching per A-pair.
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import barnette
 from barnette.canon import canonical_form
@@ -271,3 +274,69 @@ def test_package_import_loads_neither_numpy_nor_networkx():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+_FUZZ_CHARS = "0123456789 :-\n?ABrotcu@_~"
+
+
+def _mutate(text, edits):
+    lines = text.split("\n")
+    for kind, pos, ch in edits:
+        i = pos % (len(lines) or 1)
+        if kind == "dup_line" and lines:
+            lines.insert(i, lines[i])
+        elif kind == "drop_line" and lines:
+            del lines[i]
+        elif lines:
+            chars = list(lines[i])
+            j = pos % (len(chars) + 1)
+            if kind == "insert":
+                chars.insert(j, ch)
+            elif chars:
+                j %= len(chars)
+                if kind == "delete":
+                    del chars[j]
+                else:
+                    chars[j] = ch
+            lines[i] = "".join(chars)
+    return "\n".join(lines)
+
+
+@settings(max_examples=120, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_never_escapes_main(generated_16, data):
+    # records with rot and cut lines, and graph6 lines, each edited a few
+    # times and fed on stdin: every outcome is an exit code, never a traceback
+    seeds = [
+        to_bgf(
+            rec.graph,
+            rotation=rec.embedding.rotation,
+            cuts=[(i, sorted(c.edge_ids)) for i, c in enumerate(rec.family)],
+        )
+        for rec in generated_16
+    ]
+    seeds += [to_graph6(rec.graph) + "\n" for rec in generated_16]
+    assert any("rot 0:" in s and "cut 0:" in s for s in seeds)
+    text = _mutate(
+        data.draw(st.sampled_from(seeds)),
+        data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("insert", "delete", "replace", "dup_line", "drop_line")),
+                    st.integers(0, 10_000),
+                    st.sampled_from(_FUZZ_CHARS),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+    )
+    argv = data.draw(st.sampled_from((["verify"], ["verify", "--json"], ["decompose"], ["pfaffian"])))
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    assert code in (0, 1, 2)

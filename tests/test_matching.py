@@ -1,13 +1,17 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from barnette.graphs import BipartiteGraph, GraphError, vertex_mask, with_colouring
+from barnette import matching, tightcut
+from barnette.catalog import catalog
+from barnette.graphs import BipartiteGraph, GraphError, is_connected, vertex_mask, with_colouring
 from barnette.matching import (
     OracleBoundError,
     _matching,
     allowed_edges,
+    blocking_quartet,
     cover_graph,
     enumerate_perfect_matchings,
     hall_set,
@@ -18,7 +22,7 @@ from barnette.matching import (
     oracle_bound,
     perfect_matching,
 )
-from barnette.tightcut import contract, find_nontrivial_tight_cut
+from barnette.tightcut import contract, find_nontrivial_tight_cut, tight_cut_decomposition
 
 
 def test_perfect_matching_on_fixtures(cube, k33, heawood):
@@ -144,6 +148,23 @@ def test_has_perfect_matching_on_long_path():
     assert has_perfect_matching(path, removed_mask=0b1001)
 
 
+def _decomposition_pieces(g):
+    pieces, work = [], [g]
+    while work:
+        h = work.pop()
+        pieces.append(h)
+        cut = find_nontrivial_tight_cut(h)
+        if cut is not None:
+            work += [contract(h, cut, side).graph for side in ("complement", "shore")]
+    return pieces
+
+
+def _random_bipartite(rng, half_a, half_b, p):
+    n = half_a + half_b
+    edges = tuple((a, b) for a in range(half_a) for b in range(half_a, n) if rng.random() < p)
+    return BipartiteGraph(n, edges, ("A",) * half_a + ("B",) * half_b)
+
+
 def _reference_hall_set(g, removed_mask):
     """The BFS hall_set ran before it read the failed augmenting search."""
     _, partner = _matching(g, removed_mask)
@@ -173,20 +194,11 @@ def _reference_hall_set(g, removed_mask):
 def test_hall_set_matches_bfs_reference(asano):
     # every blocking quartet of every piece of Asano's decomposition and of
     # seeded random matching covered graphs
-    graphs, work = [], [asano.graph]
-    while work:
-        h = work.pop()
-        graphs.append(h)
-        cut = find_nontrivial_tight_cut(h)
-        if cut is not None:
-            work += [contract(h, cut, side).graph for side in ("complement", "shore")]
+    graphs = _decomposition_pieces(asano.graph)
     rng = random.Random(4)
     while len(graphs) < 30:
         half = rng.choice((4, 5, 6))
-        edges = tuple(
-            (a, b) for a in range(half) for b in range(half, 2 * half) if rng.random() < 0.5
-        )
-        g = BipartiteGraph(2 * half, edges, ("A",) * half + ("B",) * half)
+        g = _random_bipartite(rng, half, half, 0.5)
         if is_matching_covered(g):
             graphs.append(g)
     compared = 0
@@ -198,3 +210,108 @@ def test_hall_set_matches_bfs_reference(asano):
                     assert hall_set(g, removed) == _reference_hall_set(g, removed)
                     compared += 1
     assert compared > 1000, compared
+
+
+def _reference_blocking_quartet(g, rng=None):
+    """The quartet scan blocking_quartet ran before it read spared B-pairs
+    from one matching per A-pair."""
+    a_pairs = list(combinations(g.class_a(), 2))
+    b_pairs = list(combinations(g.class_b(), 2))
+    if rng is not None:
+        rng.shuffle(a_pairs)
+        rng.shuffle(b_pairs)
+    for a1, a2 in a_pairs:
+        for b1, b2 in b_pairs:
+            removed = 1 << a1 | 1 << a2 | 1 << b1 | 1 << b2
+            if not has_perfect_matching(g, removed):
+                return removed
+    return None
+
+
+def test_blocking_quartet_matches_quartet_scan(c6, cube, heawood, asano):
+    graphs = [c6, cube, heawood, asano.graph]
+    graphs += [catalog(name).graph for name in ("p5_example", "b_horton")]
+    graphs += _decomposition_pieces(asano.graph)
+    rng = random.Random(8)
+    randoms = []
+    while len(randoms) < 150:
+        half_a = rng.randint(2, 7)
+        half_b = min(7, max(2, half_a + rng.choice((-1, 0, 0, 0, 1))))
+        randoms.append(_random_bipartite(rng, half_a, half_b, rng.choice((0.3, 0.5, 0.7, 0.9))))
+    unbalanced = sum(len(g.class_a()) != len(g.class_b()) for g in randoms)
+    no_pm = sum(not has_perfect_matching(g) for g in randoms)
+    assert unbalanced >= 20 and no_pm >= 40, (unbalanced, no_pm)
+    verdicts = set()
+    for g in graphs + randoms:
+        for seed in (None, 1, 2):
+            ours = None if seed is None else random.Random(seed)
+            ref = None if seed is None else random.Random(seed)
+            mask = blocking_quartet(g, ours)
+            assert mask == _reference_blocking_quartet(g, ref)
+            if seed is not None:
+                assert ours.random() == ref.random()  # same shuffles consumed
+            verdicts.add(mask is None)
+    assert verdicts == {True, False}
+
+
+def test_decomposition_traces_unchanged_by_spared_pairs(monkeypatch):
+    # the shuffled quartet order is consumed only on the general tight-cut
+    # route, so decompose non-cubic matching covered graphs
+    rng = random.Random(12)
+    graphs = []
+    while len(graphs) < 12:
+        half = rng.choice((4, 5, 6))
+        g = _random_bipartite(rng, half, half, 0.5)
+        if is_matching_covered(g) and not g.is_regular(3):
+            graphs.append(g)
+    runs = [(g, seed) for g in graphs for seed in (1, 5, 9)]
+    ours = [tight_cut_decomposition(g, random.Random(seed)) for g, seed in runs]
+    monkeypatch.setattr(tightcut, "blocking_quartet", _reference_blocking_quartet)
+    ref = [tight_cut_decomposition(g, random.Random(seed)) for g, seed in runs]
+    assert [r.trace for r in ours] == [r.trace for r in ref]
+    assert [r.braces for r in ours] == [r.braces for r in ref]
+    assert any(r.trace for r in ours)
+
+
+def test_brace_matches_edge_pair_definition(c6, cube, k33, heawood):
+    # enumerate_perfect_matchings is a plain backtrack that shares no code
+    # with _matching or _augment
+    c4 = with_colouring(BipartiteGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    graphs = [c4, c6, k33, cube, heawood]
+    rng = random.Random(6)
+    while len(graphs) < 80:
+        half = rng.choice((3, 4, 5))
+        g = _random_bipartite(rng, half, half, rng.choice((0.5, 0.7, 0.85)))
+        if is_connected(g) and has_perfect_matching(g):
+            graphs.append(g)
+    verdicts = []
+    for g in graphs:
+        matchings = [pm.edge_ids for pm in enumerate_perfect_matchings(g)]
+        extends = all(
+            any(e in pm and f in pm for pm in matchings)
+            for e, f in combinations(range(g.edge_count), 2)
+            if not set(g.edges[e]) & set(g.edges[f])
+        )
+        assert is_brace(g) == extends
+        verdicts.append(extends)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+def test_brace_test_takes_one_matching_per_a_pair(monkeypatch):
+    g = catalog("b_horton").graph
+    real = matching._matching
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "_matching", counting)
+    assert is_brace(g)
+    assert len(calls) <= comb(16, 2) + 1  # the quartet scan took 120 * 120 tests
+
+    def forbidden(*args):
+        raise AssertionError("blocking_quartet tested a quartet")
+
+    monkeypatch.setattr(matching, "has_perfect_matching", forbidden)
+    assert blocking_quartet(g) is None
