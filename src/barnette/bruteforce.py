@@ -9,7 +9,7 @@ matching and share no logic with the solver.  Slow and bounded on purpose.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .canon import canonical_form
 from .embedding import embed_planar
@@ -125,10 +125,10 @@ def pfaffian_by_enumeration(g: BipartiteGraph, max_edges: int = 20) -> bool:
     )
 
 
-def oracle_is_tight(g: BipartiteGraph, cut: Cut, bound: Optional[int] = None) -> bool:
+def oracle_is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     """Tightness by listing every perfect matching and counting crossings."""
     found = False
-    for matching in enumerate_perfect_matchings(g, bound=bound):
+    for matching in enumerate_perfect_matchings(g):
         found = True
         if len(matching.edge_ids & cut.edge_ids) != 1:
             return False

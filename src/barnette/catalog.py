@@ -18,7 +18,7 @@ from typing import Optional
 
 from .constructions import splice
 from .embedding import RotationEmbedding, euler_check
-from .graphs import BipartiteGraph, Cut, GraphError, with_colouring
+from .graphs import BipartiteGraph, Cut, GraphError
 from .io import detect_format, from_bgf, from_graph6
 
 GEORGES_KELMANS_ENV = "BARNETTE_GEORGES_KELMANS"
@@ -46,7 +46,7 @@ def _cube_graph() -> BipartiteGraph:
         (4, 5), (5, 6), (6, 7), (4, 7),
         (0, 4), (1, 5), (2, 6), (3, 7),
     )
-    return with_colouring(BipartiteGraph(8, edges))
+    return BipartiteGraph(8, edges)
 
 
 def _cube_rotation(g: BipartiteGraph) -> RotationEmbedding:
@@ -92,7 +92,7 @@ def _cube() -> CatalogEntry:
 
 
 def _c4() -> CatalogEntry:
-    g = with_colouring(BipartiteGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    g = BipartiteGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     return CatalogEntry(
         name="c4",
         graph=g,
@@ -107,9 +107,7 @@ def _c4() -> CatalogEntry:
 
 
 def _k33() -> CatalogEntry:
-    g = with_colouring(
-        BipartiteGraph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
-    )
+    g = BipartiteGraph(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
     return CatalogEntry(
         name="k33",
         graph=g,
@@ -128,9 +126,7 @@ def _k33() -> CatalogEntry:
 def _heawood() -> CatalogEntry:
     edges = [(i, (i + 1) % 14) for i in range(14)]
     edges += [(0, 5), (1, 10), (2, 7), (3, 12), (4, 9), (6, 11), (8, 13)]
-    g = with_colouring(
-        BipartiteGraph(14, tuple((min(a, b), max(a, b)) for a, b in edges))
-    )
+    g = BipartiteGraph(14, tuple((min(a, b), max(a, b)) for a, b in edges))
     return CatalogEntry(
         name="heawood",
         graph=g,
@@ -163,9 +159,7 @@ def _asano() -> CatalogEntry:
         edges += [(base + x, base + y) for x, y in _GADGET_EDGES]
         edges.append((a, base))
         edges.append((base + 7, b))
-    g = with_colouring(
-        BipartiteGraph(26, tuple((min(x, y), max(x, y)) for x, y in edges))
-    )
+    g = BipartiteGraph(26, tuple((min(x, y), max(x, y)) for x, y in edges))
     shore = frozenset({a} | set(range(2, 10)))
     return CatalogEntry(
         name="asano",
@@ -194,7 +188,7 @@ def _p5_example() -> CatalogEntry:
         (10, 11), (8, 10), (9, 11),
         (1, 9), (2, 7), (5, 12),
     )
-    g = with_colouring(BipartiteGraph(14, edges))
+    g = BipartiteGraph(14, edges)
     return CatalogEntry(
         name="p5_example",
         graph=g,
@@ -228,9 +222,7 @@ def _b_horton_graph() -> BipartiteGraph:
             )
         ]
     edges += [(8, 23), (0, 31), (7, 16), (15, 24)]
-    return with_colouring(
-        BipartiteGraph(32, tuple((min(a, b), max(a, b)) for a, b in edges))
-    )
+    return BipartiteGraph(32, tuple((min(a, b), max(a, b)) for a, b in edges))
 
 
 def _b_horton() -> CatalogEntry:
@@ -291,10 +283,9 @@ def _georges_kelmans() -> CatalogEntry:
         g, _rot, _cuts = from_bgf(text)
     else:
         g = from_graph6(text.strip().splitlines()[0])
-    g = with_colouring(g)
-    if g.n != 50 or not g.is_regular(3):
+    if g.colour is None or g.n != 50 or not g.is_regular(3):
         raise CatalogError(
-            "external file does not contain the 50-vertex cubic graph"
+            "external file does not contain the 50-vertex cubic bipartite graph"
         )
     return CatalogEntry(
         name="georges_kelmans",

@@ -26,9 +26,8 @@ from .graphs import (
     Cut,
     GraphError,
     bits,
-    two_colour,
+    connected_components,
     vertex_mask,
-    with_colouring,
 )
 from .matching import (
     has_perfect_matching,
@@ -196,9 +195,9 @@ def trisum(
             edges.append(pair)
 
     out = BipartiteGraph(nxt, tuple(edges))
-    if two_colour(out) is None:
+    if out.colour is None:
         raise GraphError("trisum result is not bipartite")
-    return with_colouring(out)
+    return out
 
 
 def cubic_trisum(
@@ -348,7 +347,6 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     matching.  Returns None exactly when no witness exists, which for
     bipartite graphs with a perfect matching means the graph is Pfaffian.
     """
-    g = with_colouring(g)
     limit = oracle_bound()
     if g.n > limit:
         raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
@@ -393,26 +391,13 @@ def _grow_paths(
     done: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def reachable_ok(used: int, from_idx: int) -> bool:
-        # every remaining pair must still reach dst: a plain DFS, as the walker
-        # would list every path before giving up on an unreachable dst
-        for i, j in pair_order[from_idx:]:
-            src, dst = tri_a[i], tri_b[j]
-            seen = 1 << src
-            stack = [src]
-            hit = False
-            while stack and not hit:
-                x = stack.pop()
-                for y in g.neighbours[x]:
-                    if y == dst:
-                        hit = True
-                        break
-                    m = 1 << y
-                    if not (seen & m or used & m or branch_mask & m):
-                        seen |= m
-                        stack.append(y)
-            if not hit:
-                return False
-        return True
+        # every remaining pair must still reach dst, as the walker would list
+        # every path before giving up: directly, or through one free component
+        comps = connected_components(g, used | branch_mask)
+        return all(
+            g.has_edge(src, dst) or any(c & g.adj[src] and c & g.adj[dst] for c in comps)
+            for src, dst in ((tri_a[i], tri_b[j]) for i, j in pair_order[from_idx:])
+        )
 
     def grow(idx: int, used: int) -> bool:
         if idx == len(pair_order):
@@ -558,7 +543,6 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     limit = oracle_bound()
     if g.n > limit:
         raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
-    g = with_colouring(g)
     if not is_matching_covered(g):
         raise GraphError("Pfaffian test expects a matching covered graph")
     rows: list[tuple[list[int], int]] = []
@@ -604,9 +588,7 @@ def braces_pfaffian_consistency(g: BipartiteGraph) -> dict:
     from .tightcut import tight_cut_decomposition
 
     decomposition = tight_cut_decomposition(g)
-    pieces = [
-        (with_colouring(from_graph6(form)), form) for form in decomposition.braces
-    ]
+    pieces = [(from_graph6(form), form) for form in decomposition.braces]
     # smallest braces first: one non-Pfaffian brace settles the verdict, and
     # the expensive cycle enumeration on big braces is then never reached
     pieces.sort(key=lambda pf: (pf[0].n, pf[1]))

@@ -35,7 +35,7 @@ from .expansion import (
     update_family_c4,
     update_family_cube,
 )
-from .graphs import BipartiteGraph, GraphError, two_colour
+from .graphs import BipartiteGraph, GraphError
 from .hamiltonicity import HamiltonicityEngine, is_pk_hamiltonian, has_h_plus_minus
 from .matching import is_brace
 from .tightcut import (
@@ -144,7 +144,7 @@ def verify_record(rec: GenerationRecord) -> dict:
     g = rec.graph
     checks: dict[str, bool] = {}
     checks["cubic"] = g.is_regular(3)
-    checks["bipartite"] = g.colour is not None or two_colour(g) is not None
+    checks["bipartite"] = g.colour is not None
     checks["three_connected"] = checks["cubic"] and cubic_three_connected(g)
     checks["planar"] = euler_check(g, rec.embedding)
     checks["family_tight"] = all(

@@ -1,9 +1,11 @@
 """Core graph types: simple graphs with bitset adjacency, stable edge ids, 2-colourings.
 
-Vertices are 0..n-1.  Edges are stored as a tuple of (u, v) pairs with u < v;
-the index of an edge in that tuple is its edge id.  Edge ids are dense and
-stable: every operation that derives a new graph documents how ids map.
-Vertex subsets are passed around as int bitmasks throughout the package.
+Vertices are 0..n-1.  Every graph is 2-coloured once, when it is built: its
+``colour`` is present exactly when it is bipartite.  Edges are stored as a
+tuple of (u, v) pairs with u < v; the index of an edge in that tuple is its
+edge id.  Edge ids are dense and stable: every operation that derives a new
+graph documents how ids map.  Vertex subsets are passed around as int
+bitmasks throughout the package.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ def bits(mask: int) -> Iterable[int]:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Immutable simple graph, optionally carrying a proper 2-colouring.
+    """Immutable simple graph with its proper 2-colouring when it is bipartite.
 
-    The type admits any simple graph; the ``colour`` field, when present, is a
-    proper 2-colouring with values 'A' and 'B'.  Operations that need the
-    colouring state so in their precondition.
+    The type admits any simple graph.  ``colour`` holds values 'A' and 'B'
+    and is present exactly when the graph is bipartite: explicit colours are
+    validated, and a graph built without them gets the `two_colour` one.
+    Operations that need the colouring raise GraphError on an odd cycle.
     """
 
     n: int
@@ -64,15 +67,18 @@ class BipartiteGraph:
             nbrs[v].append(u)
             inc[u].append(eid)
             inc[v].append(eid)
-        if self.colour is not None:
-            if len(self.colour) != self.n:
+        if self.colour is None:
+            colour = _two_colour(nbrs)
+        else:
+            colour = tuple(self.colour)
+            if len(colour) != self.n:
                 raise GraphError("colour tuple length differs from vertex count")
-            if any(c not in ("A", "B") for c in self.colour):
+            if any(c not in ("A", "B") for c in colour):
                 raise GraphError("colours must be 'A' or 'B'")
             for u, v in edges:
-                if self.colour[u] == self.colour[v]:
+                if colour[u] == colour[v]:
                     raise GraphError(f"edge ({u}, {v}) joins equal colours")
-            object.__setattr__(self, "colour", tuple(self.colour))
+        object.__setattr__(self, "colour", colour)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "neighbours", tuple(tuple(x) for x in nbrs))
@@ -120,25 +126,31 @@ class BipartiteGraph:
     def is_regular(self, d: int) -> bool:
         return all(len(nb) == d for nb in self.neighbours)
 
+    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Class A, class B and the mask of class A, computed once per graph."""
+        cached = getattr(self, "_classes_cache", None)
+        if cached is None:
+            self._require_colour()
+            a_class = tuple(v for v in range(self.n) if self.colour[v] == "A")
+            b_class = tuple(v for v in range(self.n) if self.colour[v] == "B")
+            cached = (a_class, b_class, vertex_mask(a_class))
+            object.__setattr__(self, "_classes_cache", cached)
+        return cached
+
     def class_a(self) -> tuple[int, ...]:
-        self._require_colour()
-        return tuple(v for v in range(self.n) if self.colour[v] == "A")
+        return self._classes()[0]
 
     def class_b(self) -> tuple[int, ...]:
-        self._require_colour()
-        return tuple(v for v in range(self.n) if self.colour[v] == "B")
+        return self._classes()[1]
 
     def _require_colour(self) -> None:
         if self.colour is None:
-            raise GraphError("operation requires a coloured graph")
+            raise GraphError("graph is not bipartite")
 
     def colour_mask(self, c: str) -> int:
-        self._require_colour()
-        m = 0
-        for v in range(self.n):
-            if self.colour[v] == c:
-                m |= 1 << v
-        return m
+        """Mask of colour class c, 'A' or 'B'."""
+        a_mask = self._classes()[2]
+        return a_mask if c == "A" else self.full_mask ^ a_mask
 
     def relabel(self, perm: Sequence[int]) -> "BipartiteGraph":
         """Graph with vertex v renamed to perm[v]; edge ids follow sorted order of new pairs."""
@@ -270,40 +282,43 @@ def is_k_connected(g: BipartiteGraph, k: int) -> bool:
 # ----- 2-colouring -----
 
 
-def two_colour(g: BipartiteGraph) -> Optional[tuple[str, ...]]:
-    """Proper 2-colouring with vertex 0 coloured 'A', or None if an odd cycle exists.
+def _two_colour(nbrs: Sequence[Sequence[int]]) -> Optional[tuple[str, ...]]:
+    """Breadth-first 2-colouring from neighbour lists, or None on an odd cycle.
 
     Components are coloured independently, the least vertex of each getting 'A'.
     """
-    colour: list[Optional[str]] = [None] * g.n
-    for start in range(g.n):
+    colour: list[Optional[str]] = [None] * len(nbrs)
+    for start in range(len(nbrs)):
         if colour[start] is not None:
             continue
         colour[start] = "A"
         queue = [start]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # grows while it is read
             want = "B" if colour[v] == "A" else "A"
-            for w in g.neighbours[v]:
+            for w in nbrs[v]:
                 if colour[w] is None:
                     colour[w] = want
                     queue.append(w)
                 elif colour[w] != want:
                     return None
-    return tuple(c for c in colour)  # type: ignore[misc]
+    return tuple(colour)  # type: ignore[arg-type]
+
+
+def two_colour(g: BipartiteGraph) -> Optional[tuple[str, ...]]:
+    """Proper 2-colouring with vertex 0 coloured 'A', or None if an odd cycle exists.
+
+    Components are coloured independently, the least vertex of each getting
+    'A'; a graph built without colours carries exactly this one.
+    """
+    return _two_colour(g.neighbours)
 
 
 def with_colouring(g: BipartiteGraph) -> BipartiteGraph:
-    """Copy of g carrying the canonical 2-colouring; raises if non-bipartite."""
-    if g.colour is not None:
-        return g
-    col = two_colour(g)
-    if col is None:
-        raise GraphError("graph is not bipartite")
-    return BipartiteGraph(g.n, g.edges, col)
+    """g itself, which carries its 2-colouring; raises if g is not bipartite."""
+    g._require_colour()
+    return g
 
 
 def shore_colour_balance(g: BipartiteGraph, mask: int) -> int:
     """|X inter A| - |X inter B| for the vertex set given by ``mask``."""
-    g._require_colour()
     return (mask & g.colour_mask("A")).bit_count() - (mask & g.colour_mask("B")).bit_count()

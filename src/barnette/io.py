@@ -10,7 +10,9 @@ bgf/1 layout::
 
 Multiple records in one file are separated by single blank lines.  The
 serializer is deterministic, so serialize(parse(text)) == text for files it
-produced itself.
+produced itself.  Every bipartite graph carries its colouring, so the
+all-``?`` colour line is written only for a graph with an odd cycle, and a
+``?`` record of a bipartite graph is read back coloured.
 
 graph6 follows the published byte-level definition: N(n) followed by the
 upper-triangle adjacency bits in column order, 6 bits per byte, each byte
@@ -72,7 +74,7 @@ def to_graph6(g: BipartiteGraph) -> str:
 
 
 def from_graph6(line: str) -> BipartiteGraph:
-    """Decode one graph6 line to an uncoloured graph.
+    """Decode one graph6 line; the graph gets its colouring when it is built.
 
     Edge ids follow the column order of the bits; only the non-zero 6-bit
     groups are visited, so the cost follows the edges rather than n(n-1)/2.

@@ -21,14 +21,13 @@ import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import (
     BipartiteGraph,
     GraphError,
     is_connected,
     vertex_mask,
-    with_colouring,
 )
 
 DEFAULT_ORACLE_BOUND = 40
@@ -68,8 +67,8 @@ class PerfectMatching:
 # ----- matching kernel -----
 
 
-def _warm_start(g: BipartiteGraph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Class A, its mask and one maximum matching of g, computed once per graph.
+def _warm_start(g: BipartiteGraph) -> tuple[int, ...]:
+    """One maximum matching of g as a partner array, computed once per graph.
 
     Cached on the graph object like its edge index, so the cache lives exactly
     as long as the graph does.  The matching is the deterministic one built
@@ -77,11 +76,10 @@ def _warm_start(g: BipartiteGraph) -> tuple[tuple[int, ...], int, tuple[int, ...
     """
     cached = getattr(g, "_warm_start_cache", None)
     if cached is None:
-        a_class = with_colouring(g).class_a()
         partner = [-1] * g.n
-        for a in a_class:
+        for a in g.class_a():
             _augment(g, a, partner, g.full_mask, set())
-        cached = (a_class, vertex_mask(a_class), tuple(partner))
+        cached = tuple(partner)
         object.__setattr__(g, "_warm_start_cache", cached)
     return cached
 
@@ -92,9 +90,9 @@ def _matching(g: BipartiteGraph, removed_mask: int = 0) -> tuple[int, list[int]]
     Starts from g's cached matching with the pairs of removed vertices undone
     and augments the A-vertices left free, in increasing order.
     """
-    a_class, _, base = _warm_start(g)
+    a_class = g.class_a()
     alive = g.full_mask & ~removed_mask
-    partner = list(base)
+    partner = list(_warm_start(g))
     for a in a_class:
         b = partner[a]
         if b >= 0 and (removed_mask >> a | removed_mask >> b) & 1:
@@ -139,10 +137,9 @@ def _augment(g: BipartiteGraph, a: int, partner: list[int], alive: int, visited:
 
 def has_perfect_matching(g: BipartiteGraph, removed_mask: int = 0) -> bool:
     """Does g minus the vertices in removed_mask have a perfect matching?"""
-    _, a_mask, _ = _warm_start(g)
     alive = g.full_mask & ~removed_mask
     count = alive.bit_count()
-    if 2 * (alive & a_mask).bit_count() != count:
+    if 2 * (alive & g.colour_mask("A")).bit_count() != count:
         return False
     size, _ = _matching(g, removed_mask)
     return 2 * size == count
@@ -150,14 +147,10 @@ def has_perfect_matching(g: BipartiteGraph, removed_mask: int = 0) -> bool:
 
 def perfect_matching(g: BipartiteGraph) -> Optional[PerfectMatching]:
     """One perfect matching (deterministic), or None."""
-    g = with_colouring(g)
     size, partner = _matching(g)
     if 2 * size != g.n:
         return None
-    ids = frozenset(
-        g.edge_id(a, partner[a]) for a in range(g.n) if g.colour[a] == "A"
-    )
-    return PerfectMatching(ids)
+    return PerfectMatching(frozenset(g.edge_id(a, partner[a]) for a in g.class_a()))
 
 
 # ----- allowed edges -----
@@ -165,7 +158,6 @@ def perfect_matching(g: BipartiteGraph) -> Optional[PerfectMatching]:
 
 def allowed_edges(g: BipartiteGraph) -> frozenset[int]:
     """Ids of edges contained in some perfect matching (empty if none exists)."""
-    g = with_colouring(g)
     size, partner = _matching(g)
     if 2 * size != g.n:
         return frozenset()
@@ -173,7 +165,7 @@ def allowed_edges(g: BipartiteGraph) -> frozenset[int]:
     # a -> partner[b].  An edge not in the matching is allowed iff its arc lies
     # on a directed cycle, i.e. both ends sit in one strongly connected
     # component.  Matching edges are allowed by definition.
-    a_class = [v for v in range(g.n) if g.colour[v] == "A"]
+    a_class = g.class_a()
     arcs: dict[int, list[int]] = {a: [] for a in a_class}
     for (u, v) in g.edges:
         a, b = (u, v) if g.colour[u] == "A" else (v, u)
@@ -188,7 +180,7 @@ def allowed_edges(g: BipartiteGraph) -> frozenset[int]:
     return frozenset(out)
 
 
-def _scc(nodes: list[int], arcs: dict[int, list[int]]) -> dict[int, int]:
+def _scc(nodes: Sequence[int], arcs: dict[int, list[int]]) -> dict[int, int]:
     """Tarjan strongly connected components, iterative; returns node -> comp id."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -238,7 +230,6 @@ def _scc(nodes: list[int], arcs: dict[int, list[int]]) -> dict[int, int]:
 
 def cover_graph(g: BipartiteGraph) -> tuple[BipartiteGraph, dict[int, int]]:
     """Spanning subgraph on the allowed edges, plus old-id -> new-id map."""
-    g = with_colouring(g)
     keep = sorted(allowed_edges(g))
     emap = {old: new for new, old in enumerate(keep)}
     sub = BipartiteGraph(g.n, tuple(g.edges[e] for e in keep), g.colour)
@@ -292,15 +283,13 @@ def blocking_quartet(
         spared: dict[int, int] = {}
         for b1, b2 in b_pairs:
             if b1 not in spared:
-                spared[b1] = _spared(g, partner, removed_a, b1, b_class)
+                spared[b1] = _spared(g, partner, removed_a, b1)
             if not spared[b1] >> b2 & 1:
                 return removed_a | 1 << b1 | 1 << b2
     return None
 
 
-def _spared(
-    g: BipartiteGraph, partner: list[int], removed_a: int, b1: int, b_class: tuple[int, ...]
-) -> int:
+def _spared(g: BipartiteGraph, partner: list[int], removed_a: int, b1: int) -> int:
     """Mask of the B-vertices b2 for which g minus removed_a, b1 and b2 has a
     perfect matching.
 
@@ -321,7 +310,7 @@ def _spared(
         p[a] = p[b1] = -1
         if not _augment(g, a, p, alive, set()):
             return 0
-    u = next(b for b in b_class if alive >> b & 1 and p[b] == -1)
+    u = next(b for b in g.class_b() if alive >> b & 1 and p[b] == -1)
     reached: set[int] = set()
     _augment(g, u, p, alive, reached)  # fails: every live A-vertex is matched
     mask = 1 << u
@@ -365,7 +354,7 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
-    g = with_colouring(g)
+    g._require_colour()
     if k == 1:
         return g.n >= 4 and is_matching_covered(g)
     return (
@@ -386,22 +375,19 @@ def is_brace(g: BipartiteGraph) -> bool:
 # ----- enumeration oracle -----
 
 
-def enumerate_perfect_matchings(
-    g: BipartiteGraph, bound: Optional[int] = None
-) -> list[PerfectMatching]:
+def enumerate_perfect_matchings(g: BipartiteGraph) -> list[PerfectMatching]:
     """All perfect matchings, deterministically ordered; oracle-bounded.
 
     Raises OracleBoundError when the graph has more vertices than the bound
     (BARNETTE_ORACLE_BOUND, default 40).
     """
-    limit = bound if bound is not None else oracle_bound()
+    limit = oracle_bound()
     if g.n > limit:
         raise OracleBoundError(
             f"graph has {g.n} vertices, enumeration bound is {limit}"
         )
     if g.n % 2:
         return []
-    g = with_colouring(g)
     if len(g.class_a()) != len(g.class_b()):
         return []
     order = sorted(g.class_a())

@@ -42,7 +42,6 @@ from .graphs import (
     GraphError,
     connected_components,
     shore_colour_balance,
-    with_colouring,
 )
 from .matching import (
     allowed_edges,
@@ -57,11 +56,10 @@ def is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     """Does every perfect matching cross the cut exactly once?
 
     Exactly when the shore's colour imbalance is ±1 and no allowed edge
-    leaves the shore from its minority class; the graph must be coloured and
-    have a perfect matching.
+    leaves the shore from its minority class; the graph must be bipartite
+    and have a perfect matching.
     """
-    if g.colour is None:
-        raise GraphError("tightness test needs a two-coloured graph")
+    g._require_colour()
     if not has_perfect_matching(g):
         raise GraphError("tightness is only meaningful with a perfect matching")
     balance = shore_colour_balance(g, cut.shore)
@@ -205,8 +203,9 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     3-matchings, so the cut-label enumeration is exhaustive.  Results
     are sorted by edge-id triple.
     """
-    if g.colour is None or not g.is_regular(3):
-        raise GraphError("coloured cubic graph expected")
+    g._require_colour()
+    if not g.is_regular(3):
+        raise GraphError("cubic graph expected")
     if not cubic_three_connected(g):
         raise GraphError("graph is not 3-connected")
     triples = _disconnecting_triples(g)
@@ -244,8 +243,7 @@ def find_nontrivial_tight_cut(
     through the 2-extendability route.  A supplied rng only changes which cut
     is returned, never whether one exists.
     """
-    if g.colour is None:
-        raise GraphError("coloured graph expected")
+    g._require_colour()
     if g.n <= 4:
         # shores of a tight cut have odd size, so one of them would be trivial
         return None
@@ -281,8 +279,7 @@ def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> Contraction:
     """
     if side not in ("shore", "complement"):
         raise GraphError(f"unknown side {side!r}")
-    if g.colour is None:
-        raise GraphError("contraction needs a coloured graph")
+    g._require_colour()
     if not is_tight(g, cut):
         raise GraphError("cut is not tight")
     collapsed = cut.shore if side == "shore" else cut.complement_mask()
@@ -359,7 +356,6 @@ def tight_cut_decomposition(
     not depend on the order of contractions or on which cuts are picked, so a
     supplied rng perturbs only the trace.
     """
-    g = with_colouring(g)
     if not is_matching_covered(g):
         raise GraphError("decomposition needs a matching covered graph")
     braces: Counter = Counter()

@@ -11,6 +11,7 @@ from barnette.bruteforce import (
 )
 from barnette.canon import canonical_form
 from barnette.graphs import Cut, GraphError
+from barnette.matching import OracleBoundError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "class_counts.json"
 
@@ -65,6 +66,7 @@ def test_oracle_tightness(c6, cube):
     assert not oracle_is_tight(cube, Cut.from_shore(cube, 0b1111))
 
 
-def test_oracle_tightness_bound(cube):
-    with pytest.raises(GraphError):
-        oracle_is_tight(cube, Cut.from_shore(cube, 0b1111), bound=4)
+def test_oracle_tightness_bound(cube, monkeypatch):
+    monkeypatch.setenv("BARNETTE_ORACLE_BOUND", "4")
+    with pytest.raises(OracleBoundError):
+        oracle_is_tight(cube, Cut.from_shore(cube, 0b1111))

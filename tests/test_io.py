@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from barnette.graphs import BipartiteGraph, GraphError
+from barnette.graphs import BipartiteGraph, GraphError, two_colour
 from barnette.io import (
     detect_format,
     from_bgf,
@@ -105,11 +105,13 @@ def test_bgf_round_trip_with_rotation_and_cuts(cube, cube_rotation):
 
 
 def test_bgf_uncoloured_uses_question_marks():
-    g = BipartiteGraph(3, ((0, 1), (1, 2)))
-    text = to_bgf(g)
+    triangle = BipartiteGraph(3, ((0, 1), (1, 2), (0, 2)))
+    text = to_bgf(triangle)
     assert text.splitlines()[1] == "???"
-    parsed, _, _ = from_bgf(text)
-    assert parsed.colour is None
+    assert from_bgf(text)[0].colour is None
+    path = "3 2\n???\n0 1\n1 2\n"
+    parsed, _, _ = from_bgf(path)
+    assert parsed.colour == two_colour(parsed) == ("A", "B", "A")
 
 
 def test_bgf_rejects_partial_rotation(cube, cube_rotation):

@@ -115,8 +115,6 @@ def test_enumeration_counts(cube, k33, c6):
 
 
 def test_enumeration_respects_bound(cube, monkeypatch):
-    with pytest.raises(OracleBoundError):
-        enumerate_perfect_matchings(cube, bound=6)
     monkeypatch.setenv("BARNETTE_ORACLE_BOUND", "7")
     assert oracle_bound() == 7
     with pytest.raises(OracleBoundError):

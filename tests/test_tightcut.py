@@ -74,11 +74,10 @@ def test_tightness_matches_oracle_when_not_matching_covered():
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
-def test_is_tight_requires_colour_and_matching(cube):
-    plain = BipartiteGraph(cube.n, cube.edges)
-    cut = Cut.from_shore(cube, 0b1111)
+def test_is_tight_requires_colour_and_matching():
+    triangle = BipartiteGraph(3, ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(GraphError):
-        is_tight(plain, cut)
+        is_tight(triangle, Cut.from_shore(triangle, 0b001))
     star = BipartiteGraph(4, ((0, 1), (0, 2), (0, 3)), ("A", "B", "B", "B"))
     with pytest.raises(GraphError):
         is_tight(star, Cut.from_shore(star, 0b0011))
