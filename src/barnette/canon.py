@@ -24,7 +24,7 @@ once per admitted class.
 from __future__ import annotations
 
 from .graphs import BipartiteGraph
-from .io import graph6_from_bitstring
+from .io import adjacency_bits as _adjacency_key, graph6_from_bitstring
 
 
 def _refine(g: BipartiteGraph, cells: list[list[int]], applied: set[int]):
@@ -59,26 +59,6 @@ def _refine(g: BipartiteGraph, cells: list[list[int]], applied: set[int]):
                     masks[j : j + 1] = [sum(1 << v for v in p) for p in pieces]
                     i = 0
     return cells, applied
-
-
-def _adjacency_key(g: BipartiteGraph, perm: list[int]) -> bytes:
-    """Upper-triangle adjacency bits (graph6 bit order) under labelling perm.
-
-    perm[new_label] = old vertex.
-    """
-    pos = [0] * g.n
-    for new, old in enumerate(perm):
-        pos[old] = new
-    n = g.n
-    nbits = n * (n - 1) // 2
-    buf = bytearray((nbits + 7) // 8)
-    for u, v in g.edges:
-        i, j = pos[u], pos[v]
-        if i > j:
-            i, j = j, i
-        b = j * (j - 1) // 2 + i
-        buf[b >> 3] |= 0x80 >> (b & 7)
-    return bytes(buf)
 
 
 def _root(parent: list[int], v: int) -> int:

@@ -29,6 +29,7 @@ from .graphs import (
     connected_components,
     vertex_mask,
 )
+from .io import from_graph6
 from .matching import (
     has_perfect_matching,
     is_brace,
@@ -36,7 +37,7 @@ from .matching import (
     oracle_bound,
     OracleBoundError,
 )
-from .tightcut import is_tight
+from .tightcut import is_tight, tight_cut_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +585,6 @@ def braces_pfaffian_consistency(g: BipartiteGraph) -> dict:
     the brace route also covers graphs beyond the direct solver's bound; in
     that case the direct entry is None and no comparison is made.
     """
-    from .io import from_graph6
-    from .tightcut import tight_cut_decomposition
-
     decomposition = tight_cut_decomposition(g)
     pieces = [(from_graph6(form), form) for form in decomposition.braces]
     # smallest braces first: one non-Pfaffian brace settles the verdict, and

@@ -2,11 +2,13 @@
 
 Two surgeries generate the whole class from the cube: replacing a vertex by
 a seven-vertex cube gadget, and replacing two edges of a common face by a
-new quadrilateral.  Both reuse the edge ids of the edges they modify, which
-makes most family maintenance a no-op: a stored cut keeps referring to the
-right edges without renaming.  The quadrilateral expansion removes exactly
-the cuts that separate its two edges, read off the shore membership of the
-four site vertices.
+new quadrilateral.  Both reuse the edge ids of the edges they modify and
+give the new vertices the top ids.  A family of tight cuts is carried through
+either surgery as shores: a shore grows by the new vertices when it holds
+the vertices they replace, and each cut's edge ids are read off the new
+graph by ``Cut.from_shore``.  The quadrilateral expansion drops exactly the
+cuts that separate its two edges, read off the shore membership of the four
+site vertices.
 """
 
 from __future__ import annotations
@@ -154,10 +156,10 @@ def general_c4_expand(g: BipartiteGraph, eid_uv: int, eid_xy: int) -> BipartiteG
     Roles are read off the colouring: u and y are the A-ends of the two
     edges.  uv keeps its id as uu' and xy as xx'.  The new vertices u', v',
     x', y' get ids n..n+3 and the new edges ids m..m+5 in the order vv',
-    yy', u'v', x'y', u'x', v'y'; ``c4_expand``'s rotation and
-    ``update_family_c4`` rely on both orders.  Keeps the input matching
-    covered, and 2-extendable inputs stay 2-extendable; both are asserted by
-    tests, not here.
+    yy', u'v', x'y', u'x', v'y'; ``c4_expand``'s rotation relies on both
+    orders, ``update_family_c4`` only on the vertex ids.  Keeps the input
+    matching covered, and 2-extendable inputs stay 2-extendable; both are
+    asserted by tests, not here.
     """
     g._require_colour()
     if eid_uv == eid_xy:
@@ -181,68 +183,40 @@ def general_c4_expand(g: BipartiteGraph, eid_uv: int, eid_xy: int) -> BipartiteG
     return BipartiteGraph(n0 + 4, tuple(edges), colour=colour)
 
 
-def update_family_cube(fam: TightCutFamily, v: int, new_cut: Cut) -> TightCutFamily:
-    """Carry a family through a cube expansion at v and append its new cut.
+def update_family_cube(
+    fam: TightCutFamily, g2: BipartiteGraph, v: int, new_cut: Cut
+) -> TightCutFamily:
+    """Carry a family through the cube expansion at v that built g2, and
+    append its new cut.
 
-    Edge ids of old cuts survive the surgery unchanged; a shore that held v
-    absorbs the six new gadget vertices (v's id stays on it, as the centre).
+    A shore that held v grows by the six gadget vertices (v's id stays on
+    it, as the centre); each cut's edge ids are read off g2.
     """
-    n_new = new_cut.n
-    n_old = n_new - 6
-    gadget = ((1 << 6) - 1) << n_old
-    out = []
-    for cut in fam:
-        shore = cut.shore | (gadget if (cut.shore >> v) & 1 else 0)
-        out.append(Cut(shore=shore, edge_ids=cut.edge_ids, n=n_new))
-    out.append(new_cut)
-    return tuple(out)
+    gadget = ((1 << 6) - 1) << (g2.n - 6)
+    shores = (c.shore | gadget if c.shore >> v & 1 else c.shore for c in fam)
+    return tuple(Cut.from_shore(g2, s) for s in shores) + (new_cut,)
 
 
 def update_family_c4(
-    fam: TightCutFamily, g: BipartiteGraph, site: C4Site
+    fam: TightCutFamily, g2: BipartiteGraph, site: C4Site
 ) -> TightCutFamily:
-    """Carry a family through the quadrilateral expansion at a site of g.
+    """Carry a family through the quadrilateral expansion at site that
+    built g2.
 
-    A cut is removed exactly when its shore holds two of u, v, x, y: it
-    separates {u,v} from {x,y} (a cut through uv or xy leaves a single site
-    vertex on one side and survives).  Surviving cuts through uv or xy
-    have that edge renamed to the new pendant edge on the lone vertex's
-    side; thanks to id reuse this is only material when the lone vertex is
-    v or y.  A family that contradicts these rules raises GraphError, also
-    under ``python -O``.
+    A cut is dropped exactly when its shore holds two of u, v, x, y: it
+    separates {u,v} from {x,y}.  A shore holding three or four of them grows
+    by the four new vertices, and each kept cut's edge ids are read off g2.
+    A kept cut that is not a 3-edge cut raises GraphError, also under
+    ``python -O``.
     """
-    if not fam:
-        return ()
-    u, v, x, y = site.u, site.v, site.x, site.y
-    e_uv, e_xy = site.eid_uv, site.eid_xy
-    n0, m0 = g.n, g.edge_count
-    e_vv, e_yy = m0, m0 + 1
+    quad = ((1 << 4) - 1) << (g2.n - 4)
     out = []
     for cut in fam:
-        on_shore = [(cut.shore >> w) & 1 for w in (u, v, x, y)]
-        count = sum(on_shore)
+        count = sum(cut.shore >> w & 1 for w in (site.u, site.v, site.x, site.y))
         if count == 2:
             continue
-        edge_ids = set(cut.edge_ids)
-        if count in (1, 3):
-            lone_idx = on_shore.index(1) if count == 1 else on_shore.index(0)
-            lone = (u, v, x, y)[lone_idx]
-            if e_uv in edge_ids:
-                if lone not in (u, v):
-                    raise GraphError("a cut through uv has its lone site vertex off uv")
-                if lone == v:
-                    edge_ids.remove(e_uv)
-                    edge_ids.add(e_vv)
-            if e_xy in edge_ids:
-                if lone not in (x, y):
-                    raise GraphError("a cut through xy has its lone site vertex off xy")
-                if lone == y:
-                    edge_ids.remove(e_xy)
-                    edge_ids.add(e_yy)
-        if e_uv in edge_ids and e_xy in edge_ids:
-            raise GraphError("a surviving cut holds both site edges")
-        shore = cut.shore
-        if count >= 3:
-            shore |= ((1 << 4) - 1) << n0
-        out.append(Cut(shore=shore, edge_ids=frozenset(edge_ids), n=n0 + 4))
+        new = Cut.from_shore(g2, cut.shore | quad if count >= 3 else cut.shore)
+        if new.order != 3:
+            raise GraphError("a carried family cut is not a 3-edge cut")
+        out.append(new)
     return tuple(out)

@@ -88,7 +88,7 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         code = planar_code(g2, emb2)
         if code in seen:
             return
-        fam = update_family(parent.family, *args)
+        fam = update_family(parent.family, g2, *args)
         if not _family_bound_ok(fam, g2.n):
             raise GraphError("family outgrew its bound")
         seen.add(code)
@@ -123,7 +123,7 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
                 for s in facial_c4_expansion_sites(g, emb):
                     g2, emb2 = c4_expand(g, emb, s)
                     site = ExpansionSite(kind="c4", c4=s)
-                    admit(rec, site, g2, emb2, update_family_c4, g, s)
+                    admit(rec, site, g2, emb2, update_family_c4, s)
 
 
 def class_counts(n_max: int) -> dict[int, int]:

@@ -173,8 +173,9 @@ class Cut:
     """An edge cut delta(X) given by its shore X (bitmask) and its edge ids.
 
     ``edge_ids`` is always exactly the set of edges with one endpoint in the
-    shore; ``from_shore`` computes it and the constructor is only used with
-    values produced that way.
+    shore: every cut is built by ``from_shore``, which computes it, and no
+    other module calls the constructor (a test checks this).  A cut carried
+    to a new graph is rebuilt from its shore.
     """
 
     shore: int

@@ -63,14 +63,27 @@ def graph6_from_bitstring(n: int, packed: bytes) -> str:
     return out.decode("ascii")
 
 
-def to_graph6(g: BipartiteGraph) -> str:
-    n = g.n
-    buf = bytearray((n * (n - 1) // 2 + 7) // 8)
+def adjacency_bits(g: BipartiteGraph, perm: Sequence[int]) -> bytes:
+    """Upper-triangle adjacency bits of g under labelling perm, packed as
+    ``graph6_from_bitstring`` reads them.
+
+    perm[new_label] = old vertex.
+    """
+    pos = [0] * g.n
+    for new, old in enumerate(perm):
+        pos[old] = new
+    buf = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
     for u, v in g.edges:
-        i, j = (u, v) if u < v else (v, u)
+        i, j = pos[u], pos[v]
+        if i > j:
+            i, j = j, i
         b = j * (j - 1) // 2 + i
         buf[b >> 3] |= 0x80 >> (b & 7)
-    return graph6_from_bitstring(n, bytes(buf))
+    return bytes(buf)
+
+
+def to_graph6(g: BipartiteGraph) -> str:
+    return graph6_from_bitstring(g.n, adjacency_bits(g, range(g.n)))
 
 
 def from_graph6(line: str) -> BipartiteGraph:

@@ -33,7 +33,7 @@ def test_cube_expand_every_vertex(cube, cube_rotation):
         g2, emb2, cut = cube_expand(cube, cube_rotation, v)
         assert g2.n == 14 and g2.is_regular(3)
         assert len(g2.class_a()) == len(g2.class_b()) == 7
-        fam = update_family_cube((), v, cut)
+        fam = update_family_cube((), g2, v, cut)
         assert fam == (cut,)
         # the new cut is the only non-trivial tight cut of the result
         scratch = find_tight_cuts_cubic(g2)
@@ -63,7 +63,7 @@ def test_c4_expand_every_cube_site(cube, cube_rotation):
 
 def test_c4_expand_family_matches_scratch(cube, cube_rotation):
     g14, emb14, cut14 = cube_expand(cube, cube_rotation, 0)
-    fam14 = update_family_cube((), 0, cut14)
+    fam14 = update_family_cube((), g14, 0, cut14)
     sites = facial_c4_expansion_sites(g14, emb14)
     assert len(sites) == 30
     partition = Counter()
@@ -71,7 +71,7 @@ def test_c4_expand_family_matches_scratch(cube, cube_rotation):
         count = sum((cut14.shore >> w) & 1 for w in (site.u, site.v, site.x, site.y))
         partition[count] += 1
         g18, _ = c4_expand(g14, emb14, site)
-        fam18 = update_family_c4(fam14, g14, site)
+        fam18 = update_family_c4(fam14, g18, site)
         scratch = find_tight_cuts_cubic(g18)
         assert _triples(fam18) == _triples(scratch)
         assert family_is_laminar(fam18, g18.full_mask)
@@ -79,13 +79,13 @@ def test_c4_expand_family_matches_scratch(cube, cube_rotation):
             assert is_tight(g18, cut)
             assert site.eid_uv not in cut.edge_ids or site.eid_xy not in cut.edge_ids
     # every membership pattern of the gadget shore occurs among the sites,
-    # so removal (count 2) and both lone-vertex renames are all exercised
+    # so dropping (count 2), keeping (0, 1) and growing (3, 4) are exercised
     assert partition == Counter({0: 6, 1: 6, 2: 6, 3: 6, 4: 6})
 
 
 def test_family_bound_is_sharp_after_cube_expansion(cube, cube_rotation):
     g14, _, cut14 = cube_expand(cube, cube_rotation, 0)
-    fam = update_family_cube((), 0, cut14)
+    fam = update_family_cube((), g14, 0, cut14)
     assert 6 * len(fam) == g14.n - 8  # bound met with equality
 
 
@@ -174,24 +174,27 @@ def test_surgery_checks_survive_optimised_mode():
 
 
 def _corrupted_c4_families(cube, cube_rotation):
-    """A cube site and three one-cut families that contradict it: a cut
-    through uv whose lone site vertex is x, one through xy whose lone vertex
-    is u, and one holding both site edges."""
+    """A cube site, the graph its expansion builds, and four one-cut
+    families whose cut is not a 3-edge cut; the shores hold 0, 1, 3 and 4
+    of the site vertices, so the cut is kept in each case."""
     site = facial_c4_expansion_sites(cube, cube_rotation)[0]
-    outside = next(w for w in range(cube.n) if w not in (site.u, site.v, site.x, site.y))
-    cuts = (
-        Cut(1 << site.x, frozenset({site.eid_uv}), cube.n),
-        Cut(1 << site.u, frozenset({site.eid_xy}), cube.n),
-        Cut(1 << outside, frozenset({site.eid_uv, site.eid_xy}), cube.n),
-    )
-    return site, [(cut,) for cut in cuts]
+    g2, _ = c4_expand(cube, cube_rotation, site)
+    quad = (site.u, site.v, site.x, site.y)
+    w = next(w for w in range(cube.n) if w not in quad)
+
+    def off_site(a):
+        return next(b for b in cube.neighbours[a] if b not in quad)
+
+    shores = ({w, off_site(w)}, {site.u, off_site(site.u)}, {site.u, site.v, site.x}, set(quad))
+    return site, g2, [(Cut.from_shore(cube, shore),) for shore in shores]
 
 
 def test_family_c4_bookkeeping_raises(cube, cube_rotation):
-    site, families = _corrupted_c4_families(cube, cube_rotation)
-    for fam, check in zip(families, ("off uv", "off xy", "both site edges")):
-        with pytest.raises(GraphError, match=check):
-            update_family_c4(fam, cube, site)
+    site, g2, families = _corrupted_c4_families(cube, cube_rotation)
+    assert [fam[0].order for fam in families] == [4, 4, 5, 4]
+    for fam in families:
+        with pytest.raises(GraphError, match="not a 3-edge cut"):
+            update_family_c4(fam, g2, site)
 
 
 def test_family_c4_checks_survive_optimised_mode():
@@ -204,11 +207,11 @@ def test_family_c4_checks_survive_optimised_mode():
         "from barnette.graphs import GraphError\n"
         "from test_expansion import _corrupted_c4_families\n"
         "cube = catalog('cube')\n"
-        "site, families = _corrupted_c4_families(cube.graph, cube.rotation)\n"
+        "site, g2, families = _corrupted_c4_families(cube.graph, cube.rotation)\n"
         "print(__debug__)\n"
         "for fam in families:\n"
         "    try:\n"
-        "        update_family_c4(fam, cube.graph, site)\n"
+        "        update_family_c4(fam, g2, site)\n"
         "        print('returned')\n"
         "    except GraphError:\n"
         "        print('raised')\n"
@@ -220,4 +223,4 @@ def test_family_c4_checks_survive_optimised_mode():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["False", "raised", "raised", "raised"]
+    assert out.stdout.split() == ["False", "raised", "raised", "raised", "raised"]

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+import barnette
 from barnette.graphs import (
     BipartiteGraph,
     Cut,
@@ -120,3 +124,26 @@ def test_two_colour_random_bipartite_double_cover(data):
 def test_with_colouring_idempotent(cube):
     again = with_colouring(cube)
     assert again.colour == cube.colour
+
+
+def _cut_constructions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Cut":
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_only_graphs_builds_cuts_directly():
+    """Every other module builds a cut with ``Cut.from_shore``, so its edge
+    ids always match its shore."""
+    package = pathlib.Path(barnette.__file__).parent
+    calls = [
+        call
+        for path in sorted(package.glob("*.py"))
+        if path.name != "graphs.py"
+        for call in _cut_constructions(path)
+    ]
+    assert calls == []
