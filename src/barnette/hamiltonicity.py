@@ -8,6 +8,15 @@ rejected unless it completes a spanning cycle.  Branching picks an undecided
 edge at a vertex with the fewest usable edges (ties by vertex id) and tries
 "in" before "out", so the search is deterministic.
 
+Propagation works from a queue of vertices: every decided edge queues its
+two ends, and only queued vertices are re-examined, so a search node costs
+what it changes rather than a sweep of all n vertices.  The order in which
+the rules fire does not matter.  Each rule, and each failure (a third chosen
+edge at a vertex, a fragment closing before it spans, a vertex left with
+fewer than two usable edges), is monotone in the set of decided edges, so
+every order reaches the same fixed point or fails.  The branch edges, the
+search tree and every returned cycle are those of a full rescan.
+
 Derived predicates: a graph is Pk-Hamiltonian when every path on k vertices
 extends to a Hamiltonian cycle; H-minus when every single edge can be avoided;
 H-plus-minus when for every ordered pair of distinct edges some Hamiltonian
@@ -59,7 +68,15 @@ class PropertyResult:
 
 
 class _State:
-    """Search state with an undo trail.
+    """Search state with an undo trail and a propagation queue.
+
+    ``queue`` holds the vertices whose rules may fire: it starts as every
+    vertex, so degree-2 vertices are forced at the root, and `set_in` and
+    `set_out` push the two ends of the edge they decide.  A vertex's rules
+    read only its own ``deg_in``, ``avail`` and incident statuses, which
+    change only through those two calls, so an empty queue is a fixed point.
+    `undo` clears the queue: marks are taken only at fixed points, and undo
+    restores one.
 
     ``link[v]`` is meaningful only while v is a fragment endpoint (fewer than
     two chosen edges): it names the opposite endpoint, itself for an isolated
@@ -68,7 +85,7 @@ class _State:
     which the closing edge leaves as they were (eu == v and ev == u).
     """
 
-    __slots__ = ("g", "status", "deg_in", "avail", "link", "in_count", "trail")
+    __slots__ = ("g", "status", "deg_in", "avail", "link", "in_count", "trail", "queue")
 
     def __init__(self, g: BipartiteGraph):
         self.g = g
@@ -78,11 +95,13 @@ class _State:
         self.link = list(range(g.n))
         self.in_count = 0
         self.trail: list[tuple[int, int, int]] = []
+        self.queue = list(range(g.n))
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
+        self.queue.clear()
         while len(self.trail) > mark:
             eid, eu, ev = self.trail.pop()
             u, v = self.g.edges[eid]
@@ -107,6 +126,7 @@ class _State:
         self.trail.append((eid, -1, -1))
         self.avail[u] -= 1
         self.avail[v] -= 1
+        self.queue += (u, v)
         return self.avail[u] >= 2 and self.avail[v] >= 2
 
     def set_in(self, eid: int) -> bool:
@@ -127,29 +147,29 @@ class _State:
         self.in_count += 1
         self.deg_in[u] += 1
         self.deg_in[v] += 1
+        self.queue += (u, v)
         return True
 
     def propagate(self) -> bool:
-        """Apply the two degree rules until nothing changes."""
-        g = self.g
-        changed = True
-        while changed:
-            changed = False
-            for v in range(g.n):
-                if self.deg_in[v] == 2:
-                    for eid in g.incident[v]:
-                        if self.status[eid] == _UNDECIDED:
-                            if not self.set_out(eid):
-                                return False
-                            changed = True
-                elif self.avail[v] < 2:
-                    return False
-                elif self.avail[v] == 2:
-                    for eid in g.incident[v]:
-                        if self.status[eid] == _UNDECIDED:
-                            if not self.set_in(eid):
-                                return False
-                            changed = True
+        """Apply the two degree rules at queued vertices until none is left.
+
+        A failure may leave vertices queued; the caller undoes to a mark or
+        drops the state.
+        """
+        incident, queue = self.g.incident, self.queue
+        status, deg_in, avail = self.status, self.deg_in, self.avail
+        while queue:
+            v = queue.pop()
+            if deg_in[v] == 2:
+                for eid in incident[v]:
+                    if status[eid] == _UNDECIDED and not self.set_out(eid):
+                        return False
+            elif avail[v] < 2:
+                return False
+            elif avail[v] == 2:
+                for eid in incident[v]:
+                    if status[eid] == _UNDECIDED and not self.set_in(eid):
+                        return False
         return True
 
     def extract_cycle(self) -> HamiltonianCycle:

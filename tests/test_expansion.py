@@ -42,6 +42,21 @@ def test_cube_expand_every_vertex(cube, cube_rotation):
         assert scratch[0].shore in (cut.shore, cut.complement_mask())
 
 
+def test_cube_expand_gadget_cut_is_tight_on_every_candidate(generated_16):
+    # cube_expand trusts a colour count for tightness; check it by matching
+    # on every cube candidate up to n = 20, duplicates the generator discards
+    # included
+    candidates = 0
+    for rec in generated_16:
+        if rec.n + 6 > 20:
+            continue
+        for v in range(rec.n):
+            g2, _, cut = cube_expand(rec.graph, rec.embedding, v)
+            assert is_tight(g2, cut), (rec.canonical, v)
+            candidates += 1
+    assert candidates == 8 + 12 + 14  # the records of 8, 12 and 14 vertices
+
+
 def test_cube_expand_needs_degree_three(c6):
     from barnette.embedding import embed_planar
 

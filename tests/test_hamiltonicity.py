@@ -3,7 +3,9 @@ from typing import Iterable, Optional
 
 import pytest
 
+from barnette import hamiltonicity
 from barnette.catalog import catalog
+from barnette.constructions import splice
 from barnette.embedding import faces
 from barnette.graphs import BipartiteGraph, GraphError, with_colouring
 from barnette.hamiltonicity import (
@@ -147,8 +149,41 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 # The search as it was before the forced edges were checked by _State.set_in:
-# a union-find on the forced edges, forbidden edges applied first, and a
-# recursive _solve.  Kept verbatim as the reference for the current route.
+# a union-find on the forced edges, forbidden edges applied first, a
+# recursive _solve, and a propagator that sweeps every vertex until a sweep
+# changes nothing.  Kept verbatim as the reference for the current route,
+# which propagates from a queue of changed vertices.
+
+
+def _reference_propagate(self) -> bool:
+    """Apply the two degree rules until nothing changes."""
+    g = self.g
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if self.deg_in[v] == 2:
+                for eid in g.incident[v]:
+                    if self.status[eid] == _UNDECIDED:
+                        if not self.set_out(eid):
+                            return False
+                        changed = True
+            elif self.avail[v] < 2:
+                return False
+            elif self.avail[v] == 2:
+                for eid in g.incident[v]:
+                    if self.status[eid] == _UNDECIDED:
+                        if not self.set_in(eid):
+                            return False
+                        changed = True
+    return True
+
+
+class _ReferenceState(_State):
+    """The live state with the rescanning propagator; its queue is never read."""
+
+    __slots__ = ()
+    propagate = _reference_propagate
 
 
 def _forced_edges_are_paths(g: BipartiteGraph, forced: Iterable[int]) -> bool:
@@ -199,7 +234,7 @@ def _reference_find_hamiltonian_cycle(
     if not _forced_edges_are_paths(g, forced):
         raise GraphError("forced edges must form a disjoint union of paths")
 
-    st = _State(g)
+    st = _ReferenceState(g)
     for eid in forbidden:
         if not st.set_out(eid):
             return None
@@ -256,19 +291,148 @@ def _outcome(search, g, forced, forbidden):
     return None if cycle is None else (cycle.vertices, cycle.edge_ids)
 
 
+_CATALOG_NAMES = ("c4", "cube", "k33", "heawood", "p5_example", "asano", "b_horton")
+
+
+def _random_query(rng: random.Random, graphs: list[BipartiteGraph]):
+    g = rng.choice(graphs)
+    edges = list(range(g.edge_count))
+    rng.shuffle(edges)
+    n_forced = rng.randrange(min(g.n, 9) + 1)
+    return g, edges[:n_forced], edges[n_forced:n_forced + rng.randrange(5)]
+
+
 def test_matches_reference_on_random_queries(generated_16):
-    names = ("c4", "cube", "k33", "heawood", "p5_example", "asano", "b_horton")
-    graphs = [catalog(name).graph for name in names] + [rec.graph for rec in generated_16]
+    graphs = [catalog(name).graph for name in _CATALOG_NAMES]
+    graphs += [rec.graph for rec in generated_16]
     rng = random.Random(20221)
     kinds = {"raise": 0, "none": 0, "cycle": 0}
     for _ in range(2400):
-        g = rng.choice(graphs)
-        edges = list(range(g.edge_count))
-        rng.shuffle(edges)
-        n_forced = rng.randrange(min(g.n, 9) + 1)
-        forced = edges[:n_forced]
-        forbidden = edges[n_forced:n_forced + rng.randrange(5)]
+        g, forced, forbidden = _random_query(rng, graphs)
         got = _outcome(find_hamiltonian_cycle, g, forced, forbidden)
         assert got == _outcome(_reference_find_hamiltonian_cycle, g, forced, forbidden)
         kinds["raise" if got == "raise" else "none" if got is None else "cycle"] += 1
     assert min(kinds.values()) >= 300, kinds
+
+
+def test_same_search_tree_as_reference(monkeypatch):
+    # one branch-edge call per search node on both routes
+    calls = {"live": 0, "reference": 0}
+
+    def counted(key, branch):
+        def wrapper(st):
+            calls[key] += 1
+            return branch(st)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        hamiltonicity, "_branch_edge", counted("live", hamiltonicity._branch_edge)
+    )
+    monkeypatch.setitem(
+        globals(), "_reference_branch_edge", counted("reference", _reference_branch_edge)
+    )
+    graphs = [catalog(name).graph for name in _CATALOG_NAMES]
+    rng = random.Random(1500)
+    searched = 0
+    for _ in range(1500):
+        g, forced, forbidden = _random_query(rng, graphs)
+        calls.update(live=0, reference=0)
+        got = _outcome(find_hamiltonian_cycle, g, forced, forbidden)
+        assert got == _outcome(_reference_find_hamiltonian_cycle, g, forced, forbidden)
+        assert calls["live"] == calls["reference"], (g.n, forced, forbidden)
+        searched += calls["live"] > 0
+    assert searched >= 300
+
+
+def _relabelled(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_matches_reference_on_property_profile_queries_of_splices(monkeypatch):
+    # every engine query, including those the cycle cache would serve
+    cube, k33, heawood, bh = (
+        catalog(name).graph for name in ("cube", "k33", "heawood", "b_horton")
+    )
+    splices = [
+        splice(cube, 0, cube, 0).graph,
+        splice(heawood, 0, cube, 0).graph,
+        splice(k33, 3, bh, 0).graph,
+    ]
+    rng = random.Random(12)
+    cycle_with = HamiltonicityEngine.cycle_with
+    queries = []
+
+    def recorded(engine, contains=(), avoids=()):
+        queries.append((contains, avoids))
+        return cycle_with(engine, contains, avoids)
+
+    monkeypatch.setattr(HamiltonicityEngine, "cycle_with", recorded)
+    for g in splices:
+        for h in (g, _relabelled(g, rng), _relabelled(g, rng)):
+            queries.clear()
+            property_profile(h)
+            assert len(queries) >= 50
+            for forced, forbidden in queries:
+                assert _outcome(find_hamiltonian_cycle, h, forced, forbidden) == _outcome(
+                    _reference_find_hamiltonian_cycle, h, forced, forbidden
+                )
+
+
+def _random_degree_two_three_graph(rng: random.Random, k: int) -> BipartiteGraph:
+    """An alternating Hamiltonian cycle on k A- and k B-vertices plus random
+    A-B chords, at most one per vertex: every degree is 2 or 3."""
+    a, b = list(range(k)), list(range(k, 2 * k))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    ring = [v for pair in zip(a, b) for v in pair]
+    edges = {frozenset((ring[i], ring[i - 1])) for i in range(2 * k)}
+    rng.shuffle(a)
+    rng.shuffle(b)
+    density = rng.choice((0.5, 0.8, 1.0))
+    for u, v in zip(a, b):
+        if rng.random() < density and frozenset((u, v)) not in edges:
+            edges.add(frozenset((u, v)))
+    return BipartiteGraph(2 * k, tuple(tuple(sorted(e)) for e in edges))
+
+
+def test_worklist_reaches_the_reference_fixed_point(c6):
+    # random decisions, each batch propagated by both routes from the same
+    # state; undo goes back to a mark taken at an earlier fixed point
+    rng = random.Random(4)
+    graphs = [catalog("c4").graph, c6]
+    graphs += [_random_degree_two_three_graph(rng, rng.randrange(2, 13)) for _ in range(60)]
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        g = rng.choice(graphs)
+        live, ref = _State(g), _ReferenceState(g)
+        ok = live.propagate()
+        assert ok == ref.propagate()
+        marks = []
+        for _round in range(8):
+            if not ok:
+                if not marks:
+                    break
+                mark = rng.choice(marks)
+                live.undo(mark)
+                ref.undo(mark)
+                marks = [m for m in marks if m < mark]
+            assert (live.status, live.deg_in, live.avail) == (ref.status, ref.deg_in, ref.avail)
+            assert live.mark() == ref.mark()
+            marks.append(live.mark())
+            undecided = [e for e in range(g.edge_count) if live.status[e] == _UNDECIDED]
+            if not undecided:
+                break
+            for eid in rng.sample(undecided, min(len(undecided), rng.randrange(1, 4))):
+                decide = "set_in" if rng.random() < 0.5 else "set_out"
+                ok = getattr(live, decide)(eid)
+                assert ok == getattr(ref, decide)(eid)
+                if not ok:
+                    break
+            if ok:
+                ok = live.propagate()
+                assert ok == ref.propagate()
+                verdicts[ok] += 1
+    assert min(verdicts.values()) >= 300, verdicts
