@@ -75,18 +75,38 @@ def euler_check(g: BipartiteGraph, emb: RotationEmbedding) -> bool:
 
 
 def planar_code(g: BipartiteGraph, emb: RotationEmbedding) -> tuple[int, ...]:
-    """Isomorphism invariant of a connected embedded graph, mirror images equal.
+    """Isomorphism invariant of a connected embedded graph, mirror images
+    equal: the code half of ``planar_code_and_automorphisms``."""
+    return planar_code_and_automorphisms(g, emb)[0]
 
-    The lexicographic minimum, over every dart (v, e) and both senses of the
-    rotation, of a BFS code: v gets label 0; vertices are taken in label
-    order, each walking its rotation from the edge it was first reached by
-    (e for v), giving each new neighbour the next label and emitting every
-    neighbour's label, then -1.  The code rebuilds the embedding, so equal
-    codes mean isomorphic embeddings; a 3-connected planar graph has one
-    embedding up to mirror image (Whitney), so there it decides graph
-    isomorphism (Weinberg 1966; plantri's planar_code).
+
+def planar_code_and_automorphisms(
+    g: BipartiteGraph, emb: RotationEmbedding
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The planar code, and the automorphisms its ties give, from one scan.
+
+    The code is the lexicographic minimum, over every dart (v, e) and both
+    senses of the rotation, of a BFS code: v gets label 0; vertices are taken
+    in label order, each walking its rotation from the edge it was first
+    reached by (e for v), giving each new neighbour the next label and
+    emitting every neighbour's label, then -1.  The code rebuilds the
+    embedding, so equal codes mean isomorphic embeddings; a 3-connected
+    planar graph has one embedding up to mirror image (Whitney), so there it
+    decides graph isomorphism (Weinberg 1966; plantri's planar_code).
+
+    Each (sense, dart) attaining the minimum is a tie.  With O1 the BFS
+    order of the first tie and Oi that of tie i, O1[k] -> Oi[k] carries one
+    labelling of the minimal code onto another, so it is an automorphism of
+    the map (a mirror when the senses differ), and every automorphism sends
+    the first tie to a tie.  On a 3-connected planar graph, where Whitney
+    makes every automorphism one of these and distinct ties differ at a
+    degree-3 rotation, the maps are the whole automorphism group, identity
+    first; map[v] is the image of v.  ``generator.generate`` expands the
+    first site of each orbit only: an orbit mate's candidate has the same
+    code, so skipping it drops a duplicate and changes no record.
     """
     best: Optional[list[int]] = None
+    orders: list[list[int]] = []
     for rot in (emb.rotation, tuple(r[::-1] for r in emb.rotation)):
         # walk[v, e]: (neighbour, edge) around v in rotation order from e
         walk = {}
@@ -95,14 +115,21 @@ def planar_code(g: BipartiteGraph, emb: RotationEmbedding) -> tuple[int, ...]:
             for k, e in enumerate(r):
                 walk[v, e] = ring[k:] + ring[:k]
         for v0, e0 in walk:
-            code = _bfs_code(g.n, walk, v0, e0, best)
-            if code is not None:
-                best = code
-    return tuple(best or ())
+            found = _bfs_code(g.n, walk, v0, e0, best)
+            if found is None:
+                continue
+            code, order = found
+            if code == best:
+                orders.append(order)
+            else:
+                best, orders = code, [order]
+    # pairs (O1[k], Oi[k]) sorted by vertex list the images of 0, 1, ..., n-1
+    maps = [tuple(w for _, w in sorted(zip(orders[0], order))) for order in orders]
+    return tuple(best or ()), maps
 
 
-def _bfs_code(n: int, walk: dict, v0: int, e0: int, best: Optional[list[int]]) -> Optional[list[int]]:
-    """The BFS code from dart (v0, e0), or None as soon as it exceeds best."""
+def _bfs_code(n: int, walk: dict, v0: int, e0: int, best: Optional[list[int]]) -> Optional[tuple[list, list]]:
+    """The BFS code from dart (v0, e0) and its vertex order, or None as soon as the code exceeds best."""
     label = [-1] * n
     label[v0] = 0
     order, entry, code = [v0], [e0], []
@@ -125,7 +152,7 @@ def _bfs_code(n: int, walk: dict, v0: int, e0: int, best: Optional[list[int]]) -
         i += 1
     if len(order) < n:
         raise GraphError("planar code needs a connected graph")
-    return code
+    return code, order
 
 
 def embed_planar(g: BipartiteGraph) -> Optional[RotationEmbedding]:

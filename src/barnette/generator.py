@@ -1,17 +1,26 @@
 """Exhaustive generation of the class from the cube, with families attached.
 
-Breadth-first by vertex count: every graph is expanded at every vertex (the
-cube gadget) and at every facial edge pair (the quadrilateral), and each
-record carries the laminar family of tight cuts maintained incrementally
-through the surgeries.  An empty family marks a brace, which is the only case
-whose Hamiltonicity ever needs checking downstream.
+Breadth-first by vertex count: every graph is expanded at one vertex of
+each automorphism orbit (the cube gadget) and at one facial edge pair of
+each orbit (the quadrilateral), and each record carries the laminar family
+of tight cuts maintained incrementally through the surgeries.  An empty
+family marks a brace, which is the only case whose Hamiltonicity ever needs
+checking downstream.
 
 Duplicates are rejected by the planar code of the rotation system each
-candidate carries (``embedding.planar_code``), which decides isomorphism
-because every surgery checks that its result is 3-connected.  Only a
-candidate with a new code gets its family and its graph6 canonical form, so
-``canon.canonical_form`` runs once per admitted class; buckets stay keyed and
-ordered by that form.
+candidate carries (``embedding.planar_code_and_automorphisms``), which
+decides isomorphism because every surgery checks that its result is
+3-connected.  Only a candidate with a new code gets its family and its
+graph6 canonical form, so ``canon.canonical_form`` runs once per admitted
+class; buckets stay keyed and ordered by that form.
+
+The same scan gives each graph its automorphisms, held until it is
+expanded.  Both surgeries commute with automorphisms and mirrors, so the
+candidate at a vertex, or at a pair of edges (two edges of a 3-connected
+plane graph share at most one face), has the planar code of the candidate
+at its orbit's first member and would be rejected: skipping it is exact.
+Sites keep their old order and the first of each orbit is expanded, so
+every record, ``parent_canonical`` and ``site`` is unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .embedding import (
     RotationEmbedding,
     euler_check,
     facial_c4_expansion_sites,
-    planar_code,
+    planar_code_and_automorphisms,
 )
 from .expansion import (
     ExpansionSite,
@@ -81,11 +90,14 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         canonical=canonical_form(seed.graph),
     )
     buckets: dict[int, dict[str, GenerationRecord]] = {8: {root.canonical: root}}
-    seen = {planar_code(seed.graph, seed.rotation)}
+    code, group = planar_code_and_automorphisms(seed.graph, seed.rotation)
+    seen = {code}
+    # automorphisms of the records still to be expanded, dropped on expansion
+    groups = {root.canonical: group}
 
     def admit(parent, site, g2, emb2, update_family, *args) -> None:
         """Keep a candidate whose planar code is new, with its updated family."""
-        code = planar_code(g2, emb2)
+        code, group = planar_code_and_automorphisms(g2, emb2)
         if code in seen:
             return
         fam = update_family(parent.family, g2, *args)
@@ -96,6 +108,8 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         level = buckets.setdefault(g2.n, {})
         if canonical in level:
             raise GraphError("planar code split an isomorphism class")
+        if g2.n + 4 <= n_max:
+            groups[canonical] = group
         level[canonical] = GenerationRecord(
             graph=g2,
             embedding=emb2,
@@ -113,17 +127,34 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
             rec = bucket[canonical]
             if not braces_only or rec.is_brace:
                 yield rec
+            if n + 4 > n_max:
+                continue
             g, emb = rec.graph, rec.embedding
+            group = groups.pop(canonical)
             if n + 6 <= n_max:
-                for v in range(n):
+                for v in _first_of_each_orbit(range(n), lambda v: (v,), group):
                     g2, emb2, cut = cube_expand(g, emb, v)
                     site = ExpansionSite(kind="cube", vertex=v)
                     admit(rec, site, g2, emb2, update_family_cube, v, cut)
-            if n + 4 <= n_max:
-                for s in facial_c4_expansion_sites(g, emb):
-                    g2, emb2 = c4_expand(g, emb, s)
-                    site = ExpansionSite(kind="c4", c4=s)
-                    admit(rec, site, g2, emb2, update_family_c4, s)
+            edge_maps = [
+                [g.edge_id(gamma[a], gamma[b]) for a, b in g.edges] for gamma in group
+            ]
+            sites = facial_c4_expansion_sites(g, emb)
+            for s in _first_of_each_orbit(sites, lambda s: (s.eid_uv, s.eid_xy), edge_maps):
+                g2, emb2 = c4_expand(g, emb, s)
+                site = ExpansionSite(kind="c4", c4=s)
+                admit(rec, site, g2, emb2, update_family_c4, s)
+
+
+def _first_of_each_orbit(items, key, group):
+    """The items in order, less each one whose key lies in an earlier orbit;
+    key(item) is a tuple of vertices or edge ids, which group's maps move."""
+    done = set()
+    for item in items:
+        k = frozenset(key(item))
+        if k not in done:
+            done.update(frozenset(gamma[i] for i in k) for gamma in group)
+            yield item
 
 
 def class_counts(n_max: int) -> dict[int, int]:

@@ -1,7 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
+from barnette import generator
 from barnette.canon import canonical_form
 from barnette.expansion import c4_expand, cube_expand
 from barnette.generator import generate
@@ -15,6 +17,7 @@ from barnette.embedding import (
     facial_c4_expansion_sites,
     next_dart,
     planar_code,
+    planar_code_and_automorphisms,
 )
 
 
@@ -94,6 +97,60 @@ def _all_expansions(rec):
     out = [cube_expand(g, emb, v)[:2] for v in range(g.n)]
     out += [c4_expand(g, emb, s) for s in facial_c4_expansion_sites(g, emb)]
     return out
+
+
+def test_generator_skips_only_candidates_an_earlier_one_repeats(monkeypatch):
+    # every skipped candidate of a parent with at most 20 vertices has the
+    # planar code of a candidate the generator built earlier from that parent
+    built = set()
+    cube, c4 = generator.cube_expand, generator.c4_expand
+
+    def cube_spy(g, emb, v):
+        built.add((g.edges, v))
+        return cube(g, emb, v)
+
+    def c4_spy(g, emb, s):
+        built.add((g.edges, s))
+        return c4(g, emb, s)
+
+    monkeypatch.setattr(generator, "cube_expand", cube_spy)
+    monkeypatch.setattr(generator, "c4_expand", c4_spy)
+    parents = [rec for rec in generate(26) if rec.n <= 20]
+    assert len(parents) == 15
+    skipped = 0
+    for rec in parents:
+        g, emb = rec.graph, rec.embedding
+        keys = list(range(g.n)) + facial_c4_expansion_sites(g, emb)
+        codes = [planar_code(*cand) for cand in _all_expansions(rec)]
+        kept = set()
+        for key, code in zip(keys, codes):
+            if (g.edges, key) in built:
+                kept.add(code)
+            else:
+                assert code in kept, (rec.canonical, key)
+                skipped += 1
+    assert skipped > 0
+
+
+def _graph_automorphism_count(g):
+    G = nx.Graph(g.edges)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+
+
+def test_planar_code_ties_give_the_automorphism_group(cube, cube_rotation):
+    # VF2 counts the automorphisms of the abstract graph, independently of
+    # any embedding; the ties must give exactly that many distinct maps
+    assert len(planar_code_and_automorphisms(cube, cube_rotation)[1]) == 48
+    for g, emb in [(cube, cube_rotation)] + [(r.graph, r.embedding) for r in generate(20)]:
+        code, maps = planar_code_and_automorphisms(g, emb)
+        assert code == planar_code(g, emb)
+        assert maps[0] == tuple(range(g.n))
+        assert len(set(maps)) == len(maps) == _graph_automorphism_count(g)
+        edges = set(g.edges)
+        for gamma in maps:
+            assert sorted(gamma) == list(range(g.n))
+            for a, b in g.edges:
+                assert (min(gamma[a], gamma[b]), max(gamma[a], gamma[b])) in edges
 
 
 def _relabelled(g, emb, perm):

@@ -1,11 +1,29 @@
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
+from barnette import generator
 from barnette.canon import canonical_form
-from barnette.generator import class_counts, generate, survey, verify_record
+from barnette.catalog import catalog
+from barnette.embedding import facial_c4_expansion_sites, planar_code
+from barnette.expansion import (
+    ExpansionSite,
+    c4_expand,
+    cube_expand,
+    update_family_c4,
+    update_family_cube,
+)
+from barnette.generator import (
+    GenerationRecord,
+    _family_bound_ok,
+    class_counts,
+    generate,
+    survey,
+    verify_record,
+)
 from barnette.graphs import GraphError
 from barnette.io import to_bgf
 from barnette.tightcut import contract
@@ -119,3 +137,103 @@ def test_survey_rows():
         "p2": 1,
         "h_plus_minus": 1,
     }
+
+
+def _reference_generate(n_max: int, braces_only: bool = False):
+    """The generator before orbit pruning: every vertex and every site."""
+    if n_max < 8 or n_max % 2 != 0:
+        raise GraphError("generation bound must be an even number, at least 8")
+    seed = catalog("cube")
+    root = GenerationRecord(
+        graph=seed.graph,
+        embedding=seed.rotation,
+        family=(),
+        canonical=canonical_form(seed.graph),
+    )
+    buckets: dict[int, dict[str, GenerationRecord]] = {8: {root.canonical: root}}
+    seen = {planar_code(seed.graph, seed.rotation)}
+
+    def admit(parent, site, g2, emb2, update_family, *args) -> None:
+        """Keep a candidate whose planar code is new, with its updated family."""
+        code = planar_code(g2, emb2)
+        if code in seen:
+            return
+        fam = update_family(parent.family, g2, *args)
+        if not _family_bound_ok(fam, g2.n):
+            raise GraphError("family outgrew its bound")
+        seen.add(code)
+        canonical = canonical_form(g2)
+        level = buckets.setdefault(g2.n, {})
+        if canonical in level:
+            raise GraphError("planar code split an isomorphism class")
+        level[canonical] = GenerationRecord(
+            graph=g2,
+            embedding=emb2,
+            family=fam,
+            canonical=canonical,
+            parent_canonical=parent.canonical,
+            site=site,
+        )
+
+    for n in range(8, n_max + 1, 2):
+        bucket = buckets.get(n)
+        if not bucket:
+            continue
+        for canonical in sorted(bucket):
+            rec = bucket[canonical]
+            if not braces_only or rec.is_brace:
+                yield rec
+            g, emb = rec.graph, rec.embedding
+            if n + 6 <= n_max:
+                for v in range(n):
+                    g2, emb2, cut = cube_expand(g, emb, v)
+                    site = ExpansionSite(kind="cube", vertex=v)
+                    admit(rec, site, g2, emb2, update_family_cube, v, cut)
+            if n + 4 <= n_max:
+                for s in facial_c4_expansion_sites(g, emb):
+                    g2, emb2 = c4_expand(g, emb, s)
+                    site = ExpansionSite(kind="c4", c4=s)
+                    admit(rec, site, g2, emb2, update_family_c4, s)
+
+
+def _record_fields(rec):
+    return (
+        rec.graph.n,
+        rec.graph.edges,
+        rec.embedding.rotation,
+        tuple(sorted(c.edge_ids) for c in rec.family),
+        rec.canonical,
+        rec.parent_canonical,
+        rec.site,
+    )
+
+
+@pytest.mark.parametrize("n_max", range(8, 24, 2))
+def test_orbit_pruning_keeps_every_record(n_max):
+    # expanding one site per automorphism orbit only skips candidates whose
+    # planar code an earlier candidate of the same parent already had
+    got = [_record_fields(rec) for rec in generate(n_max)]
+    want = [_record_fields(rec) for rec in _reference_generate(n_max)]
+    assert got == want
+
+
+def _count_expansions(monkeypatch, module):
+    calls = {"cube": 0, "c4": 0}
+    for kind, name in (("cube", "cube_expand"), ("c4", "c4_expand")):
+        surgery = getattr(module, name)
+
+        def counted(*args, surgery=surgery, kind=kind):
+            calls[kind] += 1
+            return surgery(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_orbit_pruning_cuts_the_expansions(monkeypatch):
+    pruned = _count_expansions(monkeypatch, generator)
+    full = _count_expansions(monkeypatch, sys.modules[__name__])
+    assert len(list(generate(24))) == 55
+    assert len(list(_reference_generate(24))) == 55
+    assert full == {"cube": 102, "c4": 636}  # 738 candidates
+    assert pruned == {"cube": 22, "c4": 145}  # 167 candidates
