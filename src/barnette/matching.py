@@ -3,16 +3,17 @@
 This module alone handles partner arrays.  Every graph gets one
 deterministic maximum matching, computed on first use and cached on the
 graph object; each further matching question (``has_perfect_matching`` with
-vertices removed) starts from it.  The solver-independent facts used here: a
-bipartite graph is matching covered (1-extendable) iff it is connected and
-every edge lies in some perfect matching; allowed edges are found from one
-perfect matching by strongly connected components of the alternating
-digraph; 2-extendability holds iff deleting two vertices from each colour
-class in any way leaves a perfect matching, and one matching per A-pair
-answers every B-pair, because a failed alternating search from the one
-free B-vertex finds every B-vertex some maximum matching leaves free
-(Dulmage–Mendelsohn); a blocking quartet's Hall set T ∪ N(T) gives a tight
-cut; a brace is either a 4-cycle or a 2-extendable bipartite graph.
+vertices removed) starts from it.  One perfect matching M of g answers the
+extendability questions through the alternating digraph D(g, M), with a node
+per A-vertex and an arc a -> M(b) per edge ab outside M: g is k-extendable
+iff D(g, M) is strongly k-connected (Lakhal & Litzler, Inform. Process. Lett.
+65, 1998).  For k = 1, matching covered, D is strongly connected and its
+strongly connected components give the allowed edges; for k = 2, D minus any
+one node stays strongly connected (Robertson, Seymour & Thomas, Ann. Math.
+150, 1999), and the braces are these graphs, K2 and C4.  `blocking_quartet`
+finds the witness that g is not a brace, a removal of two vertices from each
+class that kills every perfect matching, at one matching per A-pair
+(Dulmage–Mendelsohn); its Hall set T ∪ N(T) gives a tight cut.
 """
 
 from __future__ import annotations
@@ -161,23 +162,28 @@ def allowed_edges(g: BipartiteGraph) -> frozenset[int]:
     size, partner = _matching(g)
     if 2 * size != g.n:
         return frozenset()
-    # Alternating digraph on A-vertices: non-matching edge (a, b) gives an arc
-    # a -> partner[b].  An edge not in the matching is allowed iff its arc lies
-    # on a directed cycle, i.e. both ends sit in one strongly connected
-    # component.  Matching edges are allowed by definition.
+    # An edge not in the matching is allowed iff its arc of the alternating
+    # digraph lies on a directed cycle, i.e. both ends sit in one strongly
+    # connected component.  Matching edges are allowed by definition.
     a_class = g.class_a()
-    arcs: dict[int, list[int]] = {a: [] for a in a_class}
-    for (u, v) in g.edges:
-        a, b = (u, v) if g.colour[u] == "A" else (v, u)
-        if partner[a] != b:
-            arcs[a].append(partner[b])
-    comp = _scc(a_class, arcs)
+    comp = _scc(a_class, _alternating_digraph(g, partner))
     out = set()
     for eid, (u, v) in enumerate(g.edges):
         a, b = (u, v) if g.colour[u] == "A" else (v, u)
         if partner[a] == b or comp[a] == comp[partner[b]]:
             out.add(eid)
     return frozenset(out)
+
+
+def _alternating_digraph(g: BipartiteGraph, partner: list[int]) -> dict[int, list[int]]:
+    """D(g, M) for the perfect matching M in `partner`: one node per A-vertex
+    and an arc a -> M(b) for each edge ab of g outside M."""
+    arcs: dict[int, list[int]] = {a: [] for a in g.class_a()}
+    for (u, v) in g.edges:
+        a, b = (u, v) if g.colour[u] == "A" else (v, u)
+        if partner[a] != b:
+            arcs[a].append(partner[b])
+    return arcs
 
 
 def _scc(nodes: Sequence[int], arcs: dict[int, list[int]]) -> dict[int, int]:
@@ -256,6 +262,8 @@ def blocking_quartet(
     Pairs from class A form the outer loop and pairs from class B the inner
     one, each in lexicographic order or shuffled by `rng` (A-pairs first).
     None means g minus any two vertices of each class has a perfect matching.
+    A 2-extendable g gets None at once from `_strongly_2_connected`, so only
+    graphs that are not braces are scanned.
 
     Each A-pair costs one matching search, not one per B-pair.  If g is
     unbalanced, or no matching of g - a1 - a2 saturates the rest of A, no
@@ -272,7 +280,7 @@ def blocking_quartet(
     if rng is not None:
         rng.shuffle(a_pairs)
         rng.shuffle(b_pairs)
-    if not b_pairs:
+    if not b_pairs or _strongly_2_connected(g):
         return None
     first_b = vertex_mask(b_pairs[0])
     for a1, a2 in a_pairs:
@@ -342,32 +350,57 @@ def hall_set(g: BipartiteGraph, removed_mask: int) -> int:
     return vertex_mask(t_set | full_n)
 
 
+def _strongly_2_connected(g: BipartiteGraph) -> bool:
+    """Has g a perfect matching M with D(g, M) strongly 2-connected, i.e. at
+    least 3 nodes and D - v strongly connected for every node v?
+
+    D - v is strongly connected iff a search from one root reaches every
+    other node both along the arcs and against them: O(n·m) in all.
+    """
+    size, partner = _matching(g)
+    if 2 * size != g.n or size < 3:
+        return False
+    out = _alternating_digraph(g, partner)
+    into: dict[int, list[int]] = {a: [] for a in out}
+    for a, heads in out.items():
+        for h in heads:
+            into[h].append(a)
+    nodes = list(out)
+    for v in nodes:
+        root = nodes[1] if v == nodes[0] else nodes[0]
+        for arcs in (out, into):
+            seen = {v, root}
+            stack = [root]
+            while stack:
+                for w in arcs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) < len(nodes):
+                return False
+    return True
+
+
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     """k-extendability for k in {1, 2}: every k disjoint edges extend to a
     perfect matching of the connected graph g on at least 2k+2 vertices.
 
-    For k = 1 this is being matching covered: a connected bipartite graph
-    with a perfect matching is matching covered exactly when g minus any a
-    in A and b in B still has one.  For k = 2, g minus any two vertices of
-    each class must still have one (Plummer 1980): `blocking_quartet` finds
-    no blocking removal, at one matching per A-pair.
+    For a perfect matching M of g, this holds iff D(g, M) is strongly
+    k-connected (Lakhal & Litzler 1998).  k = 1 is D strongly connected, i.e.
+    g matching covered; k = 2 is D strongly 2-connected (Robertson, Seymour
+    & Thomas 1999), which `_strongly_2_connected` tests in O(n·m).
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")
     g._require_colour()
     if k == 1:
         return g.n >= 4 and is_matching_covered(g)
-    return (
-        g.n >= 6
-        and is_connected(g)
-        and has_perfect_matching(g)
-        and blocking_quartet(g) is None
-    )
+    return _strongly_2_connected(g)
 
 
 def is_brace(g: BipartiteGraph) -> bool:
-    """A brace is a 4-cycle or a 2-extendable connected bipartite graph."""
-    if g.n == 4 and g.is_regular(2) and is_connected(g):
+    """A brace is K2, C4 or a 2-extendable graph (which has six vertices or more)."""
+    if g.n in (2, 4) and g.is_regular(g.n // 2) and is_connected(g):
         return True
     return is_k_extendable(g, 2)
 

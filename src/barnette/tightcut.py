@@ -116,12 +116,6 @@ def cut_labels(g: BipartiteGraph) -> Optional[list[int]]:
     return labels
 
 
-def _edges_adjacent(g: BipartiteGraph, e: int, f: int) -> bool:
-    u1, v1 = g.edges[e]
-    u2, v2 = g.edges[f]
-    return len({u1, v1, u2, v2}) < 4
-
-
 def cubic_three_connected(g: BipartiteGraph) -> bool:
     """3-connectivity for cubic graphs via edge cuts.
 
@@ -151,11 +145,12 @@ def _disconnecting_triples(
     2-edge cut once w changes sides.
     """
     m = g.edge_count
+    ends = [1 << u | 1 << v for u, v in g.edges]
     pairs = [
         (e, f)
         for e in range(m)
         for f in range(e + 1, m)
-        if not _edges_adjacent(g, e, f)
+        if not ends[e] & ends[f]
     ]
     if rng is not None:
         rng.shuffle(pairs)

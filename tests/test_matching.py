@@ -1,11 +1,11 @@
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 
 from barnette import matching, tightcut
-from barnette.catalog import catalog
+from barnette.catalog import catalog, catalog_names
+from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, GraphError, is_connected, vertex_mask, with_colouring
 from barnette.matching import (
     OracleBoundError,
@@ -271,13 +271,24 @@ def test_decomposition_traces_unchanged_by_spared_pairs(monkeypatch):
     assert any(r.trace for r in ours)
 
 
+def _small_connected_bipartite():
+    """Every connected bipartite graph on at most 4 labelled vertices."""
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = BipartiteGraph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
+            if g.colour is not None and is_connected(g):
+                yield g
+
+
 def test_brace_matches_edge_pair_definition(c6, cube, k33, heawood):
     # enumerate_perfect_matchings is a plain backtrack that shares no code
     # with _matching or _augment
-    c4 = with_colouring(BipartiteGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
-    graphs = [c4, c6, k33, cube, heawood]
+    small = list(_small_connected_bipartite())
+    assert {(g.n, g.edge_count) for g in small} >= {(2, 1), (4, 3), (4, 4)}
+    graphs = small + [c6, k33, cube, heawood]
     rng = random.Random(6)
-    while len(graphs) < 80:
+    while len(graphs) < len(small) + 80:
         half = rng.choice((3, 4, 5))
         g = _random_bipartite(rng, half, half, rng.choice((0.5, 0.7, 0.85)))
         if is_connected(g) and has_perfect_matching(g):
@@ -285,17 +296,54 @@ def test_brace_matches_edge_pair_definition(c6, cube, k33, heawood):
     verdicts = []
     for g in graphs:
         matchings = [pm.edge_ids for pm in enumerate_perfect_matchings(g)]
-        extends = all(
+        extends = bool(matchings) and all(
             any(e in pm and f in pm for pm in matchings)
             for e, f in combinations(range(g.edge_count), 2)
             if not set(g.edges[e]) & set(g.edges[f])
         )
-        assert is_brace(g) == extends
+        # the path of length three meets the definition but is no brace
+        p4 = g.n == 4 and g.edge_count == 3 and bool(matchings)
+        assert is_brace(g) == (extends and not p4)
         verdicts.append(extends)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+    assert is_brace(BipartiteGraph(2, ((0, 1),)))
+
+
+def test_digraph_test_matches_quartet_scan():
+    # the scan removes two vertices of each class, which leaves nothing to
+    # match in a graph with two per class: 2-extendability needs three
+    rng = random.Random(14)
+    randoms = []
+    while len(randoms) < 200:
+        half_a = rng.randint(2, 7)
+        half_b = min(7, max(2, half_a + rng.choice((-1, 0, 0, 0, 1))))
+        randoms.append(_random_bipartite(rng, half_a, half_b, rng.choice((0.3, 0.5, 0.7, 0.9))))
+    assert sum(len(g.class_a()) != len(g.class_b()) for g in randoms) >= 20
+    assert sum(not has_perfect_matching(g) for g in randoms) >= 40
+    assert sum(not is_connected(g) for g in randoms) >= 10
+    verdicts = []
+    for g in randoms:
+        ours = matching._strongly_2_connected(g)
+        assert ours == (_reference_blocking_quartet(g) is None and len(g.class_a()) >= 3)
+        verdicts.append(ours)
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
 
-def test_brace_test_takes_one_matching_per_a_pair(monkeypatch):
+def test_brace_test_matches_cut_labels_and_decomposition(asano):
+    # a class member's family comes from cut labels, which share no code
+    # with the alternating digraph
+    for rec in generate(24):
+        assert is_brace(rec.graph) == rec.is_brace
+    graphs = [catalog(name).graph for name in catalog_names() if name != "georges_kelmans"]
+    graphs = [g for g in graphs if is_matching_covered(g)]
+    graphs += _decomposition_pieces(asano.graph)
+    verdicts = {is_brace(g) for g in graphs}
+    for g in graphs:
+        assert is_brace(g) == (tight_cut_decomposition(g).trace == ())
+    assert verdicts == {True, False}
+
+
+def test_brace_test_takes_one_matching_and_no_scan(monkeypatch):
     g = catalog("b_horton").graph
     real = matching._matching
     calls = []
@@ -304,12 +352,12 @@ def test_brace_test_takes_one_matching_per_a_pair(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(matching, "_matching", counting)
-    assert is_brace(g)
-    assert len(calls) <= comb(16, 2) + 1  # the quartet scan took 120 * 120 tests
-
     def forbidden(*args):
-        raise AssertionError("blocking_quartet tested a quartet")
+        raise AssertionError("the brace test scanned B-pairs")
 
+    monkeypatch.setattr(matching, "_matching", counting)
+    monkeypatch.setattr(matching, "_spared", forbidden)
+    assert is_brace(g)
+    assert len(calls) <= 1  # the per-A-pair scan took comb(16, 2) + 1
     monkeypatch.setattr(matching, "has_perfect_matching", forbidden)
     assert blocking_quartet(g) is None
