@@ -20,8 +20,9 @@ search tree and every returned cycle are those of a full rescan.
 Derived predicates: a graph is Pk-Hamiltonian when every path on k vertices
 extends to a Hamiltonian cycle; H-minus when every single edge can be avoided;
 H-plus-minus when for every ordered pair of distinct edges some Hamiltonian
-cycle contains the first and avoids the second.  The engine caches found
-cycles and serves any later query one of them satisfies.
+cycle contains the first and avoids the second.  The engine indexes found
+cycles by edge, and the predicates read that index in their own loops, so only
+the queries no kept cycle serves reach the solver, in a cache scan's order.
 """
 
 from __future__ import annotations
@@ -287,59 +288,46 @@ def cycle_to_matchings(
 
 
 class HamiltonicityEngine:
-    """Cycle-query engine over one graph with a cache of found cycles.
+    """Cycle-query engine over one graph with a per-edge index of found cycles.
 
-    Every found cycle is kept; a query first scans the cache for a cycle
-    containing all required edges and avoiding all excluded ones, and only
-    then calls the solver.  Failed queries are not kept: each predicate
-    stops at its first failure, and no two predicates ask the same query.
+    Kept cycle i sets bit i of ``every`` and of ``holding[e]`` for each of its
+    edges e, so the cycles serving a query are the mask ``every &
+    AND(holding[contains]) & ~OR(holding[avoids])``; its lowest bit names the
+    first kept, which a scan would return, and the solver runs only when it
+    is 0.  Failed queries are not kept: each predicate stops at its first
+    failure, and no two predicates ask the same query.
     """
 
     def __init__(self, g: BipartiteGraph):
         self.g = g
         self.cycles: list[HamiltonianCycle] = []
+        self.holding = [0] * g.edge_count
+        self.every = 0
 
     def cycle_with(
         self,
         contains: Iterable[int] = (),
         avoids: Iterable[int] = (),
     ) -> Optional[HamiltonianCycle]:
-        contains = frozenset(contains)
-        avoids = frozenset(avoids)
-        for c in self.cycles:
-            if contains <= c.edge_ids and not (avoids & c.edge_ids):
-                return c
+        contains, avoids = tuple(contains), tuple(avoids)
+        for eid in contains + avoids:
+            if not 0 <= eid < self.g.edge_count:
+                raise GraphError(f"edge id {eid} out of range")
+        mask = self.every
+        for eid in contains:
+            mask &= self.holding[eid]
+        for eid in avoids:
+            mask &= ~self.holding[eid]
+        if mask:
+            return self.cycles[(mask & -mask).bit_length() - 1]
         cycle = find_hamiltonian_cycle(self.g, contains, avoids)
         if cycle is not None:
+            bit = 1 << len(self.cycles)
             self.cycles.append(cycle)
+            self.every |= bit
+            for eid in cycle.edge_ids:
+                self.holding[eid] |= bit
         return cycle
-
-
-def _paths_on_k_vertices(g: BipartiteGraph, k: int) -> Iterable[tuple[int, ...]]:
-    """All simple paths with k vertices, one orientation per path."""
-    if k == 1:
-        yield from ((v,) for v in range(g.n))
-        return
-
-    path = [0] * k
-
-    def extend(depth: int, used: int):
-        if depth == k:
-            if path[0] < path[-1]:
-                yield tuple(path)
-            return
-        for w in g.neighbours[path[depth - 1]]:
-            if not used >> w & 1:
-                path[depth] = w
-                yield from extend(depth + 1, used | 1 << w)
-
-    for v in range(g.n):
-        path[0] = v
-        yield from extend(1, 1 << v)
-
-
-def _path_edge_ids(g: BipartiteGraph, path: tuple[int, ...]) -> list[int]:
-    return [g.edge_id(a, b) for a, b in zip(path, path[1:])]
 
 
 def is_pk_hamiltonian(
@@ -347,15 +335,47 @@ def is_pk_hamiltonian(
 ) -> PropertyResult:
     """Does every path on k vertices extend to a Hamiltonian cycle?
 
+    Paths are walked depth-first without recursion, in ``g.incident`` order,
+    and checked from their lower end.  ``masks[i]`` holds the kept cycles
+    through the path's first i edges, so only paths with mask 0 are queried.
+    A cycle found then contains every prefix, so its bit joins every mask.
+
     Vacuously false on a non-Hamiltonian graph only if a path exists at all;
     by convention the empty-path edge case requires k >= 2.
     """
     if not 2 <= k <= g.n:
         raise GraphError(f"k={k} out of range for n={g.n}")
     engine = engine or HamiltonicityEngine(g)
-    for path in _paths_on_k_vertices(g, k):
-        if engine.cycle_with(contains=_path_edge_ids(g, path)) is None:
-            return PropertyResult(False, path)
+    holding, edges, incident = engine.holding, g.edges, g.incident
+    for start in range(g.n):
+        path, eids, masks = [start], [], [engine.every]
+        used = 1 << start
+        stack = [iter(incident[start])]
+        while stack:
+            for eid in stack[-1]:
+                u, v = edges[eid]
+                w = u ^ v ^ path[-1]
+                if used >> w & 1:
+                    continue
+                mask = masks[-1] & holding[eid]
+                if len(path) + 1 < k:
+                    path.append(w)
+                    eids.append(eid)
+                    masks.append(mask)
+                    used |= 1 << w
+                    stack.append(iter(incident[w]))
+                    break
+                if start < w and not mask:
+                    if engine.cycle_with(contains=(*eids, eid)) is None:
+                        return PropertyResult(False, (*path, w))
+                    bit = 1 << len(engine.cycles) - 1
+                    masks[:] = [m | bit for m in masks]
+            else:
+                stack.pop()
+                used ^= 1 << path.pop()
+                masks.pop()
+                if eids:
+                    eids.pop()
     return PropertyResult(True)
 
 
@@ -365,7 +385,7 @@ def has_h_minus(
     """Does every edge have a Hamiltonian cycle avoiding it?"""
     engine = engine or HamiltonicityEngine(g)
     for eid in range(g.edge_count):
-        if engine.cycle_with(avoids=(eid,)) is None:
+        if not engine.every & ~engine.holding[eid] and engine.cycle_with(avoids=(eid,)) is None:
             return PropertyResult(False, (eid,))
     return PropertyResult(True)
 
@@ -374,14 +394,32 @@ def has_h_plus_minus(
     g: BipartiteGraph, engine: Optional[HamiltonicityEngine] = None
 ) -> PropertyResult:
     """For every ordered pair (e, f) of distinct edges, is there a
-    Hamiltonian cycle through e avoiding f?"""
+    Hamiltonian cycle through e avoiding f?
+
+    ``avoided[e]`` is the edge mask of the f that some kept cycle through e
+    avoids; only the other f, in increasing order, reach the solver.
+    """
     engine = engine or HamiltonicityEngine(g)
+    full = (1 << g.edge_count) - 1
+    avoided = [0] * g.edge_count
+
+    def keep(cycle: HamiltonianCycle) -> None:
+        outside = full ^ sum(1 << eid for eid in cycle.edge_ids)
+        for eid in cycle.edge_ids:
+            avoided[eid] |= outside
+
+    for cycle in engine.cycles:
+        keep(cycle)
     for e in range(g.edge_count):
-        for f in range(g.edge_count):
-            if e == f:
-                continue
-            if engine.cycle_with(contains=(e,), avoids=(f,)) is None:
+        missing = full & ~(avoided[e] | 1 << e)
+        while missing:
+            low = missing & -missing
+            f = low.bit_length() - 1
+            cycle = engine.cycle_with(contains=(e,), avoids=(f,))
+            if cycle is None:
                 return PropertyResult(False, (e, f))
+            keep(cycle)
+            missing &= ~avoided[e] & -(low << 1)
     return PropertyResult(True)
 
 

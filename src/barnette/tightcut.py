@@ -123,22 +123,28 @@ def cubic_three_connected(g: BipartiteGraph) -> bool:
     suffices to rule out bridges and 2-edge cuts: g must be connected with
     no zero cut label and no two equal ones.
     """
+    return _three_connected_labels(g) is not None
+
+
+def _three_connected_labels(g: BipartiteGraph) -> Optional[list[int]]:
+    """The cut labels of a cubic g when it is 3-connected, else None."""
     if not g.is_regular(3):
         raise GraphError("cubic graph expected")
-    if g.n < 4:
-        return False
-    labels = cut_labels(g)
-    return labels is not None and 0 not in labels and len(set(labels)) == len(labels)
+    labels = cut_labels(g) if g.n >= 4 else None
+    if labels is None or 0 in labels or len(set(labels)) != len(labels):
+        return None
+    return labels
 
 
 def _disconnecting_triples(
     g: BipartiteGraph,
+    labels: list[int],
     rng: Optional[random.Random] = None,
     first_only: bool = False,
 ) -> list[frozenset[int]]:
     """3-matchings whose removal disconnects g, in the order of their first pair.
 
-    Needs a 3-edge-connected g, whose cut labels are non-zero and distinct:
+    Needs a 3-edge-connected g and its cut labels, non-zero and distinct:
     the third edge of a disconnecting triple through disjoint e and f is
     then the one edge labelled label[e] ^ label[f].  It is disjoint from
     both, since a cut edge sharing a vertex w with another would leave a
@@ -154,7 +160,6 @@ def _disconnecting_triples(
     ]
     if rng is not None:
         rng.shuffle(pairs)
-    labels = cut_labels(g)
     edge_of = {label: eid for eid, label in enumerate(labels)}
     found: set[frozenset[int]] = set()
     order: list[frozenset[int]] = []
@@ -201,9 +206,10 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     g._require_colour()
     if not g.is_regular(3):
         raise GraphError("cubic graph expected")
-    if not cubic_three_connected(g):
+    labels = _three_connected_labels(g)
+    if labels is None:
         raise GraphError("graph is not 3-connected")
-    triples = _disconnecting_triples(g)
+    triples = _disconnecting_triples(g, labels)
     cuts = [_cut_from_triple(g, t) for t in triples]
     cuts.sort(key=lambda c: sorted(c.edge_ids))
     return cuts
@@ -242,8 +248,9 @@ def find_nontrivial_tight_cut(
     if g.n <= 4:
         # shores of a tight cut have odd size, so one of them would be trivial
         return None
-    if g.is_regular(3) and cubic_three_connected(g):
-        triples = _disconnecting_triples(g, rng=rng, first_only=True)
+    labels = _three_connected_labels(g) if g.is_regular(3) else None
+    if labels is not None:
+        triples = _disconnecting_triples(g, labels, rng=rng, first_only=True)
         return _cut_from_triple(g, triples[0]) if triples else None
     return _general_tight_cut(g, rng)
 
@@ -387,7 +394,8 @@ def is_cyclically_4_connected(g: BipartiteGraph) -> bool:
     rule out (a tree side of a 3-cut must be a single vertex, because a
     k-vertex tree side emits k+2 edges).
     """
-    return cubic_three_connected(g) and not _disconnecting_triples(g, first_only=True)
+    labels = _three_connected_labels(g)
+    return labels is not None and not _disconnecting_triples(g, labels, first_only=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from typing import Iterable, Optional
 
 import pytest
@@ -7,11 +9,13 @@ from barnette import hamiltonicity
 from barnette.catalog import catalog
 from barnette.constructions import splice
 from barnette.embedding import faces
+from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, GraphError, with_colouring
 from barnette.hamiltonicity import (
     _UNDECIDED,
     HamiltonianCycle,
     HamiltonicityEngine,
+    PropertyResult,
     _State,
     cycle_to_matchings,
     find_hamiltonian_cycle,
@@ -105,6 +109,32 @@ def test_engine_caches_positive_and_negative(cube):
     assert engine.cycle_with(avoids=(0,)) is not None
     eids = tuple(cube.incident[0])
     assert engine.cycle_with(avoids=eids) is None
+
+
+def test_engine_rejects_bad_ids_on_a_fresh_and_a_warm_engine(cube):
+    for warm in (False, True):
+        engine = HamiltonicityEngine(cube)
+        if warm:
+            assert engine.cycle_with() is not None
+        for bad in (cube.edge_count, 999, -1):
+            with pytest.raises(GraphError):
+                engine.cycle_with(avoids=(bad,))
+            with pytest.raises(GraphError):
+                engine.cycle_with(contains=(bad,))
+        assert len(engine.cycles) == warm
+
+
+def test_pk_walk_is_not_bounded_by_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        k = sys.getrecursionlimit() + 10
+        n = k + k % 2 + 50
+        g = BipartiteGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+        res = is_pk_hamiltonian(g, k)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res
 
 
 def test_pk_range_validation(cube):
@@ -351,34 +381,214 @@ def _relabelled(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
     return g.relabel(perm)
 
 
-def test_matches_reference_on_property_profile_queries_of_splices(monkeypatch):
-    # every engine query, including those the cycle cache would serve
+# The cycle cache and the three predicates as they were before the per-edge
+# cycle index: one engine query per path, edge or ordered edge pair, each
+# scanning every kept cycle.  Kept verbatim as the reference for the current
+# predicates, which read the index and query the engine only on a miss.
+
+
+class _ReferenceEngine:
+    """Cycle-query engine over one graph with a cache of found cycles.
+
+    Every found cycle is kept; a query first scans the cache for a cycle
+    containing all required edges and avoiding all excluded ones, and only
+    then calls the solver.  Failed queries are not kept: each predicate
+    stops at its first failure, and no two predicates ask the same query.
+    """
+
+    def __init__(self, g: BipartiteGraph):
+        self.g = g
+        self.cycles: list[HamiltonianCycle] = []
+
+    def cycle_with(
+        self,
+        contains: Iterable[int] = (),
+        avoids: Iterable[int] = (),
+    ) -> Optional[HamiltonianCycle]:
+        contains = frozenset(contains)
+        avoids = frozenset(avoids)
+        for c in self.cycles:
+            if contains <= c.edge_ids and not (avoids & c.edge_ids):
+                return c
+        cycle = find_hamiltonian_cycle(self.g, contains, avoids)
+        if cycle is not None:
+            self.cycles.append(cycle)
+        return cycle
+
+
+def _reference_paths_on_k_vertices(g: BipartiteGraph, k: int) -> Iterable[tuple[int, ...]]:
+    """All simple paths with k vertices, one orientation per path."""
+    if k == 1:
+        yield from ((v,) for v in range(g.n))
+        return
+
+    path = [0] * k
+
+    def extend(depth: int, used: int):
+        if depth == k:
+            if path[0] < path[-1]:
+                yield tuple(path)
+            return
+        for w in g.neighbours[path[depth - 1]]:
+            if not used >> w & 1:
+                path[depth] = w
+                yield from extend(depth + 1, used | 1 << w)
+
+    for v in range(g.n):
+        path[0] = v
+        yield from extend(1, 1 << v)
+
+
+def _reference_path_edge_ids(g: BipartiteGraph, path: tuple[int, ...]) -> list[int]:
+    return [g.edge_id(a, b) for a, b in zip(path, path[1:])]
+
+
+def _reference_is_pk_hamiltonian(
+    g: BipartiteGraph, k: int, engine: Optional[_ReferenceEngine] = None
+) -> PropertyResult:
+    """Does every path on k vertices extend to a Hamiltonian cycle?
+
+    Vacuously false on a non-Hamiltonian graph only if a path exists at all;
+    by convention the empty-path edge case requires k >= 2.
+    """
+    if not 2 <= k <= g.n:
+        raise GraphError(f"k={k} out of range for n={g.n}")
+    engine = engine or _ReferenceEngine(g)
+    for path in _reference_paths_on_k_vertices(g, k):
+        if engine.cycle_with(contains=_reference_path_edge_ids(g, path)) is None:
+            return PropertyResult(False, path)
+    return PropertyResult(True)
+
+
+def _reference_has_h_minus(
+    g: BipartiteGraph, engine: Optional[_ReferenceEngine] = None
+) -> PropertyResult:
+    """Does every edge have a Hamiltonian cycle avoiding it?"""
+    engine = engine or _ReferenceEngine(g)
+    for eid in range(g.edge_count):
+        if engine.cycle_with(avoids=(eid,)) is None:
+            return PropertyResult(False, (eid,))
+    return PropertyResult(True)
+
+
+def _reference_has_h_plus_minus(
+    g: BipartiteGraph, engine: Optional[_ReferenceEngine] = None
+) -> PropertyResult:
+    """For every ordered pair (e, f) of distinct edges, is there a
+    Hamiltonian cycle through e avoiding f?"""
+    engine = engine or _ReferenceEngine(g)
+    for e in range(g.edge_count):
+        for f in range(g.edge_count):
+            if e == f:
+                continue
+            if engine.cycle_with(contains=(e,), avoids=(f,)) is None:
+                return PropertyResult(False, (e, f))
+    return PropertyResult(True)
+
+
+def _profile_results(g, engine, pk, h_minus, h_plus_minus) -> dict:
+    """`property_profile`'s sequence of predicates, keeping each PropertyResult."""
+    results = {"hamiltonian": engine.cycle_with() is not None}
+    for k in (2, 3, 4, 5):
+        if g.n >= k:
+            results[f"p{k}"] = pk(g, k, engine)
+    results["h_minus"] = h_minus(g, engine)
+    results["h_plus_minus"] = h_plus_minus(g, engine)
+    return results
+
+
+def _reference_property_profile(g: BipartiteGraph) -> tuple[dict, _ReferenceEngine]:
+    engine = _ReferenceEngine(g)
+    predicates = (
+        _reference_is_pk_hamiltonian,
+        _reference_has_h_minus,
+        _reference_has_h_plus_minus,
+    )
+    return _profile_results(g, engine, *predicates), engine
+
+
+def _ladder_splices() -> list[BipartiteGraph]:
+    """The four spliced graphs of the benchmark's ``ladder`` workload."""
     cube, k33, heawood, bh = (
         catalog(name).graph for name in ("cube", "k33", "heawood", "b_horton")
     )
-    splices = [
+    once = splice(k33, 3, bh, 0)  # vertices 3 and 4 share a colour class
+    return [
         splice(cube, 0, cube, 0).graph,
         splice(heawood, 0, cube, 0).graph,
-        splice(k33, 3, bh, 0).graph,
+        once.graph,
+        splice(once.graph, once.map1[4], bh, 0).graph,
     ]
+
+
+def test_matches_reference_on_property_profile_queries_of_splices(monkeypatch):
+    # every query of the reference engine, including those its cache serves
     rng = random.Random(12)
-    cycle_with = HamiltonicityEngine.cycle_with
+    cycle_with = _ReferenceEngine.cycle_with
     queries = []
 
     def recorded(engine, contains=(), avoids=()):
         queries.append((contains, avoids))
         return cycle_with(engine, contains, avoids)
 
-    monkeypatch.setattr(HamiltonicityEngine, "cycle_with", recorded)
-    for g in splices:
+    monkeypatch.setattr(_ReferenceEngine, "cycle_with", recorded)
+    for g in _ladder_splices()[:3]:
         for h in (g, _relabelled(g, rng), _relabelled(g, rng)):
             queries.clear()
-            property_profile(h)
+            _reference_property_profile(h)
             assert len(queries) >= 50
             for forced, forbidden in queries:
                 assert _outcome(find_hamiltonian_cycle, h, forced, forbidden) == _outcome(
                     _reference_find_hamiltonian_cycle, h, forced, forbidden
                 )
+
+
+def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch):
+    # same verdicts, counterexamples, kept cycles and ordered solver calls
+    log = []
+    search = hamiltonicity.find_hamiltonian_cycle
+
+    def logged(g, forced=(), forbidden=()):
+        cycle = search(g, forced, forbidden)
+        log.append((frozenset(forced), frozenset(forbidden), cycle))
+        return cycle
+
+    monkeypatch.setattr(hamiltonicity, "find_hamiltonian_cycle", logged)
+    monkeypatch.setitem(globals(), "find_hamiltonian_cycle", logged)
+    queries = []
+    cycle_with = HamiltonicityEngine.cycle_with
+
+    def counted(engine, contains=(), avoids=()):
+        queries.append(contains)
+        return cycle_with(engine, contains, avoids)
+
+    monkeypatch.setattr(HamiltonicityEngine, "cycle_with", counted)
+    graphs = [rec.graph for rec in generate(20)]
+    graphs += [catalog(name).graph for name in ("cube", "c4", "k33", "heawood", "b_horton")]
+    graphs += _ladder_splices()
+    rng = random.Random(15)
+    cases = graphs + [_relabelled(g, rng) for g in graphs[:-1] for _ in range(2)]
+    failures = solver_calls = 0
+    for h in cases:
+        log.clear()
+        expected, ref_engine = _reference_property_profile(h)
+        ref_log = log[:]
+        log.clear()
+        queries.clear()
+        engine = HamiltonicityEngine(h)
+        got = _profile_results(h, engine, is_pk_hamiltonian, has_h_minus, has_h_plus_minus)
+        assert got == expected
+        assert engine.cycles == ref_engine.cycles
+        assert log == ref_log
+        assert len(queries) == len(log)  # the predicates query the engine only on a miss
+        for _ in range(4):  # a hit returns the first kept cycle that serves
+            e, f = rng.sample(range(h.edge_count), 2)
+            assert engine.cycle_with((e,), (f,)) == ref_engine.cycle_with((e,), (f,))
+        assert property_profile(h) == {key: bool(value) for key, value in got.items()}
+        failures += sum(not value for value in got.values())
+        solver_calls += len(log)
+    assert len(cases) == 70
+    assert failures >= 50 and solver_calls >= 1000, (failures, solver_calls)
 
 
 def _random_degree_two_three_graph(rng: random.Random, k: int) -> BipartiteGraph:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from barnette import tightcut
 from barnette.bruteforce import cubic_bipartite_classes, oracle_is_tight
 from barnette.canon import canonical_form
 from barnette.catalog import catalog
@@ -233,6 +234,16 @@ def test_cut_labels_disconnected(cube):
     two_cubes = BipartiteGraph(16, cube.edges + tuple((u + 8, v + 8) for u, v in cube.edges))
     assert cut_labels(two_cubes) is None
     assert not cubic_three_connected(two_cubes)
+
+
+def test_cut_labels_are_computed_once_per_piece(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tightcut, "cut_labels", lambda g: calls.append(g) or cut_labels(g))
+    result = tight_cut_decomposition(catalog("horton").graph)
+    pieces = 2 * len(result.trace) + 1
+    assert (pieces, sum(result.braces.values())) == (7, 4)
+    # one per piece for the search, and contract's two invariant checks per side
+    assert len(calls) == pieces + 4 * len(result.trace)
 
 
 def test_laminar_utilities(c6):
