@@ -243,17 +243,18 @@ def is_conformal_subgraph(g: BipartiteGraph, h) -> bool:
 
 
 def _simple_paths(
-    nbrs: Sequence[Sequence[int]], src: int, dst: int, blocked: int
+    nbrs: Sequence[Sequence[int]], src: int, dst: int, seen: bytearray
 ) -> Iterator[tuple[int, ...]]:
     """Simple paths src -> dst, lazily, depth-first in `nbrs` order on a stack.
 
-    A path is yielded when dst comes up, before the `blocked` mask is read;
-    other vertices are entered only if neither blocked nor on the path.  With
-    src == dst the yields are closed walks, both directions and back-and-forth.
+    `seen` is the caller's, marking the blocked vertices.  A path is yielded
+    when dst comes up, before its mark is read; other vertices are entered
+    only if unmarked.  The walk marks src and its path, so at a yield `seen`
+    marks the blocked set and the path, ready for a nested walk; run out, it
+    leaves `seen` as it found it, with src marked.  With src == dst the
+    yields are closed walks, both directions and back-and-forth.
     """
-    seen = bytearray(len(nbrs))  # blocked or on the path; a pop clears its mark
-    for v in bits(blocked | 1 << src):
-        seen[v] = 1
+    seen[src] = 1
     path, stack = [src], [iter(nbrs[src])]
     while stack:
         for w in stack[-1]:
@@ -267,6 +268,7 @@ def _simple_paths(
         else:
             stack.pop()
             seen[path.pop()] = 0
+    seen[src] = 1
 
 
 def conformal_cross(
@@ -285,10 +287,12 @@ def conformal_cross(
     a, b, c, d = c4
     c_mask = vertex_mask(c4)
     nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
-    for left in _simple_paths(nbrs, a, c, c_mask | 1 << b | 1 << d):
-        left_mask = vertex_mask(left)
-        for right in _simple_paths(nbrs, b, d, c_mask | left_mask):
-            used = c_mask | left_mask | vertex_mask(right)
+    seen = bytearray(g.n)  # marks the cycle, then each walk's path on top
+    for v in c4:
+        seen[v] = 1
+    for left in _simple_paths(nbrs, a, c, seen):
+        for right in _simple_paths(nbrs, b, d, seen):
+            used = c_mask | vertex_mask(left) | vertex_mask(right)
             if has_perfect_matching(g, used):
                 return left, right
     return None
@@ -390,6 +394,9 @@ def _grow_paths(
     pair_order: list[tuple[int, int]],
 ) -> Optional[K33Bisubdivision]:
     done: dict[tuple[int, int], tuple[int, ...]] = {}
+    seen = bytearray(g.n)  # marks `used` in `grow`: the branches, then each path
+    for v in (*tri_a, *tri_b):
+        seen[v] = 1
 
     def reachable_ok(used: int, from_idx: int) -> bool:
         # every remaining pair must still reach dst, as the walker would list
@@ -404,7 +411,7 @@ def _grow_paths(
         if idx == len(pair_order):
             return has_perfect_matching(g, used)
         i, j = pair_order[idx]
-        for path in _simple_paths(nbrs, tri_a[i], tri_b[j], used):
+        for path in _simple_paths(nbrs, tri_a[i], tri_b[j], seen):
             nxt = used | vertex_mask(path)
             if (
                 _free_vertex_alive(g, nxt, branch_mask)
@@ -449,11 +456,13 @@ def _simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> Iterator[tuple[int,
     """Simple cycles, lazily: `_simple_paths` walks of 4+ entries from the least
     vertex back to itself over larger ones, each kept in one direction only."""
     nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
+    seen = bytearray(g.n)  # marks the anchors so far
     found = 0
     for anchor in range(g.n):
+        seen[anchor] = 1
         if len(nbrs[anchor]) < 2 or nbrs[anchor][-2] < anchor:
             continue  # a cycle leaves its least vertex by two larger neighbours
-        for walk in _simple_paths(nbrs, anchor, anchor, (1 << anchor) - 1):
+        for walk in _simple_paths(nbrs, anchor, anchor, seen):
             if len(walk) >= 4 and walk[1] < walk[-2]:
                 if found >= cap:
                     raise CycleSaturationError(f"more than {cap} simple cycles")
