@@ -4,10 +4,12 @@
 Each case decomposes one catalog graph, optionally relabelled, with a given
 rng (or none) and stores the full trace: for every contraction the piece
 order, the cut's edge ids, the shore size and the two piece orders.  The
-trace pins which cut each route picks, so a change to the matching kernel
-that alters the Hall-cut choice shows up as a diff against this file.  Run
-from the repository root; the test suite compares a fresh decomposition of
-every case against it.
+trace pins which cut each route picks, so a change to the cubic 3-edge-cut
+scan or to the matching digraph search that alters the cut chosen shows up
+as a diff against this file.  The brace multisets must never change.  Asano's
+traces under rng seeds 1, 5 and 9 must not all agree, so that the frozen
+cases pin how an rng steers the choice of cuts.  Run from the repository
+root; the test suite compares a fresh decomposition of every case against it.
 """
 
 import json
@@ -76,6 +78,10 @@ def main() -> None:
             f"{name} relabel={relabel_seed} rng={rng_seed}: "
             f"{len(out[-1]['trace'])} steps ({time.time() - t0:.1f}s)"
         )
+    shuffled = [
+        c["trace"] for c in out if c["graph"] == "asano" and c["rng_seed"] is not None
+    ]
+    assert any(t != shuffled[0] for t in shuffled), "rng does not vary Asano's traces"
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps({"schema": 1, "cases": out}, indent=1) + "\n")
     print(f"wrote {OUT}")

@@ -10,10 +10,10 @@ iff D(g, M) is strongly k-connected (Lakhal & Litzler, Inform. Process. Lett.
 65, 1998).  For k = 1, matching covered, D is strongly connected and its
 strongly connected components give the allowed edges; for k = 2, D minus any
 one node stays strongly connected (Robertson, Seymour & Thomas, Ann. Math.
-150, 1999), and the braces are these graphs, K2 and C4.  `blocking_quartet`
-finds the witness that g is not a brace, a removal of two vertices from each
-class that kills every perfect matching, at one matching per A-pair
-(Dulmage–Mendelsohn); its Hall set T ∪ N(T) gives a tight cut.
+150, 1999), and the braces are these graphs, K2 and C4.  `_digraph_failure`
+searches each D - v and, for a graph that is not 2-extendable, returns the
+first search that misses a node; the set of nodes it reached is the Hall set
+from which `tightcut` reads a non-trivial tight cut.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -254,121 +253,35 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
 # ----- extendability and braces -----
 
 
-def blocking_quartet(
+def _digraph_failure(
     g: BipartiteGraph, rng: Optional[random.Random] = None
-) -> Optional[int]:
-    """Mask of the first {a1, a2, b1, b2} whose removal kills every perfect matching.
-
-    Pairs from class A form the outer loop and pairs from class B the inner
-    one, each in lexicographic order or shuffled by `rng` (A-pairs first).
-    None means g minus any two vertices of each class has a perfect matching.
-    A 2-extendable g gets None at once from `_strongly_2_connected`, so only
-    graphs that are not braces are scanned.
-
-    Each A-pair costs one matching search, not one per B-pair.  If g is
-    unbalanced, or no matching of g - a1 - a2 saturates the rest of A, no
-    removal of B-vertices can help and the first B-pair blocks.  Otherwise
-    that matching leaves exactly two B-vertices free, and `_spared` reads,
-    for each first element b1, exactly the b2 that do not block (its
-    docstring says why).  The quartets are visited in the same order with
-    the same verdicts, so the first blocking mask, and what `rng` consumes,
-    are those of a quartet-by-quartet scan.
-    """
-    a_class, b_class = g.class_a(), g.class_b()
-    a_pairs = list(combinations(a_class, 2))
-    b_pairs = list(combinations(b_class, 2))
-    if rng is not None:
-        rng.shuffle(a_pairs)
-        rng.shuffle(b_pairs)
-    if not b_pairs or _strongly_2_connected(g):
-        return None
-    first_b = vertex_mask(b_pairs[0])
-    for a1, a2 in a_pairs:
-        removed_a = 1 << a1 | 1 << a2
-        size, partner = _matching(g, removed_a)
-        if len(a_class) != len(b_class) or size < len(a_class) - 2:
-            return removed_a | first_b
-        spared: dict[int, int] = {}
-        for b1, b2 in b_pairs:
-            if b1 not in spared:
-                spared[b1] = _spared(g, partner, removed_a, b1)
-            if not spared[b1] >> b2 & 1:
-                return removed_a | 1 << b1 | 1 << b2
-    return None
-
-
-def _spared(g: BipartiteGraph, partner: list[int], removed_a: int, b1: int) -> int:
-    """Mask of the B-vertices b2 for which g minus removed_a, b1 and b2 has a
-    perfect matching.
-
-    `partner` is a matching of g minus the two A-vertices of removed_a that
-    saturates the rest of A.  b1 is unmatched and its old partner
-    re-augmented inside H = g - removed_a - b1.  If that fails, no matching
-    of H saturates its A-side and the mask is empty.  Otherwise one
-    B-vertex u of H stays free, and H - b2 has a perfect matching iff some
-    maximum matching of H misses b2, i.e. iff b2 is u or the end of an even
-    alternating path from u.  A failed `_augment` from u visits exactly the
-    A-vertices on such paths, so their partners and u are the answer, read
-    the way `hall_set` reads T.
-    """
-    alive = g.full_mask & ~removed_a & ~(1 << b1)
-    p = list(partner)
-    a = p[b1]
-    if a >= 0:
-        p[a] = p[b1] = -1
-        if not _augment(g, a, p, alive, set()):
-            return 0
-    u = next(b for b in g.class_b() if alive >> b & 1 and p[b] == -1)
-    reached: set[int] = set()
-    _augment(g, u, p, alive, reached)  # fails: every live A-vertex is matched
-    mask = 1 << u
-    for x in reached:
-        mask |= 1 << p[x]
-    return mask
-
-
-def hall_set(g: BipartiteGraph, removed_mask: int) -> int:
-    """Mask of T ∪ N(T) for a removal that leaves no perfect matching.
-
-    T is the first A-vertex the maximum matching of g minus the removal
-    leaves free, plus the partners of the B-vertices a failed `_augment` from
-    it visits, so every neighbour of T outside the removal is matched into T.
-    In a matching covered g, where no nonempty proper T has |N(T)| <= |T|,
-    the full neighbourhood then has exactly |T| + 1 vertices.
-    """
-    _, partner = _matching(g, removed_mask)
-    alive = g.full_mask & ~removed_mask
-    start = next((a for a in g.class_a() if alive >> a & 1 and partner[a] == -1), -1)
-    if start < 0:
-        raise GraphError("matching saturates class A")
-    reached: set[int] = set()
-    _augment(g, start, partner, alive, reached)  # fails: the matching is maximum
-    t_set = {start} | {partner[b] for b in reached}
-    full_n = {b for a in t_set for b in g.neighbours[a]}
-    if len(full_n) != len(t_set) + 1:
-        raise GraphError("graph is not matching covered")
-    return vertex_mask(t_set | full_n)
-
-
-def _strongly_2_connected(g: BipartiteGraph) -> bool:
-    """Has g a perfect matching M with D(g, M) strongly 2-connected, i.e. at
-    least 3 nodes and D - v strongly connected for every node v?
+) -> Optional[tuple[int, int, bool]]:
+    """The first search that shows D(g, M) is not strongly 2-connected, or None.
 
     D - v is strongly connected iff a search from one root reaches every
-    other node both along the arcs and against them: O(n·m) in all.
+    other node both along the arcs and against them: O(n·m) over all nodes v.
+    The nodes v are taken in increasing order, or in an order shuffled by
+    `rng`, and the root is the first other node of that order.  The first
+    search that misses a node gives (R, M(R), along): the masks of the
+    A-nodes R it reached, root included and v not, and of their partners,
+    and whether it went along the arcs.  A g without a perfect matching, or
+    with fewer than three nodes, fails at once with R empty.  None means
+    every D - v is strongly connected, i.e. g is 2-extendable.
     """
     size, partner = _matching(g)
     if 2 * size != g.n or size < 3:
-        return False
+        return 0, 0, True
     out = _alternating_digraph(g, partner)
     into: dict[int, list[int]] = {a: [] for a in out}
     for a, heads in out.items():
         for h in heads:
             into[h].append(a)
     nodes = list(out)
+    if rng is not None:
+        rng.shuffle(nodes)
     for v in nodes:
         root = nodes[1] if v == nodes[0] else nodes[0]
-        for arcs in (out, into):
+        for along, arcs in ((True, out), (False, into)):
             seen = {v, root}
             stack = [root]
             while stack:
@@ -376,9 +289,16 @@ def _strongly_2_connected(g: BipartiteGraph) -> bool:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-            if len(seen) < len(nodes):
-                return False
-    return True
+            if len(seen) < size:
+                seen.discard(v)
+                return vertex_mask(seen), vertex_mask(partner[a] for a in seen), along
+    return None
+
+
+def _strongly_2_connected(g: BipartiteGraph) -> bool:
+    """Has g a perfect matching M with D(g, M) strongly 2-connected, i.e. at
+    least 3 nodes and D - v strongly connected for every node v?"""
+    return _digraph_failure(g) is None
 
 
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
@@ -388,7 +308,8 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     For a perfect matching M of g, this holds iff D(g, M) is strongly
     k-connected (Lakhal & Litzler 1998).  k = 1 is D strongly connected, i.e.
     g matching covered; k = 2 is D strongly 2-connected (Robertson, Seymour
-    & Thomas 1999), which `_strongly_2_connected` tests in O(n·m).
+    & Thomas 1999), which `_digraph_failure` tests in O(n·m).  The same
+    search hands `tightcut` its cut when g is not 2-extendable.
     """
     if k not in (1, 2):
         raise GraphError("k must be 1 or 2")

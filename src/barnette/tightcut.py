@@ -16,10 +16,10 @@ question here: ``cut_labels`` gives each edge the set of fundamental cycles
 through it, and an edge set is a cut exactly when its labels XOR to zero.
 
 Graphs that are merely 2-connected (hub-and-gadget shapes) need the general
-route: the matching kernel's quartet scan finds a removal of two vertices
-from each colour class that kills every perfect matching, its Hall set
-T ∪ N(T) has |N(T)| = |T| + 1, and T ∪ N(T) is then the complement of the
-shore of a non-trivial tight cut.
+route, which reads its cut off the brace test: the first D(g, M) - v that
+the matching kernel finds not strongly connected yields a Hall set, a set
+X on one side with |N(X)| = |X| + 1, and X ∪ N(X) is a shore of a
+non-trivial tight cut.
 
 Contracting either shore to a single vertex (parallel edges merged) preserves
 matching coveredness, and iterating until no non-trivial tight cut remains
@@ -40,13 +40,13 @@ from .graphs import (
     BipartiteGraph,
     Cut,
     GraphError,
+    bits,
     connected_components,
     shore_colour_balance,
 )
 from .matching import (
+    _digraph_failure,
     allowed_edges,
-    blocking_quartet,
-    hall_set,
     has_perfect_matching,
     is_matching_covered,
 )
@@ -218,21 +218,40 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
 def _general_tight_cut(
     g: BipartiteGraph, rng: Optional[random.Random] = None
 ) -> Optional[Cut]:
-    """One non-trivial tight cut of a matching covered bipartite graph.
+    """One non-trivial tight cut of a matching covered bipartite graph, or
+    None when g is 2-extendable, i.e. a brace.
 
-    The first blocking quartet's Hall set T ∪ N(T) is the complement of the
-    shore, which is the A-excess side.  Returns None when the graph is
-    2-extendable (or C4), i.e. a brace.
+    The cut is read off the failed brace test, `_digraph_failure`: a search
+    of D - v from its root, in D = D(g, M), that misses some node, and the
+    set R of A-nodes it reached (Lovász & Plummer, *Matching Theory*, for
+    the Hall-set form of a tight cut):
+
+    - Along the arcs, every arc out of R ends in R or at v.  An arc a -> M(b)
+      stands for an edge ab, so N(R) = M(R) ∪ {M(v)}.  g is matching
+      covered, so |N(R)| ≥ |R| + 1, and equality holds.  Every perfect
+      matching matches R into N(R) and sends exactly one edge from the
+      remaining vertex of N(R) across, so R ∪ N(R) is a tight shore.
+    - Against the arcs, every arc into R starts in R or at v, so T = M(R)
+      has N(T) = R ∪ {v}, and T ∪ N(T) is a tight shore by the same count.
+    - R contains the root and misses a node other than v, so each side of
+      the cut has at least three vertices: the cut is non-trivial.
+
+    The shore is kept on the A-excess side, as `_cut_from_triple` does: the
+    complement of R ∪ N(R), or T ∪ N(T) itself.  rng shuffles the order in
+    which the nodes v are tried.
     """
-    if not has_perfect_matching(g):
-        raise GraphError("graph has no perfect matching")
-    removed = blocking_quartet(g, rng)
-    if removed is None:
+    failure = _digraph_failure(g, rng)
+    if failure is None:
         return None
-    cut = Cut.from_shore(g, g.full_mask & ~hall_set(g, removed))
-    if not is_tight(g, cut):
-        raise AssertionError("violator cut failed the tightness test")
-    return cut
+    reached, mates, along = failure
+    hall = reached if along else mates
+    neighbours = 0
+    for x in bits(hall):
+        neighbours |= g.adj[x]
+    if neighbours.bit_count() != hall.bit_count() + 1:
+        raise GraphError("graph is not matching covered")
+    shore = hall | neighbours
+    return Cut.from_shore(g, g.full_mask & ~shore if along else shore)
 
 
 def find_nontrivial_tight_cut(
@@ -241,8 +260,9 @@ def find_nontrivial_tight_cut(
     """Some non-trivial tight cut, or None when g is a brace.
 
     Cubic 3-connected inputs use the 3-edge-cut scan; everything else goes
-    through the 2-extendability route.  A supplied rng only changes which cut
-    is returned, never whether one exists.
+    through the brace test, whose failed search of the matching digraph
+    holds the cut (`_general_tight_cut`).  A supplied rng only changes which
+    cut is returned, never whether one exists.
     """
     g._require_colour()
     if g.n <= 4:

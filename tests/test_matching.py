@@ -1,20 +1,28 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from barnette import matching, tightcut
+from barnette.bruteforce import oracle_is_tight
 from barnette.catalog import catalog, catalog_names
 from barnette.generator import generate
-from barnette.graphs import BipartiteGraph, GraphError, is_connected, vertex_mask, with_colouring
+from barnette.graphs import (
+    BipartiteGraph,
+    Cut,
+    GraphError,
+    is_connected,
+    shore_colour_balance,
+    vertex_mask,
+    with_colouring,
+)
 from barnette.matching import (
     OracleBoundError,
     _matching,
     allowed_edges,
-    blocking_quartet,
     cover_graph,
     enumerate_perfect_matchings,
-    hall_set,
     has_perfect_matching,
     is_brace,
     is_k_extendable,
@@ -22,7 +30,12 @@ from barnette.matching import (
     oracle_bound,
     perfect_matching,
 )
-from barnette.tightcut import contract, find_nontrivial_tight_cut, tight_cut_decomposition
+from barnette.tightcut import (
+    contract,
+    find_nontrivial_tight_cut,
+    is_tight,
+    tight_cut_decomposition,
+)
 
 
 def test_perfect_matching_on_fixtures(cube, k33, heawood):
@@ -189,27 +202,6 @@ def _reference_hall_set(g, removed_mask):
     return vertex_mask(t_set | full_n)
 
 
-def test_hall_set_matches_bfs_reference(asano):
-    # every blocking quartet of every piece of Asano's decomposition and of
-    # seeded random matching covered graphs
-    graphs = _decomposition_pieces(asano.graph)
-    rng = random.Random(4)
-    while len(graphs) < 30:
-        half = rng.choice((4, 5, 6))
-        g = _random_bipartite(rng, half, half, 0.5)
-        if is_matching_covered(g):
-            graphs.append(g)
-    compared = 0
-    for g in graphs:
-        for a_pair in combinations(g.class_a(), 2):
-            for b_pair in combinations(g.class_b(), 2):
-                removed = vertex_mask(a_pair + b_pair)
-                if not has_perfect_matching(g, removed):
-                    assert hall_set(g, removed) == _reference_hall_set(g, removed)
-                    compared += 1
-    assert compared > 1000, compared
-
-
 def _reference_blocking_quartet(g, rng=None):
     """The quartet scan blocking_quartet ran before it read spared B-pairs
     from one matching per A-pair."""
@@ -226,49 +218,127 @@ def _reference_blocking_quartet(g, rng=None):
     return None
 
 
-def test_blocking_quartet_matches_quartet_scan(c6, cube, heawood, asano):
-    graphs = [c6, cube, heawood, asano.graph]
-    graphs += [catalog(name).graph for name in ("p5_example", "b_horton")]
-    graphs += _decomposition_pieces(asano.graph)
-    rng = random.Random(8)
-    randoms = []
-    while len(randoms) < 150:
-        half_a = rng.randint(2, 7)
-        half_b = min(7, max(2, half_a + rng.choice((-1, 0, 0, 0, 1))))
-        randoms.append(_random_bipartite(rng, half_a, half_b, rng.choice((0.3, 0.5, 0.7, 0.9))))
-    unbalanced = sum(len(g.class_a()) != len(g.class_b()) for g in randoms)
-    no_pm = sum(not has_perfect_matching(g) for g in randoms)
-    assert unbalanced >= 20 and no_pm >= 40, (unbalanced, no_pm)
-    verdicts = set()
-    for g in graphs + randoms:
-        for seed in (None, 1, 2):
-            ours = None if seed is None else random.Random(seed)
-            ref = None if seed is None else random.Random(seed)
-            mask = blocking_quartet(g, ours)
-            assert mask == _reference_blocking_quartet(g, ref)
-            if seed is not None:
-                assert ours.random() == ref.random()  # same shuffles consumed
-            verdicts.add(mask is None)
-    assert verdicts == {True, False}
+def _reference_general_tight_cut(g, rng=None):
+    """The route tightcut._general_tight_cut took before it read the cut off
+    the failed digraph search: the first blocking quartet's Hall set
+    T ∪ N(T) is the complement of the shore, which is the A-excess side.
+    Braces leave at once, as the old route left through the digraph test
+    before scanning."""
+    if not has_perfect_matching(g):
+        raise GraphError("graph has no perfect matching")
+    if matching._strongly_2_connected(g):
+        return None
+    removed = _reference_blocking_quartet(g, rng)
+    if removed is None:
+        return None
+    return Cut.from_shore(g, g.full_mask & ~_reference_hall_set(g, removed))
 
 
-def test_decomposition_traces_unchanged_by_spared_pairs(monkeypatch):
-    # the shuffled quartet order is consumed only on the general tight-cut
-    # route, so decompose non-cubic matching covered graphs
-    rng = random.Random(12)
+def _random_matching_covered(seed, count):
+    """`count` seeded random matching covered graphs that are not cubic, so
+    every one takes the general route."""
+    rng = random.Random(seed)
     graphs = []
-    while len(graphs) < 12:
+    while len(graphs) < count:
         half = rng.choice((4, 5, 6))
-        g = _random_bipartite(rng, half, half, 0.5)
+        g = _random_bipartite(rng, half, half, rng.choice((0.4, 0.5, 0.6)))
         if is_matching_covered(g) and not g.is_regular(3):
             graphs.append(g)
-    runs = [(g, seed) for g in graphs for seed in (1, 5, 9)]
-    ours = [tight_cut_decomposition(g, random.Random(seed)) for g, seed in runs]
-    monkeypatch.setattr(tightcut, "blocking_quartet", _reference_blocking_quartet)
-    ref = [tight_cut_decomposition(g, random.Random(seed)) for g, seed in runs]
-    assert [r.trace for r in ours] == [r.trace for r in ref]
+    return graphs
+
+
+def _cycle_plus_chords(k, seed):
+    """A 2k-cycle plus k seeded random chords between opposite colours.
+
+    Each chord cuts the cycle into two paths with an even number of inner
+    vertices, so it extends to a perfect matching: the graph is matching
+    covered, and its vertices of degree two keep it from being a brace.
+    """
+    rng = random.Random(seed)
+    n = 2 * k
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    while len(edges) < n + k:
+        i = rng.randrange(n)
+        j = (i + rng.randrange(3, n - 2, 2)) % n
+        edges.add((min(i, j), max(i, j)))
+    return with_colouring(BipartiteGraph(n, tuple(sorted(edges))))
+
+
+def test_general_route_cuts_are_tight_nontrivial_a_excess(asano):
+    # find_nontrivial_tight_cut answers for four vertices or fewer itself
+    graphs = [h for h in _decomposition_pieces(asano.graph) if h.n > 4]
+    graphs += _random_matching_covered(16, 150)
+    cuts = 0
+    varied = 0  # graphs whose cut depends on the rng's node order
+    for g in graphs:
+        shores = set()
+        for seed in (None, 1, 5, 9):
+            cut = tightcut._general_tight_cut(g, None if seed is None else random.Random(seed))
+            if cut is None:
+                assert is_brace(g)
+                continue
+            assert is_tight(g, cut) and oracle_is_tight(g, cut)
+            assert not cut.is_trivial
+            assert shore_colour_balance(g, cut.shore) == 1
+            shores.add(cut.shore)
+            cuts += 1
+        varied += len(shores) > 1
+    assert cuts >= 400 and varied >= 50, (cuts, varied)
+
+
+def test_general_route_without_matching_coverage_raises_or_stays_tight():
+    # a Hall set with one neighbour too many gives a tight cut in any graph
+    # with a perfect matching; the route refuses the searches that end in
+    # anything else
+    rng = random.Random(21)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 100:
+        half = rng.choice((3, 4, 5, 6))
+        g = _random_bipartite(rng, half, half, rng.choice((0.4, 0.5, 0.6)))
+        if not has_perfect_matching(g) or is_matching_covered(g):
+            continue
+        try:
+            cut = tightcut._general_tight_cut(g)
+        except GraphError:
+            verdicts["raised"] += 1
+            continue
+        assert is_tight(g, cut) and oracle_is_tight(g, cut) and not cut.is_trivial
+        verdicts["tight"] += 1
+    assert verdicts["raised"] >= 20 and verdicts["tight"] >= 20, verdicts
+
+
+def test_general_route_braces_match_quartet_route(asano, monkeypatch):
+    # brace multisets do not depend on the cuts picked (Lovász 1987), so
+    # the old route must give the same ones while the traces may differ
+    graphs = [asano.graph, catalog("p5_example").graph, _cycle_plus_chords(30, 3)]
+    graphs += _random_matching_covered(16, 150)
+    runs = [(g, seed) for g in graphs for seed in (None, 1, 5, 9)]
+
+    def decompose():
+        return [
+            tight_cut_decomposition(g, None if seed is None else random.Random(seed))
+            for g, seed in runs
+        ]
+
+    ours = decompose()
+    monkeypatch.setattr(tightcut, "_general_tight_cut", _reference_general_tight_cut)
+    ref = decompose()
     assert [r.braces for r in ours] == [r.braces for r in ref]
-    assert any(r.trace for r in ours)
+    assert sum(len(r.trace) for r in ours) >= 300
+    assert any(a.trace != b.trace for a, b in zip(ours, ref))
+
+
+def test_decomposition_order_invariance_at_200_vertices():
+    g = _cycle_plus_chords(100, 3)
+    assert g.n == 200 and is_matching_covered(g) and not g.is_regular(3)
+    base = tight_cut_decomposition(g)
+    assert len(base.trace) >= 10
+    traces = set()
+    for seed in (1, 5, 9):
+        shuffled = tight_cut_decomposition(g, random.Random(seed))
+        assert shuffled.braces == base.braces
+        traces.add(tuple(shuffled.trace))
+    assert len(traces) > 1
 
 
 def _small_connected_bipartite():
@@ -343,8 +413,13 @@ def test_brace_test_matches_cut_labels_and_decomposition(asano):
     assert verdicts == {True, False}
 
 
-def test_brace_test_takes_one_matching_and_no_scan(monkeypatch):
-    g = catalog("b_horton").graph
+def test_brace_test_takes_one_matching_and_no_scan(monkeypatch, asano):
+    # the brace test and the general cut route each search one digraph
+    piece = next(
+        h
+        for h in _decomposition_pieces(asano.graph)
+        if not h.is_regular(3) and not is_brace(h)
+    )
     real = matching._matching
     calls = []
 
@@ -352,12 +427,8 @@ def test_brace_test_takes_one_matching_and_no_scan(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    def forbidden(*args):
-        raise AssertionError("the brace test scanned B-pairs")
-
     monkeypatch.setattr(matching, "_matching", counting)
-    monkeypatch.setattr(matching, "_spared", forbidden)
-    assert is_brace(g)
-    assert len(calls) <= 1  # the per-A-pair scan took comb(16, 2) + 1
-    monkeypatch.setattr(matching, "has_perfect_matching", forbidden)
-    assert blocking_quartet(g) is None
+    assert is_brace(catalog("b_horton").graph)
+    assert len(calls) == 1
+    assert find_nontrivial_tight_cut(piece) is not None
+    assert len(calls) == 2

@@ -82,6 +82,9 @@ def test_is_tight_requires_colour_and_matching():
     star = BipartiteGraph(4, ((0, 1), (0, 2), (0, 3)), ("A", "B", "B", "B"))
     with pytest.raises(GraphError):
         is_tight(star, Cut.from_shore(star, 0b0011))
+    star = with_colouring(BipartiteGraph(6, tuple((0, v) for v in range(1, 6))))
+    with pytest.raises(GraphError):
+        find_nontrivial_tight_cut(star)
 
 
 def test_cube_is_a_brace_with_no_cuts(cube):
