@@ -172,7 +172,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if rotation is None:
             print("verify needs bgf records with rotations", file=sys.stderr)
             return 2
-        g = with_colouring(g)
         rec = GenerationRecord(
             graph=g,
             embedding=RotationEmbedding(rotation),

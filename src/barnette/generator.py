@@ -170,23 +170,25 @@ def verify_record(rec: GenerationRecord) -> dict:
     The name is not re-checked: ``generate`` and ``barnette verify`` both
     compute it with ``canonical_form`` on this same frozen graph.  A graph
     that is not cubic and 3-connected fails ``three_connected`` and
-    ``family_complete`` rather than raising.
+    ``family_complete`` rather than raising, and one that is not bipartite
+    fails every check that needs the colouring.
     """
     g = rec.graph
     checks: dict[str, bool] = {}
     checks["cubic"] = g.is_regular(3)
-    checks["bipartite"] = g.colour is not None
+    checks["bipartite"] = bipartite = g.colour is not None
     checks["three_connected"] = checks["cubic"] and cubic_three_connected(g)
     checks["planar"] = euler_check(g, rec.embedding)
-    checks["family_tight"] = all(
+    checks["family_tight"] = bipartite and all(
         not c.is_trivial and is_tight(g, c) for c in rec.family
     )
     checks["family_laminar"] = family_is_laminar(rec.family, g.full_mask)
     checks["family_bound"] = _family_bound_ok(rec.family, g.n)
 
-    scratch = find_tight_cuts_cubic(g) if checks["three_connected"] else None
+    scannable = bipartite and checks["three_connected"]  # the 3-cut scan needs both
+    scratch = find_tight_cuts_cubic(g) if scannable else None
     if scratch is None:
-        checks["family_complete"] = False  # the 3-cut scan needs 3-connectivity
+        checks["family_complete"] = False
     elif family_is_laminar(scratch, g.full_mask):
         checks["family_complete"] = {c.edge_ids for c in scratch} == {
             c.edge_ids for c in rec.family
@@ -195,7 +197,7 @@ def verify_record(rec: GenerationRecord) -> dict:
         # several maximal laminar choices exist; sizes must agree
         choice = maximal_laminar_family(scratch, g.full_mask)
         checks["family_complete"] = len(choice) == len(rec.family)
-    checks["brace_flag"] = rec.is_brace == is_brace(g)
+    checks["brace_flag"] = bipartite and rec.is_brace == is_brace(g)
     checks["ok"] = all(checks.values())
     return checks
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -212,6 +213,18 @@ def test_verify_reports_a_graph_outside_the_class(capsys, monkeypatch, asano, c6
     payload = json.loads(out)
     assert payload["three_connected"] is False and payload["ok"] is False
     assert payload["cubic"] is (name == "asano")
+
+
+def test_verify_reports_a_graph_that_is_not_bipartite(capsys, monkeypatch):
+    from barnette.embedding import embed_planar
+
+    k4 = BipartiteGraph(4, tuple(itertools.combinations(range(4), 2)))
+    text = to_bgf(k4, rotation=embed_planar(k4).rotation)
+    code, out, _ = run(capsys, "verify", stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    failed = out.split(": FAIL ")[1].split()
+    assert {"bipartite", "family_tight", "family_complete", "brace_flag"} <= set(failed)
+    assert "three_connected" not in failed and "planar" not in failed
 
 
 def test_verify_json_carries_the_record_name(capsys, monkeypatch):

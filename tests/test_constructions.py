@@ -29,7 +29,7 @@ from barnette.matching import has_perfect_matching, is_brace, is_matching_covere
 from barnette.tightcut import is_tight
 
 
-def test_splice_two_cubes(cube):
+def test_splice_two_cubes(cube, heawood, k33):
     s = splice(cube, 0, cube, 0)
     assert s.graph.n == 14
     assert s.graph.is_regular(3)
@@ -42,6 +42,21 @@ def test_splice_two_cubes(cube):
     ]
     assert sorted(survivors) == list(range(14))
     assert s.map1[0] is None and s.map2[0] is None
+    # balanced inputs give a tight seam, by the colour count splice states
+    for other in (splice(heawood, 0, cube, 0), splice(k33, 3, catalog("b_horton").graph, 0)):
+        assert other.cut.order == 3
+        assert is_tight(other.graph, other.cut)
+
+
+def test_splice_of_unbalanced_stars_has_a_loose_seam():
+    # K1,3 spliced to itself at the centres is 3K2: a valid splice, but its
+    # one perfect matching crosses the seam three times
+    star = BipartiteGraph(4, ((0, 1), (0, 2), (0, 3)))
+    s = splice(star, 0, star, 0)
+    assert s.graph.n == 6 and s.graph.edge_count == 3
+    assert s.cut.order == 3
+    assert has_perfect_matching(s.graph)
+    assert not is_tight(s.graph, s.cut)
 
 
 def test_splice_rejects_degree_mismatch(cube, c6):

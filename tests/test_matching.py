@@ -32,6 +32,7 @@ from barnette.matching import (
 )
 from barnette.tightcut import (
     contract,
+    cubic_three_connected,
     find_nontrivial_tight_cut,
     is_tight,
     tight_cut_decomposition,
@@ -159,15 +160,23 @@ def test_has_perfect_matching_on_long_path():
     assert has_perfect_matching(path, removed_mask=0b1001)
 
 
-def _decomposition_pieces(g):
-    pieces, work = [], [g]
+def _decomposition_steps(g):
+    """Each piece of g's decomposition, with the cut found on it and its two
+    contractions (the complement's first); a brace has neither."""
+    steps, work = [], [g]
     while work:
         h = work.pop()
-        pieces.append(h)
         cut = find_nontrivial_tight_cut(h)
-        if cut is not None:
-            work += [contract(h, cut, side).graph for side in ("complement", "shore")]
-    return pieces
+        quotients = () if cut is None else tuple(
+            contract(h, cut, side).graph for side in ("complement", "shore")
+        )
+        steps.append((h, cut, quotients))
+        work += quotients
+    return steps
+
+
+def _decomposition_pieces(g):
+    return [h for h, _, _ in _decomposition_steps(g)]
 
 
 def _random_bipartite(rng, half_a, half_b, p):
@@ -284,6 +293,27 @@ def test_general_route_cuts_are_tight_nontrivial_a_excess(asano):
             cuts += 1
         varied += len(shores) > 1
     assert cuts >= 400 and varied >= 50, (cuts, varied)
+
+
+def test_contractions_keep_tightness_and_both_classes():
+    # contract trusts its cut and its input; the theorems it rests on
+    # (Lovász & Plummer) are checked here instead, on every contraction
+    graphs = [catalog("horton").graph, catalog("asano").graph]
+    graphs += [rec.graph for rec in generate(24) if not rec.is_brace]
+    graphs += [_cycle_plus_chords(30, seed) for seed in (1, 2, 3)]
+    routes = Counter()
+    for g in graphs:
+        for h, cut, quotients in _decomposition_steps(g):
+            if cut is None:
+                continue
+            assert is_tight(h, cut)
+            assert all(is_matching_covered(q) for q in quotients)
+            cubic = h.is_regular(3) and cubic_three_connected(h)
+            if cubic:
+                assert all(q.is_regular(3) and cubic_three_connected(q) for q in quotients)
+            routes[cubic] += 1
+    # one contraction per brace beyond the first, whatever cuts are picked
+    assert routes == {True: 42, False: 56}
 
 
 def test_general_route_without_matching_coverage_raises_or_stays_tight():

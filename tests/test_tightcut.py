@@ -6,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from barnette import tightcut
+from barnette import matching, tightcut
 from barnette.bruteforce import cubic_bipartite_classes, oracle_is_tight
 from barnette.canon import canonical_form
 from barnette.catalog import catalog
+from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, Cut, GraphError, connected_components, with_colouring
 from barnette.matching import has_perfect_matching, is_matching_covered
 from barnette.tightcut import (
@@ -171,6 +172,27 @@ def test_contract_rejects_loose_cut(cube):
         contract(cube, cut)
 
 
+def test_contract_colour_count_agrees_with_is_tight(cube, k33, c6):
+    # on matching covered input the colour count is is_tight's own test
+    twelve = next(rec.graph for rec in generate(12) if rec.n == 12)
+    tight = []
+    for g in (cube, k33, c6, twelve):
+        tight.append(0)
+        for shore in range(1, g.full_mask):
+            cut = Cut.from_shore(g, shore)
+            expected = is_tight(g, cut)
+            for side in ("shore", "complement"):
+                try:
+                    contract(g, cut, side)
+                except GraphError:
+                    assert not expected
+                else:
+                    assert expected
+            tight[-1] += expected
+    # the braces have only their 2n trivial shores; C6 adds its six 3-paths
+    assert tight == [16, 12, 18, 24]
+
+
 def test_cut_from_edge_ids_round_trip(asano):
     g = asano.graph
     cut = find_nontrivial_tight_cut(g)
@@ -242,11 +264,24 @@ def test_cut_labels_disconnected(cube):
 def test_cut_labels_are_computed_once_per_piece(monkeypatch):
     calls = []
     monkeypatch.setattr(tightcut, "cut_labels", lambda g: calls.append(g) or cut_labels(g))
+    allowed = []
+    real_allowed = matching.allowed_edges
+
+    def counting(g):
+        allowed.append(g)
+        return real_allowed(g)
+
+    monkeypatch.setattr(matching, "allowed_edges", counting)
+    monkeypatch.setattr(tightcut, "allowed_edges", counting)
     result = tight_cut_decomposition(catalog("horton").graph)
     pieces = 2 * len(result.trace) + 1
     assert (pieces, sum(result.braces.values())) == (7, 4)
-    # one per piece for the search, and contract's two invariant checks per side
-    assert len(calls) == pieces + 4 * len(result.trace)
+    # one per piece for the search; contract reads only colours
+    assert len(calls) == pieces
+    # the entry check is the only matching coveredness test
+    assert len(allowed) == 1
+    tight_cut_decomposition(catalog("asano").graph)
+    assert len(allowed) == 2
 
 
 def test_laminar_utilities(c6):
