@@ -1,7 +1,7 @@
 """Brute-force oracles used to audit the main engines.
 
-The class counts enumerate biadjacency matrices row by row but de-duplicate
-through ``canon.canonical_form``, the kernel that names generated records.
+The class counts enumerate biadjacency matrices row by row and de-duplicate
+through ``canon.canonical_form``, a kernel the generator does not use.
 The small Pfaffian and tightness verdicts try every orientation or perfect
 matching and share no logic with the solver.  Slow and bounded on purpose.
 """

@@ -24,10 +24,10 @@ work to what can still split:
 
 Horton (96 vertices), one Xeon core: 27 leaves, 0.03 s (0.05 s with list cells); 2,016 unpruned.
 
-This is the general route: it serves non-planar input (braces, the oracles)
-and verification (``generator.verify_record``).  The generator rejects its
-duplicates by ``embedding.planar_code`` instead and asks for this form only
-once per admitted class.
+This is the general route: it names braces, the oracle's classes and the
+records ``barnette verify`` reads.  The generator rejects duplicates and
+names its records by ``embedding.planar_code`` alone, so this form is an
+independent witness for it.
 """
 
 from __future__ import annotations

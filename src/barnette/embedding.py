@@ -76,14 +76,15 @@ def euler_check(g: BipartiteGraph, emb: RotationEmbedding) -> bool:
 
 def planar_code(g: BipartiteGraph, emb: RotationEmbedding) -> tuple[int, ...]:
     """Isomorphism invariant of a connected embedded graph, mirror images
-    equal: the code half of ``planar_code_and_automorphisms``."""
+    equal: the code part of ``planar_code_and_automorphisms``."""
     return planar_code_and_automorphisms(g, emb)[0]
 
 
 def planar_code_and_automorphisms(
     g: BipartiteGraph, emb: RotationEmbedding
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The planar code, and the automorphisms its ties give, from one scan.
+) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
+    """The planar code, the first tie's BFS order, and the automorphisms the
+    ties give, from one scan.
 
     The code is the lexicographic minimum, over every dart (v, e) and both
     senses of the rotation, of a BFS code: v gets label 0; vertices are taken
@@ -92,7 +93,9 @@ def planar_code_and_automorphisms(
     emitting every neighbour's label, then -1.  The code rebuilds the
     embedding, so equal codes mean isomorphic embeddings; a 3-connected
     planar graph has one embedding up to mirror image (Whitney), so there it
-    decides graph isomorphism (Weinberg 1966; plantri's planar_code).
+    decides graph isomorphism (Weinberg 1966; plantri's planar_code).  The
+    code fixes every adjacency by label, so g relabelled by a minimal tie's
+    BFS order (order[k] becomes k) is there a canonical form.
 
     Each (sense, dart) attaining the minimum is a tie.  With O1 the BFS
     order of the first tie and Oi that of tie i, O1[k] -> Oi[k] carries one
@@ -125,7 +128,7 @@ def planar_code_and_automorphisms(
                 best, orders = code, [order]
     # pairs (O1[k], Oi[k]) sorted by vertex list the images of 0, 1, ..., n-1
     maps = [tuple(w for _, w in sorted(zip(orders[0], order))) for order in orders]
-    return tuple(best or ()), maps
+    return tuple(best or ()), orders[0] if orders else [], maps
 
 
 def _bfs_code(n: int, walk: dict, v0: int, e0: int, best: Optional[list[int]]) -> Optional[tuple[list, list]]:

@@ -10,17 +10,17 @@ checking downstream.
 Duplicates are rejected by the planar code of the rotation system each
 candidate carries (``embedding.planar_code_and_automorphisms``), which
 decides isomorphism because every surgery checks that its result is
-3-connected.  Only a candidate with a new code gets its family and its
-graph6 canonical form, so ``canon.canonical_form`` runs once per admitted
-class; buckets stay keyed and ordered by that form.
+3-connected; buckets are keyed and ordered by it.  A candidate with a new
+code gets its family and its name, the graph6 string under the code's BFS
+order: a canonical form on the class, independent of ``canon``.
 
 The same scan gives each graph its automorphisms, held until it is
 expanded.  Both surgeries commute with automorphisms and mirrors, so the
 candidate at a vertex, or at a pair of edges (two edges of a 3-connected
 plane graph share at most one face), has the planar code of the candidate
 at its orbit's first member and would be rejected: skipping it is exact.
-Sites keep their old order and the first of each orbit is expanded, so
-every record, ``parent_canonical`` and ``site`` is unchanged.
+Sites keep their order and only the first of each orbit is expanded, so
+every record is the one that expanding every site gives.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .canon import canonical_form
 from .catalog import catalog
 from .embedding import (
     RotationEmbedding,
@@ -46,6 +45,7 @@ from .expansion import (
 )
 from .graphs import BipartiteGraph, GraphError
 from .hamiltonicity import HamiltonicityEngine, is_pk_hamiltonian, has_h_plus_minus
+from .io import adjacency_bits, graph6_from_bitstring
 from .matching import is_brace
 from .tightcut import (
     cubic_three_connected,
@@ -58,6 +58,9 @@ from .tightcut import (
 
 @dataclass(frozen=True)
 class GenerationRecord:
+    """A class member; ``canonical`` names it, and ``parent_canonical`` the
+    record expanded at ``site``, by graph6 under the planar code's order."""
+
     graph: BipartiteGraph
     embedding: RotationEmbedding
     family: TightCutFamily
@@ -83,38 +86,33 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
     if n_max < 8 or n_max % 2 != 0:
         raise GraphError("generation bound must be an even number, at least 8")
     seed = catalog("cube")
+    code, order, group = planar_code_and_automorphisms(seed.graph, seed.rotation)
     root = GenerationRecord(
         graph=seed.graph,
         embedding=seed.rotation,
         family=(),
-        canonical=canonical_form(seed.graph),
+        canonical=graph6_from_bitstring(8, adjacency_bits(seed.graph, order)),
     )
-    buckets: dict[int, dict[str, GenerationRecord]] = {8: {root.canonical: root}}
-    code, group = planar_code_and_automorphisms(seed.graph, seed.rotation)
-    seen = {code}
+    buckets: dict[int, dict[tuple[int, ...], GenerationRecord]] = {8: {code: root}}
     # automorphisms of the records still to be expanded, dropped on expansion
-    groups = {root.canonical: group}
+    groups = {code: group}
 
     def admit(parent, site, g2, emb2, update_family, *args) -> None:
         """Keep a candidate whose planar code is new, with its updated family."""
-        code, group = planar_code_and_automorphisms(g2, emb2)
-        if code in seen:
+        code, order, group = planar_code_and_automorphisms(g2, emb2)
+        level = buckets.setdefault(g2.n, {})
+        if code in level:
             return
         fam = update_family(parent.family, g2, *args)
         if not _family_bound_ok(fam, g2.n):
             raise GraphError("family outgrew its bound")
-        seen.add(code)
-        canonical = canonical_form(g2)
-        level = buckets.setdefault(g2.n, {})
-        if canonical in level:
-            raise GraphError("planar code split an isomorphism class")
         if g2.n + 4 <= n_max:
-            groups[canonical] = group
-        level[canonical] = GenerationRecord(
+            groups[code] = group
+        level[code] = GenerationRecord(
             graph=g2,
             embedding=emb2,
             family=fam,
-            canonical=canonical,
+            canonical=graph6_from_bitstring(g2.n, adjacency_bits(g2, order)),
             parent_canonical=parent.canonical,
             site=site,
         )
@@ -123,14 +121,14 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         bucket = buckets.get(n)
         if not bucket:
             continue
-        for canonical in sorted(bucket):
-            rec = bucket[canonical]
+        for code in sorted(bucket):
+            rec = bucket[code]
             if not braces_only or rec.is_brace:
                 yield rec
             if n + 4 > n_max:
                 continue
             g, emb = rec.graph, rec.embedding
-            group = groups.pop(canonical)
+            group = groups.pop(code)
             if n + 6 <= n_max:
                 for v in _first_of_each_orbit(range(n), lambda v: (v,), group):
                     g2, emb2, cut = cube_expand(g, emb, v)
@@ -167,8 +165,9 @@ def class_counts(n_max: int) -> dict[int, int]:
 def verify_record(rec: GenerationRecord) -> dict:
     """Re-derive everything the record claims; the report lists each check.
 
-    The name is not re-checked: ``generate`` and ``barnette verify`` both
-    compute it with ``canonical_form`` on this same frozen graph.  A graph
+    The name is not re-checked: ``generate`` takes it from the planar code
+    and ``barnette verify`` from ``canonical_form``, each on this same frozen
+    graph.  A graph
     that is not cubic and 3-connected fails ``three_connected`` and
     ``family_complete`` rather than raising, and one that is not bipartite
     fails every check that needs the colouring.

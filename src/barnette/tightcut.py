@@ -34,7 +34,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .canon import canonical_form
 from .graphs import (
@@ -127,23 +127,25 @@ def cubic_three_connected(g: BipartiteGraph) -> bool:
     return _three_connected_labels(g) is not None
 
 
-def _three_connected_labels(g: BipartiteGraph) -> Optional[list[int]]:
-    """The cut labels of a cubic g when it is 3-connected, else None."""
+def _three_connected_labels(g: BipartiteGraph) -> Optional[tuple[int, ...]]:
+    """The cut labels of a cubic g when it is 3-connected, else None;
+    cached on g (``()`` for None), so its check and its scan share them."""
     if not g.is_regular(3):
         raise GraphError("cubic graph expected")
-    labels = cut_labels(g) if g.n >= 4 else None
-    if labels is None or 0 in labels or len(set(labels)) != len(labels):
-        return None
-    return labels
+    cached = getattr(g, "_three_connected_labels_cache", None)
+    if cached is None:
+        labels = cut_labels(g) if g.n >= 4 else None
+        ok = labels is not None and 0 not in labels and len(set(labels)) == len(labels)
+        cached = tuple(labels) if ok else ()
+        object.__setattr__(g, "_three_connected_labels_cache", cached)
+    return cached or None
 
 
 def _disconnecting_triples(
-    g: BipartiteGraph,
-    labels: list[int],
-    rng: Optional[random.Random] = None,
-    first_only: bool = False,
-) -> list[frozenset[int]]:
-    """3-matchings whose removal disconnects g, in the order of their first pair.
+    g: BipartiteGraph, labels: tuple[int, ...], rng: Optional[random.Random] = None
+) -> Iterator[frozenset[int]]:
+    """3-matchings whose removal disconnects g, each once, in the order of
+    their first pair; lazily, so a caller that needs one stops there.
 
     Needs a 3-edge-connected g and its cut labels, non-zero and distinct:
     the third edge of a disconnecting triple through disjoint e and f is
@@ -163,7 +165,6 @@ def _disconnecting_triples(
         rng.shuffle(pairs)
     edge_of = {label: eid for eid, label in enumerate(labels)}
     found: set[frozenset[int]] = set()
-    order: list[frozenset[int]] = []
     for e, f in pairs:
         b = edge_of.get(labels[e] ^ labels[f])
         if b is None:
@@ -171,10 +172,7 @@ def _disconnecting_triples(
         triple = frozenset((e, f, b))
         if triple not in found:
             found.add(triple)
-            order.append(triple)
-            if first_only:
-                return order
-    return order
+            yield triple
 
 
 def _cut_from_triple(g: BipartiteGraph, triple: frozenset[int]) -> Cut:
@@ -205,13 +203,10 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     are sorted by edge-id triple.
     """
     g._require_colour()
-    if not g.is_regular(3):
-        raise GraphError("cubic graph expected")
     labels = _three_connected_labels(g)
     if labels is None:
         raise GraphError("graph is not 3-connected")
-    triples = _disconnecting_triples(g, labels)
-    cuts = [_cut_from_triple(g, t) for t in triples]
+    cuts = [_cut_from_triple(g, t) for t in _disconnecting_triples(g, labels)]
     cuts.sort(key=lambda c: sorted(c.edge_ids))
     return cuts
 
@@ -271,8 +266,8 @@ def find_nontrivial_tight_cut(
         return None
     labels = _three_connected_labels(g) if g.is_regular(3) else None
     if labels is not None:
-        triples = _disconnecting_triples(g, labels, rng=rng, first_only=True)
-        return _cut_from_triple(g, triples[0]) if triples else None
+        triple = next(_disconnecting_triples(g, labels, rng), None)
+        return None if triple is None else _cut_from_triple(g, triple)
     return _general_tight_cut(g, rng)
 
 
@@ -409,7 +404,7 @@ def is_cyclically_4_connected(g: BipartiteGraph) -> bool:
     k-vertex tree side emits k+2 edges).
     """
     labels = _three_connected_labels(g)
-    return labels is not None and not _disconnecting_triples(g, labels, first_only=True)
+    return labels is not None and next(_disconnecting_triples(g, labels), None) is None
 
 
 # ---------------------------------------------------------------------------

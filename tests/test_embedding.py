@@ -19,6 +19,7 @@ from barnette.embedding import (
     planar_code,
     planar_code_and_automorphisms,
 )
+from barnette.io import adjacency_bits, graph6_from_bitstring
 
 
 def test_cube_rotation_is_planar(cube, cube_rotation):
@@ -140,10 +141,11 @@ def _graph_automorphism_count(g):
 def test_planar_code_ties_give_the_automorphism_group(cube, cube_rotation):
     # VF2 counts the automorphisms of the abstract graph, independently of
     # any embedding; the ties must give exactly that many distinct maps
-    assert len(planar_code_and_automorphisms(cube, cube_rotation)[1]) == 48
+    assert len(planar_code_and_automorphisms(cube, cube_rotation)[2]) == 48
     for g, emb in [(cube, cube_rotation)] + [(r.graph, r.embedding) for r in generate(20)]:
-        code, maps = planar_code_and_automorphisms(g, emb)
+        code, order, maps = planar_code_and_automorphisms(g, emb)
         assert code == planar_code(g, emb)
+        assert sorted(order) == list(range(g.n))
         assert maps[0] == tuple(range(g.n))
         assert len(set(maps)) == len(maps) == _graph_automorphism_count(g)
         edges = set(g.edges)
@@ -186,6 +188,21 @@ def test_planar_code_ignores_labels_and_mirroring():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert planar_code(*_relabelled(g, emb, perm)) == code
+
+
+def test_first_tie_order_names_records_canonically():
+    # relabelled and mirrored copies of a record get the record's own name
+    rng = random.Random(5)
+    for rec in generate(20):
+        g, emb = rec.graph, rec.embedding
+        copies = [(g, RotationEmbedding(tuple(r[::-1] for r in emb.rotation)))]
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copies.append(_relabelled(g, emb, perm))
+        for h, h_emb in copies:
+            order = planar_code_and_automorphisms(h, h_emb)[1]
+            assert graph6_from_bitstring(h.n, adjacency_bits(h, order)) == rec.canonical
 
 
 def test_planar_code_separates_the_first_members():

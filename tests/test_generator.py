@@ -5,10 +5,14 @@ import sys
 
 import pytest
 
-from barnette import generator
+from barnette import canon, generator, tightcut
 from barnette.canon import canonical_form
 from barnette.catalog import catalog
-from barnette.embedding import facial_c4_expansion_sites, planar_code
+from barnette.embedding import (
+    RotationEmbedding,
+    facial_c4_expansion_sites,
+    planar_code_and_automorphisms,
+)
 from barnette.expansion import (
     ExpansionSite,
     c4_expand,
@@ -25,8 +29,8 @@ from barnette.generator import (
     verify_record,
 )
 from barnette.graphs import GraphError
-from barnette.io import to_bgf
-from barnette.tightcut import contract
+from barnette.io import adjacency_bits, from_bgf, graph6_from_bitstring, to_bgf
+from barnette.tightcut import contract, cut_from_edge_ids, cut_labels
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "class_counts.json"
 GOLDEN_RECORDS = pathlib.Path(__file__).parent / "golden" / "generation_records.json"
@@ -59,12 +63,52 @@ def test_generation_matches_golden():
         got.append(
             {
                 "canonical": rec.canonical,
+                "canonical_form": canonical_form(rec.graph),
                 "parent_canonical": rec.parent_canonical,
                 "site": None if rec.site is None else rec.site.describe(),
                 "bgf_sha256": hashlib.sha256(text.encode()).hexdigest(),
             }
         )
     assert got == golden["records"]
+
+
+def test_canonical_forms_of_records_are_distinct():
+    # the planar code admits one record per class: canon's independent
+    # kernel must find no two of them isomorphic
+    forms = [canonical_form(rec.graph) for rec in generate(24)]
+    assert len(forms) == len(set(forms)) == 55
+
+
+def test_generation_makes_no_canonical_form_call(monkeypatch):
+    # every canonical_form call refines, whichever module holds the function
+    assert not any(
+        getattr(v, "__module__", None) == canon.__name__ for v in vars(generator).values()
+    )
+    calls = []
+    refine = canon._refine
+    monkeypatch.setattr(canon, "_refine", lambda *a: calls.append(a) or refine(*a))
+    canonical_form(catalog("cube").graph)
+    assert calls
+    calls.clear()
+    assert len(list(generate(24))) == 55
+    assert calls == []
+
+
+def test_verify_record_computes_cut_labels_once(monkeypatch):
+    # records rebuilt from their bgf text, as barnette verify reads them
+    records = []
+    for rec in generate(24):
+        cuts = [(i, sorted(c.edge_ids)) for i, c in enumerate(rec.family)]
+        text = to_bgf(rec.graph, rotation=rec.embedding.rotation, cuts=cuts)
+        g, rotation, triples = from_bgf(text)
+        family = tuple(cut_from_edge_ids(g, ids) for _label, ids in triples)
+        records.append(
+            GenerationRecord(g, RotationEmbedding(rotation), family, rec.canonical)
+        )
+    calls = []
+    monkeypatch.setattr(tightcut, "cut_labels", lambda g: calls.append(g) or cut_labels(g))
+    assert all(verify_record(rec)["ok"] for rec in records)
+    assert len(calls) == len(records) == 55
 
 
 def test_generation_bound_validation():
@@ -144,33 +188,29 @@ def _reference_generate(n_max: int, braces_only: bool = False):
     if n_max < 8 or n_max % 2 != 0:
         raise GraphError("generation bound must be an even number, at least 8")
     seed = catalog("cube")
+    code, order, _group = planar_code_and_automorphisms(seed.graph, seed.rotation)
     root = GenerationRecord(
         graph=seed.graph,
         embedding=seed.rotation,
         family=(),
-        canonical=canonical_form(seed.graph),
+        canonical=graph6_from_bitstring(8, adjacency_bits(seed.graph, order)),
     )
-    buckets: dict[int, dict[str, GenerationRecord]] = {8: {root.canonical: root}}
-    seen = {planar_code(seed.graph, seed.rotation)}
+    buckets: dict[int, dict[tuple[int, ...], GenerationRecord]] = {8: {code: root}}
 
     def admit(parent, site, g2, emb2, update_family, *args) -> None:
         """Keep a candidate whose planar code is new, with its updated family."""
-        code = planar_code(g2, emb2)
-        if code in seen:
+        code, order, _group = planar_code_and_automorphisms(g2, emb2)
+        level = buckets.setdefault(g2.n, {})
+        if code in level:
             return
         fam = update_family(parent.family, g2, *args)
         if not _family_bound_ok(fam, g2.n):
             raise GraphError("family outgrew its bound")
-        seen.add(code)
-        canonical = canonical_form(g2)
-        level = buckets.setdefault(g2.n, {})
-        if canonical in level:
-            raise GraphError("planar code split an isomorphism class")
-        level[canonical] = GenerationRecord(
+        level[code] = GenerationRecord(
             graph=g2,
             embedding=emb2,
             family=fam,
-            canonical=canonical,
+            canonical=graph6_from_bitstring(g2.n, adjacency_bits(g2, order)),
             parent_canonical=parent.canonical,
             site=site,
         )
@@ -179,8 +219,8 @@ def _reference_generate(n_max: int, braces_only: bool = False):
         bucket = buckets.get(n)
         if not bucket:
             continue
-        for canonical in sorted(bucket):
-            rec = bucket[canonical]
+        for code in sorted(bucket):
+            rec = bucket[code]
             if not braces_only or rec.is_brace:
                 yield rec
             g, emb = rec.graph, rec.embedding

@@ -273,7 +273,9 @@ def test_cut_labels_are_computed_once_per_piece(monkeypatch):
 
     monkeypatch.setattr(matching, "allowed_edges", counting)
     monkeypatch.setattr(tightcut, "allowed_edges", counting)
-    result = tight_cut_decomposition(catalog("horton").graph)
+    # a fresh copy: labels are cached on the graph, and catalog graphs are shared
+    horton = catalog("horton").graph
+    result = tight_cut_decomposition(BipartiteGraph(horton.n, horton.edges, horton.colour))
     pieces = 2 * len(result.trace) + 1
     assert (pieces, sum(result.braces.values())) == (7, 4)
     # one per piece for the search; contract reads only colours
