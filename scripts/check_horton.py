@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Verify non-Hamiltonicity of the 96-vertex Horton graph by exhaustive
-search.  This is the one catalog fact too slow for the default test suite;
-expect a long run (hours, depending on hardware).  Everything else about the
-graph — order, regularity, connectivity, brace decomposition — is covered by
-the normal tests.
+search on the whole graph.  The test suite decides it in well under a second
+(tests/test_acceptance.py, criterion 09) by folding the query over Horton's
+3-edge-cut pieces, three B-Horton braces around a K3,3; this script is the
+slow witness that shares no piece tree with that route: `find_hamiltonian_cycle`
+on the whole graph, which runs for hours, depending on hardware.
 """
 
 import pathlib

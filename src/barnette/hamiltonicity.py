@@ -23,6 +23,25 @@ H-plus-minus when for every ordered pair of distinct edges some Hamiltonian
 cycle contains the first and avoids the second.  The engine indexes found
 cycles by edge, and the predicates read that index in their own loops, so only
 the queries no kept cycle serves reach the solver, in a cache scan's order.
+
+Across 3-edge cuts the engine does not search the whole graph.  A cycle
+crosses every edge cut an even number of times, and a spanning one at least
+once, so a Hamiltonian cycle of G crosses each 3-edge cut exactly twice and
+avoids exactly one of its edges.  Collapsing either side of the cut to one
+vertex therefore turns it into a Hamiltonian cycle of that contraction, which
+enters and leaves the new vertex along the same two edges; conversely, two
+cycles of the contractions that avoid the same cut edge glue into one of G.
+For a coloured, cubic, 3-connected G with a non-trivial 3-edge cut, the
+engine contracts a maximal laminar family of them once (`_PieceTree`): the
+pieces are G's braces, joined in a tree by the cuts.  A query is answered
+bottom-up over that tree.  For each piece it finds the set of edges of its
+parent cut that some cycle of its subtree, obeying the query, avoids; at the
+parent's contraction vertex, whose cycle avoids exactly one of the three
+edges, that set is one constraint: an empty set makes the query infeasible,
+one edge must be avoided, two leave the third to contain, and three
+constrain nothing.  So no piece is searched for all 3^k patterns of its k
+contraction vertices, and the cost grows with the pieces rather than with
+their product.  G's cycle is then glued top-down from one cycle per piece.
 """
 
 from __future__ import annotations
@@ -30,8 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import BipartiteGraph, GraphError
+from .graphs import BipartiteGraph, Cut, GraphError, bits
 from .matching import PerfectMatching
+from .tightcut import cubic_three_connected, find_tight_cuts_cubic, maximal_laminar_family
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -92,7 +112,7 @@ class _State:
         self.g = g
         self.status = [_UNDECIDED] * g.edge_count
         self.deg_in = [0] * g.n
-        self.avail = [g.degree(v) for v in range(g.n)]
+        self.avail = list(map(len, g.neighbours))
         self.link = list(range(g.n))
         self.in_count = 0
         self.trail: list[tuple[int, int, int]] = []
@@ -175,19 +195,24 @@ class _State:
 
     def extract_cycle(self) -> HamiltonianCycle:
         g = self.g
-        chosen = [eid for eid in range(g.edge_count) if self.status[eid] == _IN]
-        order = [0]
-        prev = -1
-        while len(order) < g.n:
-            here = order[-1]
-            for eid in g.incident[here]:
-                if self.status[eid] == _IN:
-                    nxt = g.other_end(eid, here)
-                    if nxt != prev:
-                        prev = here
-                        order.append(nxt)
-                        break
-        return HamiltonianCycle(tuple(order), frozenset(chosen))
+        return _cycle_through(g, frozenset(e for e in range(g.edge_count) if self.status[e] == _IN))
+
+
+def _cycle_through(g: BipartiteGraph, edge_ids: frozenset[int]) -> HamiltonianCycle:
+    """The spanning cycle on ``edge_ids``, walked from vertex 0 along ``g.incident``."""
+    edges, incident = g.edges, g.incident
+    order = [0]
+    prev = here = 0
+    while len(order) < g.n:
+        for eid in incident[here]:
+            if eid in edge_ids:
+                u, v = edges[eid]
+                nxt = u ^ v ^ here
+                if nxt != prev:
+                    prev, here = here, nxt
+                    order.append(nxt)
+                    break
+    return HamiltonianCycle(tuple(order), edge_ids)
 
 
 def find_hamiltonian_cycle(
@@ -199,24 +224,13 @@ def find_hamiltonian_cycle(
 
     Returns None when no such cycle exists.  Overlapping constraint sets and
     forced sets that are not disjoint unions of paths raise GraphError; an
-    unsatisfiable but well-formed query simply returns None.  Forced edges
-    go in first, through ``_State.set_in``, which refuses a third edge at a
-    vertex and a cycle that closes before it spans.
+    unsatisfiable but well-formed query simply returns None.
     """
     forced = frozenset(forced)
     forbidden = frozenset(forbidden)
-    if forced & forbidden:
-        raise GraphError("an edge is both forced and forbidden")
-    for eid in forced | forbidden:
-        if not 0 <= eid < g.edge_count:
-            raise GraphError(f"edge id {eid} out of range")
+    st = _forced_state(g, forced, forbidden)
     if g.n < 3:
         return None
-
-    st = _State(g)
-    for eid in sorted(forced):
-        if not st.set_in(eid):
-            raise GraphError("forced edges must form a disjoint union of paths")
     for eid in forbidden:
         if not st.set_out(eid):
             return None
@@ -225,6 +239,23 @@ def find_hamiltonian_cycle(
     if _solve(st):
         return st.extract_cycle()
     return None
+
+
+def _forced_state(g: BipartiteGraph, forced: frozenset[int], forbidden: frozenset[int]) -> _State:
+    """A fresh search state with the forced edges in; GraphError on a
+    malformed query.  Forced edges go in through ``_State.set_in``, which
+    refuses a third edge at a vertex and a cycle that closes before it spans.
+    """
+    if forced & forbidden:
+        raise GraphError("an edge is both forced and forbidden")
+    for eid in forced | forbidden:
+        if not 0 <= eid < g.edge_count:
+            raise GraphError(f"edge id {eid} out of range")
+    st = _State(g)
+    for eid in sorted(forced):
+        if not st.set_in(eid):
+            raise GraphError("forced edges must form a disjoint union of paths")
+    return st
 
 
 def _branch_edge(st: _State) -> int:
@@ -266,7 +297,7 @@ def _solve(st: _State) -> bool:
 
 
 def is_hamiltonian(g: BipartiteGraph) -> bool:
-    return find_hamiltonian_cycle(g) is not None
+    return HamiltonicityEngine(g).cycle_with() is not None
 
 
 def cycle_to_matchings(
@@ -287,13 +318,13 @@ def cycle_to_matchings(
     return m0, m1
 
 
-class HamiltonicityEngine:
-    """Cycle-query engine over one graph with a per-edge index of found cycles.
+class _CycleIndex:
+    """Cycle queries over one graph, with a per-edge index of found cycles.
 
     Kept cycle i sets bit i of ``every`` and of ``holding[e]`` for each of its
     edges e, so the cycles serving a query are the mask ``every &
     AND(holding[contains]) & ~OR(holding[avoids])``; its lowest bit names the
-    first kept, which a scan would return, and the solver runs only when it
+    first kept, which a scan would return, and the search runs only when it
     is 0.  Failed queries are not kept: each predicate stops at its first
     failure, and no two predicates ask the same query.
     """
@@ -310,8 +341,9 @@ class HamiltonicityEngine:
         avoids: Iterable[int] = (),
     ) -> Optional[HamiltonianCycle]:
         contains, avoids = tuple(contains), tuple(avoids)
+        m = self.g.edge_count
         for eid in contains + avoids:
-            if not 0 <= eid < self.g.edge_count:
+            if not 0 <= eid < m:
                 raise GraphError(f"edge id {eid} out of range")
         mask = self.every
         for eid in contains:
@@ -320,7 +352,7 @@ class HamiltonicityEngine:
             mask &= ~self.holding[eid]
         if mask:
             return self.cycles[(mask & -mask).bit_length() - 1]
-        cycle = find_hamiltonian_cycle(self.g, contains, avoids)
+        cycle = self._search(contains, avoids)
         if cycle is not None:
             bit = 1 << len(self.cycles)
             self.cycles.append(cycle)
@@ -328,6 +360,226 @@ class HamiltonicityEngine:
             for eid in cycle.edge_ids:
                 self.holding[eid] |= bit
         return cycle
+
+    def _search(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+        return find_hamiltonian_cycle(self.g, contains, avoids)
+
+
+class HamiltonicityEngine(_CycleIndex):
+    """Cycle-query engine over one graph: the per-edge index of `_CycleIndex`,
+    with misses folded over the 3-edge-cut piece tree when g has one.
+
+    A coloured, cubic, 3-connected g with a non-trivial 3-edge cut gets a
+    `_PieceTree`, built once here; every other graph, braces included, sends
+    its misses to `find_hamiltonian_cycle` on the whole graph.
+    """
+
+    def __init__(self, g: BipartiteGraph):
+        super().__init__(g)
+        self.tree = _PieceTree.of(g)
+
+    def _search(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+        if self.tree is None:
+            return super()._search(contains, avoids)
+        return self.tree.cycle_with(contains, avoids)
+
+
+class _Piece:
+    """One piece of a `_PieceTree`, with its own cycle index.
+
+    ``edge_of[e]`` is the G-edge id of piece edge e.  ``up`` holds the piece
+    edge ids at the contraction vertex of the cut to the parent piece, in the
+    order of that cut's G-edge ids, and is empty at the root; each entry of
+    ``kids`` is a child piece with the piece edge ids at its cut's vertex
+    here, in the same order.  Unlike G's, a piece's failed queries recur, once
+    per query of G that meets the piece the same way, so it keeps them.
+    """
+
+    __slots__ = ("index", "edge_of", "parent", "up", "kids", "refuted")
+
+    def __init__(self, graph: BipartiteGraph, edge_of: tuple[int, ...], parent: int, up: tuple[int, ...], kids: list):
+        self.index = _CycleIndex(graph)
+        self.edge_of, self.parent, self.up, self.kids = edge_of, parent, up, kids
+        self.refuted: set[tuple[frozenset[int], frozenset[int]]] = set()
+
+    def cycle(self, contains: frozenset[int], avoids: frozenset[int]) -> Optional[HamiltonianCycle]:
+        """A cycle of the piece for the query, None when none serves it.
+
+        Constraints that overlap, or forced edges that meet three times or
+        close early at a contraction vertex, are a pattern no cycle of the
+        piece has, not a malformed query: G's query was checked whole.
+        """
+        if contains & avoids or (contains, avoids) in self.refuted:
+            return None
+        try:
+            cycle = self.index.cycle_with(contains, avoids)
+        except GraphError:
+            cycle = None
+        if cycle is None:
+            self.refuted.add((contains, avoids))
+        return cycle
+
+
+class _PieceTree:
+    """The pieces of a maximal laminar family of non-trivial 3-edge cuts of G,
+    and the fold of G's cycle queries over them.
+
+    Each piece collapses, for each family cut bounding its region, the far
+    side of the cut to one contraction vertex, which takes the majority
+    colour of that side, as in `contract`.  The pieces are G's braces, and
+    each keeps the three G-edge ids of every cut it meets.  They are numbered
+    top-down from the largest piece, the root, so a parent's number is less
+    than its children's.  ``free`` and ``chosen`` hold the fold and the
+    cycles of the query with no constraint.
+    """
+
+    def __init__(self, g: BipartiteGraph, family: list[Cut]):
+        self.g = g
+        full = g.full_mask
+        # Each cut's side away from vertex 0, smallest first.  These sides are
+        # nested or disjoint, so region j, inside side j and outside every
+        # smaller side, meets region outer[j], the least side strictly
+        # containing side j, across cut j.  The last region, k, is all of G.
+        cuts = []
+        for cut in family:
+            side = full ^ cut.shore if cut.shore & 1 else cut.shore
+            cuts.append((side.bit_count(), side, tuple(sorted(cut.edge_ids))))
+        cuts.sort()
+        k = len(cuts)
+        sides = [side for _, side, _ in cuts] + [full]
+        outer = [next(i for i in range(j + 1, k + 1) if not sides[j] & ~sides[i]) for j in range(k)]
+        colour_a = g.colour_mask("A")
+        regions, taken = [], 0
+        for j, side in enumerate(sides):
+            # the region's own vertices, then one contraction vertex per cut
+            around = [c for c in range(k) if outer[c] == j]
+            if j < k:
+                around.append(j)
+            vertex = {v: i for i, v in enumerate(bits(side & ~taken))}
+            colour = [g.colour[v] for v in vertex]
+            taken |= side
+            edge_of = {e for v in vertex for e in g.incident[v]}
+            for c in around:
+                far = full ^ side if c == j else sides[c]
+                edge_of.update(cuts[c][2])
+                for u, v in map(g.edges.__getitem__, cuts[c][2]):
+                    vertex[u if far >> u & 1 else v] = len(colour)
+                colour.append("A" if 2 * (far & colour_a).bit_count() > far.bit_count() else "B")
+            edge_of = tuple(sorted(edge_of))
+            graph = BipartiteGraph(
+                len(colour), tuple((vertex[u], vertex[v]) for u, v in map(g.edges.__getitem__, edge_of)), tuple(colour)
+            )
+            local = {eid: e for e, eid in enumerate(edge_of)}
+            regions.append((graph, edge_of, [(c, tuple(local[eid] for eid in cuts[c][2])) for c in around]))
+        # number the regions top-down from the largest piece, across the cuts
+        root = max(range(k + 1), key=lambda j: regions[j][0].n)
+        number, order = {root: 0}, [root]
+        for j in order:
+            for c, _slot in regions[j][2]:
+                other = outer[c] if c == j else c
+                if other not in number:
+                    number[other] = len(order)
+                    order.append(other)
+        self.pieces: list[_Piece] = []
+        self.places: list[list[tuple[int, int]]] = [[] for _ in range(g.edge_count)]
+        for p, j in enumerate(order):
+            graph, edge_of, slots = regions[j]
+            parent, up, kids = -1, (), []
+            for c, slot in slots:
+                other = number[outer[c] if c == j else c]
+                if other < p:
+                    parent, up = other, slot
+                else:
+                    kids.append((other, slot))
+            self.pieces.append(_Piece(graph, edge_of, parent, up, kids))
+            for e, eid in enumerate(edge_of):
+                self.places[eid].append((p, e))
+        self.free = self._fold({}, set(range(len(order))), [()] * len(order))
+        self.chosen = self._choose(self.free)
+
+    @classmethod
+    def of(cls, g: BipartiteGraph) -> Optional["_PieceTree"]:
+        """The piece tree of a coloured, cubic, 3-connected g with a
+        non-trivial 3-edge cut; None for any other g."""
+        if g.colour is None or not g.is_regular(3) or not cubic_three_connected(g):
+            return None
+        family = maximal_laminar_family(find_tight_cuts_cubic(g), g.full_mask)
+        return cls(g, family) if family else None
+
+    def cycle_with(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+        """G's cycle for the query, glued from one cycle per piece, or None.
+
+        The query is checked on G first, so it raises exactly where
+        `find_hamiltonian_cycle` would.  A G-edge constraint holds in every
+        piece that has the edge.  ``free`` and ``chosen`` keep the fold and
+        the cycles of the query with no constraint; a constrained one
+        refolds only the pieces it names and those above them whose
+        children's feasible sets moved.
+        """
+        if contains:  # with none forced, in-range ids make a well-formed query
+            _forced_state(self.g, frozenset(contains), frozenset(avoids))
+        if self.chosen is None:
+            return None
+        asks: dict[int, tuple[set[int], set[int]]] = {}
+        for side, eids in enumerate((contains, avoids)):
+            for eid in eids:
+                for p, e in self.places[eid]:
+                    asks.setdefault(p, (set(), set()))[side].add(e)
+        chosen = self._choose(self._fold(asks, set(asks), list(self.free))) if asks else self.chosen
+        if chosen is None:
+            return None
+        edges = set()
+        for piece, cycle in zip(self.pieces, chosen):
+            edges.update(piece.edge_of[e] for e in cycle.edge_ids)
+        return _cycle_through(self.g, frozenset(edges))
+
+    def _choose(self, found: list[tuple]) -> Optional[list[HamiltonianCycle]]:
+        """One cycle per piece, top-down, each avoiding at its parent cut the
+        edge its parent's cycle avoids there; None when the root has none."""
+        if found[0][0] is None:
+            return None
+        chosen = [found[0][0]] * len(self.pieces)
+        for p, piece in enumerate(self.pieces):
+            cycle = chosen[p]
+            for kid, slot in piece.kids:
+                chosen[kid] = next(c for e, c in zip(slot, found[kid]) if e not in cycle.edge_ids)
+        return chosen
+
+    def _fold(self, asks: dict, pending: set[int], found: list[tuple]) -> list[tuple]:
+        """found with the pending pieces refolded bottom-up, and a piece's
+        parent too when its entries moved; found[0] = (None,) when some
+        piece has no cycle left.
+
+        found[p] holds, for each edge of p's cut to its parent, a cycle of
+        p's subtree's pieces that avoids it, or None; the root holds one
+        cycle.  A child's entries become one constraint at its contraction
+        vertex, whose cycle avoids exactly one of its three edges: one edge
+        left open must be avoided, two leave the third to contain, three
+        constrain nothing.
+        """
+        for p in range(len(self.pieces) - 1, -1, -1):
+            if p not in pending:
+                continue
+            piece = self.pieces[p]
+            contains, avoids = (set(s) for s in asks.get(p, ((), ())))
+            for kid, slot in piece.kids:
+                open_ = [e for e, c in zip(slot, found[kid]) if c is not None]
+                if len(open_) == 1:
+                    avoids.add(open_[0])
+                elif len(open_) == 2:
+                    contains.update(e for e in slot if e not in open_)
+            contains = frozenset(contains)
+            if p:
+                cycles = tuple(piece.cycle(contains, frozenset((*avoids, e))) for e in piece.up)
+            else:
+                cycles = (piece.cycle(contains, frozenset(avoids)),)
+            if all(c is None for c in cycles):
+                found[0] = (None,)
+                return found
+            if p and [c is None for c in cycles] != [c is None for c in found[p]]:
+                pending.add(piece.parent)
+            found[p] = cycles
+        return found
 
 
 def is_pk_hamiltonian(

@@ -2,8 +2,9 @@
 
 Each criterion prints one summary line directly to the terminal (past any
 output capture) and fails on a wrong result or a blown budget.  Everything
-here goes through public entry points only; per-module behaviour is covered
-by the neighbouring test files.
+here goes through public entry points only, apart from c06's whole-graph
+reference, `conftest.RawSearchEngine`; per-module behaviour is covered by
+the neighbouring test files.
 """
 
 import random
@@ -38,7 +39,7 @@ from barnette.tightcut import (
     maximal_laminar_family,
     tight_cut_decomposition,
 )
-from conftest import random_edge_pair
+from conftest import RawSearchEngine, random_edge_pair
 
 
 @contextmanager
@@ -134,7 +135,7 @@ def test_c06_contraction_transfer_suite(generated_16, capsys):
         assert nonbraces, "suite expects at least one non-brace"
         for rec in nonbraces:
             g = rec.graph
-            engine = HamiltonicityEngine(g)
+            engine = RawSearchEngine(g)  # the whole graph is not folded over its pieces
             for cut in rec.family:
                 pieces = [
                     contract(g, cut, side).graph for side in ("shore", "complement")
@@ -211,8 +212,10 @@ def test_c09_horton_construction(capsys):
         assert braces[k33_form] == 1  # hence non-Pfaffian via its braces
         assert braces == Counter({canonical_form(bh): 3, k33_form: 1})
         assert is_pk_hamiltonian(bh, 2)
-        # non-Hamiltonicity of the 96-vertex graph itself is a long-running
-        # check, deliberately not part of the default suite
+        # not Hamiltonian: folded over its four pieces, under three labellings
+        rng = random.Random(9)
+        for h in (g, g.relabel(rng.sample(range(g.n), g.n)), g.relabel(rng.sample(range(g.n), g.n))):
+            assert HamiltonicityEngine(h).cycle_with() is None
 
 
 def test_c10_random_expansion_properties(capsys):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,16 @@ def test_check_properties_text(capsys, monkeypatch):
     assert code == 0
     assert "p5: false" in out
     assert "p4: true" in out
+
+
+def test_check_properties_decides_horton(capsys, monkeypatch):
+    # the raw search takes hours here; the piece tree takes a fraction of a second
+    _, g6, _ = run(capsys, "catalog", "horton", "--format", "graph6")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "check-properties", stdin=g6, monkeypatch=monkeypatch)
+    assert code == 0
+    assert "hamiltonian: false" in out.splitlines()
+    assert time.perf_counter() - t0 < 30
 
 
 def test_pfaffian_json_with_witness(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from typing import Iterable, Optional
 
 import pytest
 
 from barnette import hamiltonicity
+from barnette.canon import canonical_form
 from barnette.catalog import catalog
 from barnette.constructions import splice
 from barnette.embedding import faces
@@ -25,6 +27,7 @@ from barnette.hamiltonicity import (
     is_pk_hamiltonian,
     property_profile,
 )
+from barnette.tightcut import cubic_three_connected, find_tight_cuts_cubic, tight_cut_decomposition
 
 
 def test_cube_profile(cube):
@@ -544,7 +547,11 @@ def test_matches_reference_on_property_profile_queries_of_splices(monkeypatch):
 
 
 def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch):
-    # same verdicts, counterexamples, kept cycles and ordered solver calls
+    # Braces, searched whole: same verdicts, counterexamples, kept cycles and
+    # ordered solver calls as the cache scan.  Non-braces, whose misses are
+    # folded over their pieces and so keep other cycles: same verdicts and
+    # counterexamples.  Either way the predicates query the engine only on a
+    # miss, and a hit returns the first kept cycle that serves.
     log = []
     search = hamiltonicity.find_hamiltonian_cycle
 
@@ -568,7 +575,7 @@ def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch
     graphs += _ladder_splices()
     rng = random.Random(15)
     cases = graphs + [_relabelled(g, rng) for g in graphs[:-1] for _ in range(2)]
-    failures = solver_calls = 0
+    failures = solver_calls = folded = 0
     for h in cases:
         log.clear()
         expected, ref_engine = _reference_property_profile(h)
@@ -578,16 +585,24 @@ def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch
         engine = HamiltonicityEngine(h)
         got = _profile_results(h, engine, is_pk_hamiltonian, has_h_minus, has_h_plus_minus)
         assert got == expected
-        assert engine.cycles == ref_engine.cycles
-        assert log == ref_log
-        assert len(queries) == len(log)  # the predicates query the engine only on a miss
-        for _ in range(4):  # a hit returns the first kept cycle that serves
+        failed = sum(not value for value in got.values())
+        assert len(queries) == len(engine.cycles) + failed
+        if engine.tree is None:
+            assert engine.cycles == ref_engine.cycles
+            assert log == ref_log
+        folded += engine.tree is not None
+        for _ in range(4):
             e, f = rng.sample(range(h.edge_count), 2)
-            assert engine.cycle_with((e,), (f,)) == ref_engine.cycle_with((e,), (f,))
+            serving = [c for c in engine.cycles if e in c.edge_ids and f not in c.edge_ids]
+            cycle = engine.cycle_with((e,), (f,))
+            if serving:
+                assert cycle is serving[0]
+            else:
+                assert (cycle is None) == (ref_engine.cycle_with((e,), (f,)) is None)
         assert property_profile(h) == {key: bool(value) for key, value in got.items()}
-        failures += sum(not value for value in got.values())
+        failures += failed
         solver_calls += len(log)
-    assert len(cases) == 70
+    assert len(cases) == 70 and folded >= 20
     assert failures >= 50 and solver_calls >= 1000, (failures, solver_calls)
 
 
@@ -646,3 +661,109 @@ def test_worklist_reaches_the_reference_fixed_point(c6):
                 assert ok == ref.propagate()
                 verdicts[ok] += 1
     assert min(verdicts.values()) >= 300, verdicts
+
+
+def _b_horton_chain(copies: int, rng: random.Random) -> BipartiteGraph:
+    """B-Horton with copies - 1 more spliced in, each at a seeded random vertex."""
+    bh = catalog("b_horton").graph
+    g = bh
+    for _ in range(copies - 1):
+        g = splice(g, rng.randrange(g.n), bh, 0).graph
+    return g
+
+
+def _fold_cases() -> Iterable[tuple[BipartiteGraph, BipartiteGraph, list[int]]]:
+    """(g, h, back) for the non-braces of the class to 24, the ladder splices
+    and B-Horton chains on 62 and 92 vertices: h is g or one of two
+    relabellings of it, and back[e] is g's id of h's edge e."""
+    rng = random.Random(20)
+    graphs = [rec.graph for rec in generate(24) if rec.family]
+    graphs += _ladder_splices() + [_b_horton_chain(copies, rng) for copies in (2, 3)]
+    for g in graphs:
+        yield g, g, list(range(g.edge_count))
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            back = [0] * g.edge_count
+            for eid, (u, v) in enumerate(g.edges):
+                back[h.edge_id(perm[u], perm[v])] = eid
+            yield g, h, back
+
+
+def test_fold_matches_the_raw_search_on_random_queries():
+    # The raw search answers each query on g, pulled back from h: on the
+    # relabelled 92-vertex chains it can take seconds a query, which is
+    # what the fold is for.
+    rng = random.Random(2020)
+    kinds = {"raise": 0, "none": 0, "cycle": 0}
+    for g, h, back in _fold_cases():
+        engine = HamiltonicityEngine(h)
+        assert engine.tree is not None
+        for piece in engine.tree.pieces[1:]:
+            # all three edges of a cut: well-formed on G, closed early at the
+            # contraction vertex in both pieces, and crossed an odd number of times
+            assert engine.cycle_with([piece.edge_of[e] for e in piece.up]) is None
+        for _ in range(30):
+            edges = rng.sample(range(h.edge_count), 9)
+            n_forced = rng.randrange(7)
+            contains, avoids = edges[:n_forced], edges[n_forced:n_forced + rng.randrange(4)]
+            if rng.random() < 0.1:
+                contains = list(h.incident[rng.randrange(h.n)])
+            elif rng.random() < 0.1:
+                avoids += contains[:1]
+            expected = _outcome(
+                find_hamiltonian_cycle, g, [back[e] for e in contains], [back[e] for e in avoids]
+            )
+            if expected == "raise":
+                with pytest.raises(GraphError):
+                    engine.cycle_with(contains, avoids)
+                kinds["raise"] += 1
+                continue
+            cycle = engine.cycle_with(contains, avoids)
+            assert (cycle is None) == (expected is None), (h.n, contains, avoids)
+            if cycle is not None:
+                cycle.validate(h)
+                assert set(contains) <= cycle.edge_ids and not set(avoids) & cycle.edge_ids
+            kinds["none" if cycle is None else "cycle"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_piece_tree_is_the_brace_decomposition():
+    # a second route to the braces: one cut scan and a maximal laminar family
+    rng = random.Random(21)
+    graphs = [rec.graph for rec in generate(24) if rec.family]
+    graphs += _ladder_splices() + [catalog("horton").graph, _b_horton_chain(3, rng)]
+    for g in graphs:
+        tree = HamiltonicityEngine(g).tree
+        pieces = [piece.index.g for piece in tree.pieces]
+        assert Counter(canonical_form(p) for p in pieces) == tight_cut_decomposition(g).braces
+        for p in pieces:
+            assert p.is_regular(3) and cubic_three_connected(p)
+            assert find_tight_cuts_cubic(p) == []
+    for name in ("cube", "heawood", "b_horton"):
+        assert HamiltonicityEngine(catalog(name).graph).tree is None
+
+
+def test_deep_splice_chain_folds_with_one_cut_scan(monkeypatch):
+    # 200 copies of K3,3 spliced in a chain: 806 vertices, 201 pieces
+    k33 = catalog("k33").graph
+    g = k33
+    for _ in range(200):
+        g = splice(g, g.n - 1, k33, 0).graph
+    assert g.n == 806
+    scans = []
+    scan = hamiltonicity.find_tight_cuts_cubic
+    monkeypatch.setattr(hamiltonicity, "find_tight_cuts_cubic", lambda h: scans.append(h) or scan(h))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        engine = HamiltonicityEngine(g)
+        cycle = engine.cycle_with()
+        avoided = engine.cycle_with(avoids=sorted(cycle.edge_ids)[::50])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert scans == [g] and len(engine.tree.pieces) == 201
+    for found in (cycle, avoided):
+        found.validate(g)
+    assert not set(sorted(cycle.edge_ids)[::50]) & avoided.edge_ids
