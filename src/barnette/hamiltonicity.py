@@ -361,7 +361,7 @@ class _CycleIndex:
                 self.holding[eid] |= bit
         return cycle
 
-    def _search(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+    def _search(self, contains: tuple, avoids: tuple) -> Optional[HamiltonianCycle]:
         return find_hamiltonian_cycle(self.g, contains, avoids)
 
 
@@ -378,7 +378,7 @@ class HamiltonicityEngine(_CycleIndex):
         super().__init__(g)
         self.tree = _PieceTree.of(g)
 
-    def _search(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+    def _search(self, contains: tuple, avoids: tuple) -> Optional[HamiltonianCycle]:
         if self.tree is None:
             return super()._search(contains, avoids)
         return self.tree.cycle_with(contains, avoids)
@@ -397,7 +397,7 @@ class _Piece:
 
     __slots__ = ("index", "edge_of", "parent", "up", "kids", "refuted")
 
-    def __init__(self, graph: BipartiteGraph, edge_of: tuple[int, ...], parent: int, up: tuple[int, ...], kids: list):
+    def __init__(self, graph: BipartiteGraph, edge_of: tuple, parent: int, up: tuple, kids: list):
         self.index = _CycleIndex(graph)
         self.edge_of, self.parent, self.up, self.kids = edge_of, parent, up, kids
         self.refuted: set[tuple[frozenset[int], frozenset[int]]] = set()
@@ -448,29 +448,29 @@ class _PieceTree:
         k = len(cuts)
         sides = [side for _, side, _ in cuts] + [full]
         outer = [next(i for i in range(j + 1, k + 1) if not sides[j] & ~sides[i]) for j in range(k)]
+        around = [[] for _ in sides]  # the cuts bounding each region
+        for c in range(k):
+            around[outer[c]].append(c)
+            around[c].append(c)
         colour_a = g.colour_mask("A")
         regions, taken = [], 0
         for j, side in enumerate(sides):
             # the region's own vertices, then one contraction vertex per cut
-            around = [c for c in range(k) if outer[c] == j]
-            if j < k:
-                around.append(j)
             vertex = {v: i for i, v in enumerate(bits(side & ~taken))}
             colour = [g.colour[v] for v in vertex]
             taken |= side
             edge_of = {e for v in vertex for e in g.incident[v]}
-            for c in around:
+            for c in around[j]:
                 far = full ^ side if c == j else sides[c]
                 edge_of.update(cuts[c][2])
                 for u, v in map(g.edges.__getitem__, cuts[c][2]):
                     vertex[u if far >> u & 1 else v] = len(colour)
                 colour.append("A" if 2 * (far & colour_a).bit_count() > far.bit_count() else "B")
             edge_of = tuple(sorted(edge_of))
-            graph = BipartiteGraph(
-                len(colour), tuple((vertex[u], vertex[v]) for u, v in map(g.edges.__getitem__, edge_of)), tuple(colour)
-            )
+            ends = tuple((vertex[u], vertex[v]) for u, v in map(g.edges.__getitem__, edge_of))
             local = {eid: e for e, eid in enumerate(edge_of)}
-            regions.append((graph, edge_of, [(c, tuple(local[eid] for eid in cuts[c][2])) for c in around]))
+            slots = [(c, tuple(local[eid] for eid in cuts[c][2])) for c in around[j]]
+            regions.append((BipartiteGraph(len(colour), ends, tuple(colour)), edge_of, slots))
         # number the regions top-down from the largest piece, across the cuts
         root = max(range(k + 1), key=lambda j: regions[j][0].n)
         number, order = {root: 0}, [root]
@@ -506,7 +506,7 @@ class _PieceTree:
         family = maximal_laminar_family(find_tight_cuts_cubic(g), g.full_mask)
         return cls(g, family) if family else None
 
-    def cycle_with(self, contains: tuple[int, ...], avoids: tuple[int, ...]) -> Optional[HamiltonianCycle]:
+    def cycle_with(self, contains: tuple, avoids: tuple) -> Optional[HamiltonianCycle]:
         """G's cycle for the query, glued from one cycle per piece, or None.
 
         The query is checked on G first, so it raises exactly where

@@ -214,7 +214,8 @@ def test_c09_horton_construction(capsys):
         assert is_pk_hamiltonian(bh, 2)
         # not Hamiltonian: folded over its four pieces, under three labellings
         rng = random.Random(9)
-        for h in (g, g.relabel(rng.sample(range(g.n), g.n)), g.relabel(rng.sample(range(g.n), g.n))):
+        relabelled = [g.relabel(rng.sample(range(g.n), g.n)) for _ in range(2)]
+        for h in [g] + relabelled:
             assert HamiltonicityEngine(h).cycle_with() is None
 
 

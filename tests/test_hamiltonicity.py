@@ -754,7 +754,9 @@ def test_deep_splice_chain_folds_with_one_cut_scan(monkeypatch):
     assert g.n == 806
     scans = []
     scan = hamiltonicity.find_tight_cuts_cubic
-    monkeypatch.setattr(hamiltonicity, "find_tight_cuts_cubic", lambda h: scans.append(h) or scan(h))
+    monkeypatch.setattr(
+        hamiltonicity, "find_tight_cuts_cubic", lambda h: scans.append(h) or scan(h)
+    )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
