@@ -391,16 +391,14 @@ class _Piece:
     edge ids at the contraction vertex of the cut to the parent piece, in the
     order of that cut's G-edge ids, and is empty at the root; each entry of
     ``kids`` is a child piece with the piece edge ids at its cut's vertex
-    here, in the same order.  Unlike G's, a piece's failed queries recur, once
-    per query of G that meets the piece the same way, so it keeps them.
+    here, in the same order.
     """
 
-    __slots__ = ("index", "edge_of", "parent", "up", "kids", "refuted")
+    __slots__ = ("index", "edge_of", "parent", "up", "kids")
 
     def __init__(self, graph: BipartiteGraph, edge_of: tuple, parent: int, up: tuple, kids: list):
         self.index = _CycleIndex(graph)
         self.edge_of, self.parent, self.up, self.kids = edge_of, parent, up, kids
-        self.refuted: set[tuple[frozenset[int], frozenset[int]]] = set()
 
     def cycle(self, contains: frozenset[int], avoids: frozenset[int]) -> Optional[HamiltonianCycle]:
         """A cycle of the piece for the query, None when none serves it.
@@ -409,15 +407,12 @@ class _Piece:
         close early at a contraction vertex, are a pattern no cycle of the
         piece has, not a malformed query: G's query was checked whole.
         """
-        if contains & avoids or (contains, avoids) in self.refuted:
+        if contains & avoids:
             return None
         try:
-            cycle = self.index.cycle_with(contains, avoids)
+            return self.index.cycle_with(contains, avoids)
         except GraphError:
-            cycle = None
-        if cycle is None:
-            self.refuted.add((contains, avoids))
-        return cycle
+            return None
 
 
 class _PieceTree:
