@@ -546,11 +546,11 @@ class _PieceTree:
         piece has no cycle left.
 
         found[p] holds, for each edge of p's cut to its parent, a cycle of
-        p's subtree's pieces that avoids it, or None; the root holds one
-        cycle.  A child's entries become one constraint at its contraction
-        vertex, whose cycle avoids exactly one of its three edges: one edge
-        left open must be avoided, two leave the third to contain, three
-        constrain nothing.
+        piece p that avoids it and that p's subtree extends, or None; the
+        root holds one cycle.  A child's entries become one constraint at its
+        contraction vertex, whose cycle avoids exactly one of its three edges:
+        one edge left open must be avoided, two leave the third to contain,
+        three constrain nothing.
         """
         for p in range(len(self.pieces) - 1, -1, -1):
             if p not in pending:
