@@ -115,16 +115,18 @@ def test_engine_caches_positive_and_negative(cube):
 
 
 def test_engine_rejects_bad_ids_on_a_fresh_and_a_warm_engine(cube):
-    for warm in (False, True):
-        engine = HamiltonicityEngine(cube)
-        if warm:
-            assert engine.cycle_with() is not None
-        for bad in (cube.edge_count, 999, -1):
-            with pytest.raises(GraphError):
-                engine.cycle_with(avoids=(bad,))
-            with pytest.raises(GraphError):
-                engine.cycle_with(contains=(bad,))
-        assert len(engine.cycles) == warm
+    # a brace, searched whole, and a non-brace, folded over its two pieces
+    for g in (cube, splice(cube, 0, cube, 0).graph):
+        for warm in (False, True):
+            engine = HamiltonicityEngine(g)
+            if warm:
+                assert engine.cycle_with() is not None
+            for bad in (g.edge_count, 999, -1):
+                with pytest.raises(GraphError):
+                    engine.cycle_with(avoids=(bad,))
+                with pytest.raises(GraphError):
+                    engine.cycle_with(contains=(bad,))
+            assert len(engine.cycles) == warm
 
 
 def test_pk_walk_is_not_bounded_by_the_recursion_limit():
