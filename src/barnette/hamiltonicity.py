@@ -28,20 +28,18 @@ Across 3-edge cuts the engine does not search the whole graph.  A cycle
 crosses every edge cut an even number of times, and a spanning one at least
 once, so a Hamiltonian cycle of G crosses each 3-edge cut exactly twice and
 avoids exactly one of its edges.  Collapsing either side of the cut to one
-vertex therefore turns it into a Hamiltonian cycle of that contraction, which
-enters and leaves the new vertex along the same two edges; conversely, two
-cycles of the contractions that avoid the same cut edge glue into one of G.
-For a coloured, cubic, 3-connected G with a non-trivial 3-edge cut, the
+vertex turns it into a Hamiltonian cycle of that contraction; conversely,
+two cycles of the contractions that avoid the same cut edge glue into one of
+G.  For a coloured, cubic, 3-connected G with a non-trivial 3-edge cut, the
 engine contracts a maximal laminar family of them once (`_PieceTree`): the
 pieces are G's braces, joined in a tree by the cuts.  A query is answered
-bottom-up over that tree.  For each piece it finds the set of edges of its
-parent cut that some cycle of its subtree, obeying the query, avoids; at the
-parent's contraction vertex, whose cycle avoids exactly one of the three
-edges, that set is one constraint: an empty set makes the query infeasible,
-one edge must be avoided, two leave the third to contain, and three
-constrain nothing.  So no piece is searched for all 3^k patterns of its k
-contraction vertices, and the cost grows with the pieces rather than with
-their product.  G's cycle is then glued top-down from one cycle per piece.
+bottom-up: for each piece, the set of edges of its parent cut that some
+cycle of its subtree, obeying the query, avoids becomes one constraint at
+the parent's contraction vertex, whose cycle avoids exactly one of the three
+edges.  An empty set makes the query infeasible, one edge must be avoided,
+two leave the third to contain, three constrain nothing.  So no piece is
+searched for all 3^k patterns of its k contraction vertices.  G's cycle is
+then glued top-down from one cycle per piece.
 """
 
 from __future__ import annotations
@@ -49,9 +47,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import BipartiteGraph, Cut, GraphError, bits
+from .graphs import BipartiteGraph, Cut, GraphError
 from .matching import PerfectMatching
-from .tightcut import cubic_three_connected, find_tight_cuts_cubic, maximal_laminar_family
+from .tightcut import (
+    contract_family,
+    cubic_three_connected,
+    find_tight_cuts_cubic,
+    maximal_laminar_family,
+)
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -366,13 +369,9 @@ class _CycleIndex:
 
 
 class HamiltonicityEngine(_CycleIndex):
-    """Cycle-query engine over one graph: the per-edge index of `_CycleIndex`,
-    with misses folded over the 3-edge-cut piece tree when g has one.
-
-    A coloured, cubic, 3-connected g with a non-trivial 3-edge cut gets a
-    `_PieceTree`, built once here; every other graph, braces included, sends
-    its misses to `find_hamiltonian_cycle` on the whole graph.
-    """
+    """The per-edge index of `_CycleIndex`, with misses folded over g's
+    `_PieceTree` when it has one; other graphs, braces included, send them
+    to `find_hamiltonian_cycle` on the whole graph."""
 
     def __init__(self, g: BipartiteGraph):
         super().__init__(g)
@@ -416,78 +415,41 @@ class _Piece:
 
 
 class _PieceTree:
-    """The pieces of a maximal laminar family of non-trivial 3-edge cuts of G,
-    and the fold of G's cycle queries over them.
-
-    Each piece collapses, for each family cut bounding its region, the far
-    side of the cut to one contraction vertex, which takes the majority
-    colour of that side, as in `contract`.  The pieces are G's braces, and
-    each keeps the three G-edge ids of every cut it meets.  They are numbered
-    top-down from the largest piece, the root, so a parent's number is less
-    than its children's.  ``free`` and ``chosen`` hold the fold and the
-    cycles of the query with no constraint.
+    """The pieces of a maximal laminar family of non-trivial 3-edge cuts of
+    G, as `contract_family` builds them, and the fold of G's cycle queries
+    over them.  The pieces are numbered top-down from the largest, the root,
+    so a parent's number is less than its children's.  ``free`` and
+    ``chosen`` hold the fold and the cycles of the query with no constraint.
     """
 
     def __init__(self, g: BipartiteGraph, family: list[Cut]):
         self.g = g
-        full = g.full_mask
-        # Each cut's side away from vertex 0, smallest first.  These sides are
-        # nested or disjoint, so region j, inside side j and outside every
-        # smaller side, meets region outer[j], the least side strictly
-        # containing side j, across cut j.  The last region, k, is all of G.
-        cuts = []
-        for cut in family:
-            side = full ^ cut.shore if cut.shore & 1 else cut.shore
-            cuts.append((side.bit_count(), side, tuple(sorted(cut.edge_ids))))
-        cuts.sort()
-        k = len(cuts)
-        sides = [side for _, side, _ in cuts] + [full]
-        outer = [next(i for i in range(j + 1, k + 1) if not sides[j] & ~sides[i]) for j in range(k)]
-        around = [[] for _ in sides]  # the cuts bounding each region
-        for c in range(k):
-            around[outer[c]].append(c)
-            around[c].append(c)
-        colour_a = g.colour_mask("A")
-        regions, taken = [], 0
-        for j, side in enumerate(sides):
-            # the region's own vertices, then one contraction vertex per cut
-            vertex = {v: i for i, v in enumerate(bits(side & ~taken))}
-            colour = [g.colour[v] for v in vertex]
-            taken |= side
-            edge_of = {e for v in vertex for e in g.incident[v]}
-            for c in around[j]:
-                far = full ^ side if c == j else sides[c]
-                edge_of.update(cuts[c][2])
-                for u, v in map(g.edges.__getitem__, cuts[c][2]):
-                    vertex[u if far >> u & 1 else v] = len(colour)
-                colour.append("A" if 2 * (far & colour_a).bit_count() > far.bit_count() else "B")
-            edge_of = tuple(sorted(edge_of))
-            ends = tuple((vertex[u], vertex[v]) for u, v in map(g.edges.__getitem__, edge_of))
-            local = {eid: e for e, eid in enumerate(edge_of)}
-            slots = [(c, tuple(local[eid] for eid in cuts[c][2])) for c in around[j]]
-            regions.append((BipartiteGraph(len(colour), ends, tuple(colour)), edge_of, slots))
-        # number the regions top-down from the largest piece, across the cuts
-        root = max(range(k + 1), key=lambda j: regions[j][0].n)
+        regions = contract_family(g, family)
+        joins: list[list[int]] = [[] for _ in family]  # the two regions each cut joins
+        for r, (_graph, _edge_ids, cuts) in enumerate(regions):
+            for c, _slot in cuts:
+                joins[c].append(r)
+        root = max(range(len(regions)), key=lambda r: regions[r][0].n)
         number, order = {root: 0}, [root]
-        for j in order:
-            for c, _slot in regions[j][2]:
-                other = outer[c] if c == j else c
-                if other not in number:
-                    number[other] = len(order)
-                    order.append(other)
+        for r in order:
+            for c, _slot in regions[r][2]:
+                for other in joins[c]:
+                    if other not in number:
+                        number[other] = len(order)
+                        order.append(other)
         self.pieces: list[_Piece] = []
         self.places: list[list[tuple[int, int]]] = [[] for _ in range(g.edge_count)]
-        for p, j in enumerate(order):
-            graph, edge_of, slots = regions[j]
+        for p, r in enumerate(order):
+            graph, edge_ids, cuts = regions[r]
             parent, up, kids = -1, (), []
-            for c, slot in slots:
-                other = number[outer[c] if c == j else c]
+            for c, slot in cuts:
+                other = number[sum(joins[c]) - r]
                 if other < p:
                     parent, up = other, slot
                 else:
                     kids.append((other, slot))
-            self.pieces.append(_Piece(graph, edge_of, parent, up, kids))
-            for e, eid in enumerate(edge_of):
+            self.pieces.append(_Piece(graph, edge_ids, parent, up, kids))
+            for e, eid in enumerate(edge_ids):
                 self.places[eid].append((p, e))
         self.free = self._fold({}, set(range(len(order))), [()] * len(order))
         self.chosen = self._choose(self.free)
@@ -504,12 +466,10 @@ class _PieceTree:
     def cycle_with(self, contains: tuple, avoids: tuple) -> Optional[HamiltonianCycle]:
         """G's cycle for the query, glued from one cycle per piece, or None.
 
-        The query is checked on G first, so it raises exactly where
+        The query is checked on G first, so it raises where
         `find_hamiltonian_cycle` would.  A G-edge constraint holds in every
-        piece that has the edge.  ``free`` and ``chosen`` keep the fold and
-        the cycles of the query with no constraint; a constrained one
-        refolds only the pieces it names and those above them whose
-        children's feasible sets moved.
+        piece that has the edge; only those pieces, and those above them
+        whose children's feasible sets moved, are refolded from ``free``.
         """
         if contains:  # with none forced, in-range ids make a well-formed query
             _forced_state(self.g, frozenset(contains), frozenset(avoids))
@@ -548,9 +508,7 @@ class _PieceTree:
         found[p] holds, for each edge of p's cut to its parent, a cycle of
         piece p that avoids it and that p's subtree extends, or None; the
         root holds one cycle.  A child's entries become one constraint at its
-        contraction vertex, whose cycle avoids exactly one of its three edges:
-        one edge left open must be avoided, two leave the third to contain,
-        three constrain nothing.
+        contraction vertex, as the module docstring says.
         """
         for p in range(len(self.pieces) - 1, -1, -1):
             if p not in pending:

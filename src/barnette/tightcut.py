@@ -26,6 +26,8 @@ matching coveredness, and iterating until no non-trivial tight cut remains
 produces the brace decomposition, whose multiset of leaves is independent of
 all choices made along the way.  The decomposition checks matching
 coveredness once, on its input; `contract` trusts it and the tests check it.
+`contract_family` collapses a whole laminar family at once, one piece per
+region, with the same rule (`_quotient`).
 """
 
 from __future__ import annotations
@@ -291,54 +293,96 @@ def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> Contraction:
 
     side="shore" collapses the stored shore, side="complement" the rest.  g
     must be matching covered; then so is the quotient, which is cubic and
-    3-connected when g is (Lovász & Plummer), as the tests check.  The cut is
-    tight iff the collapsed side has colour balance ±1 and every cut edge
-    leaves it from its majority colour, the colour c takes.  This suffices
-    in any bipartite graph, as each minority vertex is matched inside the
-    side, and is `is_tight`'s test when every edge is allowed.
+    3-connected when g is (Lovász & Plummer), as the tests check.
     """
     if side not in ("shore", "complement"):
         raise GraphError(f"unknown side {side!r}")
     g._require_colour()
     collapsed = cut.shore if side == "shore" else cut.complement_mask()
-    balance = shore_colour_balance(g, collapsed)
-    c_colour = "A" if balance == 1 else "B"
-    if abs(balance) != 1 or any(
-        g.colour[u if collapsed >> u & 1 else v] != c_colour
-        for u, v in (g.edges[eid] for eid in cut.edge_ids)
-    ):
-        raise GraphError("cut is not tight")
+    quotient, vertex, edge = _quotient(g, g.full_mask ^ collapsed, [(collapsed, cut.edge_ids)])
+    c = quotient.n - 1
+    vertex_map = tuple(vertex.get(v, c) for v in range(g.n))
+    return Contraction(quotient, c, vertex_map, tuple(map(edge.get, range(g.edge_count))))
 
-    new_id = {}
-    for v in range(g.n):
-        if not collapsed >> v & 1:
-            new_id[v] = len(new_id)
-    c = len(new_id)
-    vertex_map = tuple(new_id.get(v, c) for v in range(g.n))
 
-    new_edges: list[tuple[int, int]] = []
-    pair_to_new: dict[tuple[int, int], int] = {}
-    edge_map: list[Optional[int]] = []
-    for u, v in g.edges:
-        nu, nv = vertex_map[u], vertex_map[v]
-        if nu == c and nv == c:
-            edge_map.append(None)
-            continue
-        pair = (min(nu, nv), max(nu, nv))
-        if pair in pair_to_new:
-            edge_map.append(pair_to_new[pair])
-            continue
-        pair_to_new[pair] = len(new_edges)
-        edge_map.append(len(new_edges))
-        new_edges.append(pair)
+def _quotient(
+    g: BipartiteGraph, own: int, far: list[tuple[int, Iterable[int]]]
+) -> tuple[BipartiteGraph, dict[int, int], dict[int, int]]:
+    """g with the vertices of ``own`` kept in order and each far side, given
+    with its cut's edge ids, collapsed to one new vertex after them;
+    parallel edges merge onto the first.  Also returns the maps of the
+    vertex and edge ids of g that the quotient keeps.
 
-    colours = [""] * (c + 1)
-    for v in range(g.n):
-        if vertex_map[v] != c:
-            colours[vertex_map[v]] = g.colour[v]
-    colours[c] = c_colour
-    quotient = BipartiteGraph(c + 1, tuple(new_edges), tuple(colours))
-    return Contraction(quotient, c, vertex_map, tuple(edge_map))
+    The cut is tight iff the collapsed side has colour balance ±1 and every
+    cut edge leaves it from its majority colour, the colour its new vertex
+    takes.  This suffices in any bipartite graph, as each minority vertex is
+    matched inside the side, and is `is_tight`'s test when every edge is
+    allowed.
+    """
+    vertex = {v: i for i, v in enumerate(bits(own))}
+    colour = [g.colour[v] for v in vertex]
+    kept = {eid for v in vertex for eid in g.incident[v]}
+    colour_a = g.colour_mask("A")
+    for side, edge_ids in far:
+        balance = 2 * (side & colour_a).bit_count() - side.bit_count()
+        c_colour = "A" if balance == 1 else "B"
+        if abs(balance) != 1:
+            raise GraphError("cut is not tight")
+        for eid in edge_ids:
+            u, v = g.edges[eid]
+            inner = u if side >> u & 1 else v
+            if g.colour[inner] != c_colour:
+                raise GraphError("cut is not tight")
+            vertex[inner] = len(colour)
+            kept.add(eid)
+        colour.append(c_colour)
+    edge: dict[int, int] = {}
+    new_edge: dict[tuple[int, int], int] = {}
+    for eid in sorted(kept):
+        u, v = g.edges[eid]
+        pair = (vertex[u], vertex[v])
+        edge[eid] = new_edge.setdefault(pair if pair[0] < pair[1] else pair[::-1], len(new_edge))
+    return BipartiteGraph(len(colour), tuple(new_edge), tuple(colour)), vertex, edge
+
+
+def contract_family(g: BipartiteGraph, family: list[Cut]) -> list[tuple]:
+    """The pieces of g along a laminar family of tight cuts, one per region
+    (a set of vertices no cut separates), with the far side of every cut
+    bounding it collapsed as `contract` collapses one.  For a maximal
+    laminar family of the non-trivial 3-edge cuts of a cubic, 3-connected
+    g, the pieces are g's braces.  Regions come in the order of the cut
+    sides away from vertex 0, smallest first, then the one holding vertex 0.
+
+    A piece is (graph, edge_ids, cuts): edge_ids[e] is g's id of piece edge
+    e, and cuts pairs the family index of each cut bounding the region with
+    the piece edge ids at that cut's new vertex, in the order of the cut's
+    sorted g-edge ids, so the two pieces a cut joins list its edges alike.
+    """
+    full = g.full_mask
+    sides = [full ^ cut.shore if cut.shore & 1 else cut.shore for cut in family]
+    order = sorted(range(len(family)), key=lambda c: (sides[c].bit_count(), sides[c]))
+    # Nested or disjoint sides: region j, inside side j and outside every
+    # smaller side, meets region outer[j], of the least side containing it.
+    nested = [sides[c] for c in order] + [full]
+    k = len(order)
+    outer = [next(i for i in range(j + 1, k + 1) if not nested[j] & ~nested[i]) for j in range(k)]
+    around: list[list[int]] = [[] for _ in nested]
+    for j in range(k):
+        around[outer[j]].append(j)
+        around[j].append(j)
+    pieces, taken = [], 0
+    for j, side in enumerate(nested):
+        bounds = [(full ^ side if c == j else nested[c], family[order[c]].edge_ids) for c in around[j]]
+        graph, _, edge = _quotient(g, side & ~taken, bounds)
+        taken |= side
+        cuts = tuple(
+            (order[c], tuple(edge[eid] for eid in sorted(family[order[c]].edge_ids))) for c in around[j]
+        )
+        first: dict[int, int] = {}
+        for eid, e in edge.items():
+            first.setdefault(e, eid)
+        pieces.append((graph, tuple(first.values()), cuts))
+    return pieces
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from hypothesis import settings
 
 from barnette.catalog import catalog
 from barnette.graphs import BipartiteGraph, with_colouring
-from barnette.hamiltonicity import HamiltonicityEngine, find_hamiltonian_cycle
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -57,11 +56,3 @@ def random_edge_pair(g: BipartiteGraph, rng: random.Random):
         f = rng.randrange(g.edge_count)
         if e != f and not set(g.edges[e]) & set(g.edges[f]):
             return e, f
-
-
-class RawSearchEngine(HamiltonicityEngine):
-    """The engine with every miss sent to the raw search on the whole graph,
-    never folded over a piece tree: the reference for the fold."""
-
-    def _search(self, contains, avoids):
-        return find_hamiltonian_cycle(self.g, contains, avoids)

@@ -3,8 +3,8 @@
 Each criterion prints one summary line directly to the terminal (past any
 output capture) and fails on a wrong result or a blown budget.  Everything
 here goes through public entry points only, apart from c06's whole-graph
-reference, `conftest.RawSearchEngine`; per-module behaviour is covered by
-the neighbouring test files.
+reference, `hamiltonicity._CycleIndex`, the engine's index without the fold;
+per-module behaviour is covered by the neighbouring test files.
 """
 
 import random
@@ -24,6 +24,7 @@ from barnette.generator import generate
 from barnette.graphs import is_k_connected, two_colour
 from barnette.hamiltonicity import (
     HamiltonicityEngine,
+    _CycleIndex,
     has_h_minus,
     has_h_plus_minus,
     is_hamiltonian,
@@ -39,7 +40,7 @@ from barnette.tightcut import (
     maximal_laminar_family,
     tight_cut_decomposition,
 )
-from conftest import RawSearchEngine, random_edge_pair
+from conftest import random_edge_pair
 
 
 @contextmanager
@@ -135,7 +136,7 @@ def test_c06_contraction_transfer_suite(generated_16, capsys):
         assert nonbraces, "suite expects at least one non-brace"
         for rec in nonbraces:
             g = rec.graph
-            engine = RawSearchEngine(g)  # the whole graph is not folded over its pieces
+            engine = _CycleIndex(g)  # searched whole, not folded over its pieces
             for cut in rec.family:
                 pieces = [
                     contract(g, cut, side).graph for side in ("shore", "complement")

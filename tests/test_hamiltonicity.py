@@ -550,10 +550,12 @@ def test_matches_reference_on_property_profile_queries_of_splices(monkeypatch):
 
 def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch):
     # Braces, searched whole: same verdicts, counterexamples, kept cycles and
-    # ordered solver calls as the cache scan.  Non-braces, whose misses are
-    # folded over their pieces and so keep other cycles: same verdicts and
-    # counterexamples.  Either way the predicates query the engine only on a
-    # miss, and a hit returns the first kept cycle that serves.
+    # ordered solver calls as the cache scan, and the same answers to random
+    # queries.  Non-braces, whose misses are folded over their pieces and so
+    # keep other cycles: same verdicts and counterexamples, and a random miss
+    # has the reference's verdict and a cycle that validates and serves it.
+    # Either way the predicates query the engine only on a miss, and a hit
+    # returns the first kept cycle that serves.
     log = []
     search = hamiltonicity.find_hamiltonian_cycle
 
@@ -597,10 +599,18 @@ def test_indexed_predicates_ask_the_solver_what_the_cache_scan_asked(monkeypatch
             e, f = rng.sample(range(h.edge_count), 2)
             serving = [c for c in engine.cycles if e in c.edge_ids and f not in c.edge_ids]
             cycle = engine.cycle_with((e,), (f,))
+            expected_cycle = ref_engine.cycle_with((e,), (f,))
             if serving:
                 assert cycle is serving[0]
-            else:
-                assert (cycle is None) == (ref_engine.cycle_with((e,), (f,)) is None)
+            if engine.tree is None:
+                assert cycle == expected_cycle
+            elif not serving:
+                assert (cycle is None) == (expected_cycle is None)
+                if cycle is not None:
+                    cycle.validate(h)
+                    assert e in cycle.edge_ids and f not in cycle.edge_ids
+        if engine.tree is None:
+            assert engine.cycles == ref_engine.cycles
         assert property_profile(h) == {key: bool(value) for key, value in got.items()}
         failures += failed
         solver_calls += len(log)

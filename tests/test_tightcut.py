@@ -15,6 +15,7 @@ from barnette.graphs import BipartiteGraph, Cut, GraphError, connected_component
 from barnette.matching import has_perfect_matching, is_matching_covered
 from barnette.tightcut import (
     contract,
+    contract_family,
     cubic_three_connected,
     cut_labels,
     cut_from_edge_ids,
@@ -164,6 +165,24 @@ def test_contract_pieces_on_asano(asano):
     for eid in cut.edge_ids:
         assert inner.edge_map[eid] is not None
         assert outer.edge_map[eid] is not None
+
+
+def test_contract_family_of_one_cut_is_contract_on_each_side():
+    cases = 0
+    for rec in generate(24):
+        g = rec.graph
+        for cut in rec.family:
+            # the first region is the side away from vertex 0, the other collapsed
+            sides = ("shore", "complement") if cut.shore & 1 else ("complement", "shore")
+            pieces = contract_family(g, [cut])
+            assert len(pieces) == 2
+            for (graph, edge_ids, cuts), side in zip(pieces, sides):
+                q = contract(g, cut, side)
+                assert graph == q.graph
+                assert [q.edge_map[eid] for eid in edge_ids] == list(range(q.graph.edge_count))
+                assert cuts == ((0, tuple(q.edge_map[eid] for eid in sorted(cut.edge_ids))),)
+            cases += 1
+    assert cases == 39
 
 
 def test_contract_rejects_loose_cut(cube):
