@@ -50,7 +50,6 @@ from .hamiltonicity import (
     property_profile,
 )
 from .tightcut import (
-    Contraction,
     DecompositionResult,
     DecompositionStep,
     contract,
@@ -62,7 +61,6 @@ from .tightcut import (
     find_tight_cuts_cubic,
     is_cyclically_4_connected,
     is_tight,
-    maximal_laminar_family,
     tight_cut_decomposition,
 )
 from .constructions import (

@@ -52,7 +52,6 @@ from .tightcut import (
     family_is_laminar,
     find_tight_cuts_cubic,
     is_tight,
-    maximal_laminar_family,
 )
 
 
@@ -184,18 +183,10 @@ def verify_record(rec: GenerationRecord) -> dict:
     checks["family_laminar"] = family_is_laminar(rec.family, g.full_mask)
     checks["family_bound"] = _family_bound_ok(rec.family, g.n)
 
-    scannable = bipartite and checks["three_connected"]  # the 3-cut scan needs both
-    scratch = find_tight_cuts_cubic(g) if scannable else None
-    if scratch is None:
-        checks["family_complete"] = False
-    elif family_is_laminar(scratch, g.full_mask):
-        checks["family_complete"] = {c.edge_ids for c in scratch} == {
-            c.edge_ids for c in rec.family
-        }
-    else:
-        # several maximal laminar choices exist; sizes must agree
-        choice = maximal_laminar_family(scratch, g.full_mask)
-        checks["family_complete"] = len(choice) == len(rec.family)
+    # the 3-cut scan needs both; its cuts never cross, so the family is all of them
+    checks["family_complete"] = bipartite and checks["three_connected"] and {
+        c.edge_ids for c in find_tight_cuts_cubic(g)
+    } == {c.edge_ids for c in rec.family}
     checks["brace_flag"] = bipartite and rec.is_brace == is_brace(g)
     checks["ok"] = all(checks.values())
     return checks

@@ -31,15 +31,17 @@ avoids exactly one of its edges.  Collapsing either side of the cut to one
 vertex turns it into a Hamiltonian cycle of that contraction; conversely,
 two cycles of the contractions that avoid the same cut edge glue into one of
 G.  For a coloured, cubic, 3-connected G with a non-trivial 3-edge cut, the
-engine contracts a maximal laminar family of them once (`_PieceTree`): the
-pieces are G's braces, joined in a tree by the cuts.  A query is answered
-bottom-up: for each piece, the set of edges of its parent cut that some
-cycle of its subtree, obeying the query, avoids becomes one constraint at
-the parent's contraction vertex, whose cycle avoids exactly one of the three
-edges.  An empty set makes the query infeasible, one edge must be avoided,
-two leave the third to contain, three constrain nothing.  So no piece is
-searched for all 3^k patterns of its k contraction vertices.  G's cycle is
-then glued top-down from one cycle per piece.
+engine contracts all of them once (`_PieceTree`, over `contract_family`'s
+tree): two crossing minimum edge cuts force an even cut size (see
+`tightcut`), so 3-edge cuts never cross, and the pieces are G's braces,
+joined in a tree by the cuts.  A query is answered bottom-up: for each
+piece, the set of edges of its parent cut that some cycle of its subtree,
+obeying the query, avoids becomes one constraint at the parent's contraction
+vertex, whose cycle avoids exactly one of the three edges.  An empty set
+makes the query infeasible, one edge must be avoided, two leave the third to
+contain, three constrain nothing.  So no piece is searched for all 3^k
+patterns of its k contraction vertices.  G's cycle is then glued top-down
+from one cycle per piece.
 """
 
 from __future__ import annotations
@@ -49,12 +51,7 @@ from typing import Iterable, Optional
 
 from .graphs import BipartiteGraph, Cut, GraphError
 from .matching import PerfectMatching
-from .tightcut import (
-    contract_family,
-    cubic_three_connected,
-    find_tight_cuts_cubic,
-    maximal_laminar_family,
-)
+from .tightcut import contract_family, cubic_three_connected, find_tight_cuts_cubic
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -383,75 +380,22 @@ class HamiltonicityEngine(_CycleIndex):
         return self.tree.cycle_with(contains, avoids)
 
 
-class _Piece:
-    """One piece of a `_PieceTree`, with its own cycle index.
-
-    ``edge_of[e]`` is the G-edge id of piece edge e.  ``up`` holds the piece
-    edge ids at the contraction vertex of the cut to the parent piece, in the
-    order of that cut's G-edge ids, and is empty at the root; each entry of
-    ``kids`` is a child piece with the piece edge ids at its cut's vertex
-    here, in the same order.
-    """
-
-    __slots__ = ("index", "edge_of", "parent", "up", "kids")
-
-    def __init__(self, graph: BipartiteGraph, edge_of: tuple, parent: int, up: tuple, kids: list):
-        self.index = _CycleIndex(graph)
-        self.edge_of, self.parent, self.up, self.kids = edge_of, parent, up, kids
-
-    def cycle(self, contains: frozenset[int], avoids: frozenset[int]) -> Optional[HamiltonianCycle]:
-        """A cycle of the piece for the query, None when none serves it.
-
-        Constraints that overlap, or forced edges that meet three times or
-        close early at a contraction vertex, are a pattern no cycle of the
-        piece has, not a malformed query: G's query was checked whole.
-        """
-        if contains & avoids:
-            return None
-        try:
-            return self.index.cycle_with(contains, avoids)
-        except GraphError:
-            return None
-
-
 class _PieceTree:
-    """The pieces of a maximal laminar family of non-trivial 3-edge cuts of
-    G, as `contract_family` builds them, and the fold of G's cycle queries
-    over them.  The pieces are numbered top-down from the largest, the root,
-    so a parent's number is less than its children's.  ``free`` and
+    """The fold of G's cycle queries over the piece tree `contract_family`
+    builds from G's non-trivial 3-edge cuts, with a cycle index per piece.
+    Each piece comes before its parent and the root is last.  ``free`` and
     ``chosen`` hold the fold and the cycles of the query with no constraint.
     """
 
-    def __init__(self, g: BipartiteGraph, family: list[Cut]):
+    def __init__(self, g: BipartiteGraph, cuts: list[Cut]):
         self.g = g
-        regions = contract_family(g, family)
-        joins: list[list[int]] = [[] for _ in family]  # the two regions each cut joins
-        for r, (_graph, _edge_ids, cuts) in enumerate(regions):
-            for c, _slot in cuts:
-                joins[c].append(r)
-        root = max(range(len(regions)), key=lambda r: regions[r][0].n)
-        number, order = {root: 0}, [root]
-        for r in order:
-            for c, _slot in regions[r][2]:
-                for other in joins[c]:
-                    if other not in number:
-                        number[other] = len(order)
-                        order.append(other)
-        self.pieces: list[_Piece] = []
+        self.pieces = contract_family(g, cuts)
+        self.indexes = [_CycleIndex(piece.graph) for piece in self.pieces]
         self.places: list[list[tuple[int, int]]] = [[] for _ in range(g.edge_count)]
-        for p, r in enumerate(order):
-            graph, edge_ids, cuts = regions[r]
-            parent, up, kids = -1, (), []
-            for c, slot in cuts:
-                other = number[sum(joins[c]) - r]
-                if other < p:
-                    parent, up = other, slot
-                else:
-                    kids.append((other, slot))
-            self.pieces.append(_Piece(graph, edge_ids, parent, up, kids))
-            for e, eid in enumerate(edge_ids):
+        for p, piece in enumerate(self.pieces):
+            for e, eid in enumerate(piece.edge_of):
                 self.places[eid].append((p, e))
-        self.free = self._fold({}, set(range(len(order))), [()] * len(order))
+        self.free = self._fold({}, set(range(len(self.pieces))), [()] * len(self.pieces))
         self.chosen = self._choose(self.free)
 
     @classmethod
@@ -460,8 +404,8 @@ class _PieceTree:
         non-trivial 3-edge cut; None for any other g."""
         if g.colour is None or not g.is_regular(3) or not cubic_three_connected(g):
             return None
-        family = maximal_laminar_family(find_tight_cuts_cubic(g), g.full_mask)
-        return cls(g, family) if family else None
+        cuts = find_tight_cuts_cubic(g)
+        return cls(g, cuts) if cuts else None
 
     def cycle_with(self, contains: tuple, avoids: tuple) -> Optional[HamiltonianCycle]:
         """G's cycle for the query, glued from one cycle per piece, or None.
@@ -488,21 +432,37 @@ class _PieceTree:
             edges.update(piece.edge_of[e] for e in cycle.edge_ids)
         return _cycle_through(self.g, frozenset(edges))
 
+    def _cycle(
+        self, p: int, contains: frozenset[int], avoids: frozenset[int]
+    ) -> Optional[HamiltonianCycle]:
+        """A cycle of piece p for the query, None when none serves it.
+
+        Constraints that overlap, or forced edges that meet three times or
+        close early at a contraction vertex, are a pattern no cycle of the
+        piece has, not a malformed query: G's query was checked whole.
+        """
+        if contains & avoids:
+            return None
+        try:
+            return self.indexes[p].cycle_with(contains, avoids)
+        except GraphError:
+            return None
+
     def _choose(self, found: list[tuple]) -> Optional[list[HamiltonianCycle]]:
         """One cycle per piece, top-down, each avoiding at its parent cut the
         edge its parent's cycle avoids there; None when the root has none."""
-        if found[0][0] is None:
+        if found[-1][0] is None:
             return None
-        chosen = [found[0][0]] * len(self.pieces)
-        for p, piece in enumerate(self.pieces):
+        chosen = [found[-1][0]] * len(self.pieces)
+        for p in range(len(self.pieces) - 1, -1, -1):
             cycle = chosen[p]
-            for kid, slot in piece.kids:
+            for kid, slot in self.pieces[p].kids:
                 chosen[kid] = next(c for e, c in zip(slot, found[kid]) if e not in cycle.edge_ids)
         return chosen
 
     def _fold(self, asks: dict, pending: set[int], found: list[tuple]) -> list[tuple]:
         """found with the pending pieces refolded bottom-up, and a piece's
-        parent too when its entries moved; found[0] = (None,) when some
+        parent too when its entries moved; found[-1] = (None,) when some
         piece has no cycle left.
 
         found[p] holds, for each edge of p's cut to its parent, a cycle of
@@ -510,10 +470,9 @@ class _PieceTree:
         root holds one cycle.  A child's entries become one constraint at its
         contraction vertex, as the module docstring says.
         """
-        for p in range(len(self.pieces) - 1, -1, -1):
+        for p, piece in enumerate(self.pieces):
             if p not in pending:
                 continue
-            piece = self.pieces[p]
             contains, avoids = (set(s) for s in asks.get(p, ((), ())))
             for kid, slot in piece.kids:
                 open_ = [e for e, c in zip(slot, found[kid]) if c is not None]
@@ -522,14 +481,12 @@ class _PieceTree:
                 elif len(open_) == 2:
                     contains.update(e for e in slot if e not in open_)
             contains = frozenset(contains)
-            if p:
-                cycles = tuple(piece.cycle(contains, frozenset((*avoids, e))) for e in piece.up)
-            else:
-                cycles = (piece.cycle(contains, frozenset(avoids)),)
+            asked = [frozenset((*avoids, e)) for e in piece.up] or [frozenset(avoids)]
+            cycles = tuple(self._cycle(p, contains, a) for a in asked)
             if all(c is None for c in cycles):
-                found[0] = (None,)
+                found[-1] = (None,)
                 return found
-            if p and [c is None for c in cycles] != [c is None for c in found[p]]:
+            if piece.up and [c is None for c in cycles] != [c is None for c in found[p]]:
                 pending.add(piece.parent)
             found[p] = cycles
         return found

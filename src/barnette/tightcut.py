@@ -26,8 +26,16 @@ matching coveredness, and iterating until no non-trivial tight cut remains
 produces the brace decomposition, whose multiset of leaves is independent of
 all choices made along the way.  The decomposition checks matching
 coveredness once, on its input; `contract` trusts it and the tests check it.
-`contract_family` collapses a whole laminar family at once, one piece per
-region, with the same rule (`_quotient`).
+
+In a cubic, 3-connected graph the non-trivial 3-edge cuts never cross, so
+`contract_family` contracts all of them at once, with `contract`'s rule
+(`_quotient`), into the tree of the graph's braces that the Hamiltonicity
+engine folds its queries over.  If two minimum edge cuts X and Y of size λ
+crossed, each of the four corners X∩Y, X−Y, Y−X and the rest would be
+bounded by at least λ edges; counting the edges of X and Y then leaves no
+edge between opposite corners and the same number e between any two adjacent
+ones, so λ = 2e is even (Nagamochi & Ibaraki, *Algorithmic Aspects of Graph
+Connectivity*, 2008).  Here λ = 3.
 """
 
 from __future__ import annotations
@@ -273,23 +281,9 @@ def find_nontrivial_tight_cut(
     return _general_tight_cut(g, rng)
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """One shore collapsed to the vertex `c` (always the highest new id).
-
-    vertex_map sends old ids to new ids (collapsed vertices to c); edge_map
-    sends old edge ids to new ones, None for edges inside the collapsed set,
-    with parallel copies merged onto one representative.
-    """
-
-    graph: BipartiteGraph
-    c: int
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[Optional[int], ...]
-
-
-def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> Contraction:
-    """Tight cut contraction: collapse the chosen side of the cut.
+def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> BipartiteGraph:
+    """Tight cut contraction: the quotient with the chosen side of the cut
+    collapsed to one vertex, the last.
 
     side="shore" collapses the stored shore, side="complement" the rest.  g
     must be matching covered; then so is the quotient, which is cubic and
@@ -299,19 +293,16 @@ def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> Contraction:
         raise GraphError(f"unknown side {side!r}")
     g._require_colour()
     collapsed = cut.shore if side == "shore" else cut.complement_mask()
-    quotient, vertex, edge = _quotient(g, g.full_mask ^ collapsed, [(collapsed, cut.edge_ids)])
-    c = quotient.n - 1
-    vertex_map = tuple(vertex.get(v, c) for v in range(g.n))
-    return Contraction(quotient, c, vertex_map, tuple(map(edge.get, range(g.edge_count))))
+    return _quotient(g, g.full_mask ^ collapsed, [(collapsed, cut.edge_ids)])[0]
 
 
 def _quotient(
     g: BipartiteGraph, own: int, far: list[tuple[int, Iterable[int]]]
-) -> tuple[BipartiteGraph, dict[int, int], dict[int, int]]:
+) -> tuple[BipartiteGraph, dict[int, int]]:
     """g with the vertices of ``own`` kept in order and each far side, given
     with its cut's edge ids, collapsed to one new vertex after them;
-    parallel edges merge onto the first.  Also returns the maps of the
-    vertex and edge ids of g that the quotient keeps.
+    parallel edges merge onto the first.  Also returns the map from the
+    edge ids of g that the quotient keeps to its own.
 
     The cut is tight iff the collapsed side has colour balance ±1 and every
     cut edge leaves it from its majority colour, the colour its new vertex
@@ -342,21 +333,39 @@ def _quotient(
         u, v = g.edges[eid]
         pair = (vertex[u], vertex[v])
         edge[eid] = new_edge.setdefault(pair if pair[0] < pair[1] else pair[::-1], len(new_edge))
-    return BipartiteGraph(len(colour), tuple(new_edge), tuple(colour)), vertex, edge
+    return BipartiteGraph(len(colour), tuple(new_edge), tuple(colour)), edge
 
 
-def contract_family(g: BipartiteGraph, family: list[Cut]) -> list[tuple]:
-    """The pieces of g along a laminar family of tight cuts, one per region
-    (a set of vertices no cut separates), with the far side of every cut
-    bounding it collapsed as `contract` collapses one.  For a maximal
-    laminar family of the non-trivial 3-edge cuts of a cubic, 3-connected
-    g, the pieces are g's braces.  Regions come in the order of the cut
-    sides away from vertex 0, smallest first, then the one holding vertex 0.
+@dataclass(frozen=True)
+class Piece:
+    """One region of a laminar family of tight cuts (a set of vertices no
+    cut separates), with the far side of every cut bounding it collapsed.
 
-    A piece is (graph, edge_ids, cuts): edge_ids[e] is g's id of piece edge
-    e, and cuts pairs the family index of each cut bounding the region with
-    the piece edge ids at that cut's new vertex, in the order of the cut's
-    sorted g-edge ids, so the two pieces a cut joins list its edges alike.
+    ``edge_of[e]`` is g's id of piece edge e.  The pieces form a tree whose
+    edges are the cuts: ``parent`` is the index of the piece across the cut
+    that bounds this region from the side of vertex 0, -1 at the root.
+    ``up`` holds the piece edge ids at that cut's new vertex, empty at the
+    root, and ``kids`` pairs each child's index with the piece edge ids at
+    its cut's new vertex here.  Each slot lists its cut's edges in the
+    order of their sorted g-edge ids, so the two pieces a cut joins list
+    them alike.
+    """
+
+    graph: BipartiteGraph
+    edge_of: tuple[int, ...]
+    parent: int
+    up: tuple[int, ...]
+    kids: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def contract_family(g: BipartiteGraph, family: list[Cut]) -> list[Piece]:
+    """The piece tree of g along a laminar family of tight cuts, collapsing
+    each far side as `contract` collapses one.  For the non-trivial 3-edge
+    cuts of a cubic, 3-connected g the pieces are g's braces.
+
+    Regions come in the order of the cut sides away from vertex 0, smallest
+    first, so each piece comes before its parent; the region holding
+    vertex 0 is last, the root.
     """
     full = g.full_mask
     sides = [full ^ cut.shore if cut.shore & 1 else cut.shore for cut in family]
@@ -366,22 +375,22 @@ def contract_family(g: BipartiteGraph, family: list[Cut]) -> list[tuple]:
     nested = [sides[c] for c in order] + [full]
     k = len(order)
     outer = [next(i for i in range(j + 1, k + 1) if not nested[j] & ~nested[i]) for j in range(k)]
-    around: list[list[int]] = [[] for _ in nested]
+    outer.append(-1)
+    children: list[list[int]] = [[] for _ in nested]
     for j in range(k):
-        around[outer[j]].append(j)
-        around[j].append(j)
+        children[outer[j]].append(j)
     pieces, taken = [], 0
     for j, side in enumerate(nested):
-        bounds = [(full ^ side if c == j else nested[c], family[order[c]].edge_ids) for c in around[j]]
-        graph, _, edge = _quotient(g, side & ~taken, bounds)
+        around = children[j] + [j] if j < k else children[j]
+        bounds = [(full ^ side if c == j else nested[c], family[order[c]].edge_ids) for c in around]
+        graph, edge = _quotient(g, side & ~taken, bounds)
         taken |= side
-        cuts = tuple(
-            (order[c], tuple(edge[eid] for eid in sorted(family[order[c]].edge_ids))) for c in around[j]
-        )
-        first: dict[int, int] = {}
+        slots = {c: tuple(edge[eid] for eid in sorted(family[order[c]].edge_ids)) for c in around}
+        edge_of: dict[int, int] = {}
         for eid, e in edge.items():
-            first.setdefault(e, eid)
-        pieces.append((graph, tuple(first.values()), cuts))
+            edge_of.setdefault(e, eid)
+        kids = tuple((c, slots[c]) for c in children[j])
+        pieces.append(Piece(graph, tuple(edge_of.values()), outer[j], slots.get(j, ()), kids))
     return pieces
 
 
@@ -430,11 +439,11 @@ def tight_cut_decomposition(
                 h.n,
                 tuple(sorted(cut.edge_ids)),
                 len(cut.shore_vertices()),
-                (inner.graph.n, outer.graph.n),
+                (inner.n, outer.n),
             )
         )
-        work.append(inner.graph)
-        work.append(outer.graph)
+        work.append(inner)
+        work.append(outer)
     return DecompositionResult(braces, tuple(trace))
 
 
@@ -471,12 +480,3 @@ def family_is_laminar(cuts: Iterable[Cut], full_mask: int) -> bool:
         cuts_compatible(c1, c2, full_mask)
         for c1, c2 in itertools.combinations(cuts, 2)
     )
-
-
-def maximal_laminar_family(cuts: Iterable[Cut], full_mask: int) -> list[Cut]:
-    """Greedy maximal laminar subfamily, in the order given."""
-    chosen: list[Cut] = []
-    for cut in cuts:
-        if all(cuts_compatible(cut, c, full_mask) for c in chosen):
-            chosen.append(cut)
-    return chosen

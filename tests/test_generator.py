@@ -162,8 +162,8 @@ def test_contracting_the_family_cut_recovers_cubes(generated_16, cube):
     inner = contract(rec.graph, cut, "complement")
     outer = contract(rec.graph, cut, "shore")
     target = canonical_form(cube)
-    assert canonical_form(inner.graph) == target
-    assert canonical_form(outer.graph) == target
+    assert canonical_form(inner) == target
+    assert canonical_form(outer) == target
 
 
 def test_survey_rows():

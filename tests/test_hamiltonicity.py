@@ -27,7 +27,12 @@ from barnette.hamiltonicity import (
     is_pk_hamiltonian,
     property_profile,
 )
-from barnette.tightcut import cubic_three_connected, find_tight_cuts_cubic, tight_cut_decomposition
+from barnette.tightcut import (
+    cubic_three_connected,
+    family_is_laminar,
+    find_tight_cuts_cubic,
+    tight_cut_decomposition,
+)
 
 
 def test_cube_profile(cube):
@@ -712,7 +717,7 @@ def test_fold_matches_the_raw_search_on_random_queries():
     for g, h, back in _fold_cases():
         engine = HamiltonicityEngine(h)
         assert engine.tree is not None
-        for piece in engine.tree.pieces[1:]:
+        for piece in engine.tree.pieces[:-1]:  # the root, last, has no parent cut
             # all three edges of a cut: well-formed on G, closed early at the
             # contraction vertex in both pieces, and crossed an odd number of times
             assert engine.cycle_with([piece.edge_of[e] for e in piece.up]) is None
@@ -742,13 +747,15 @@ def test_fold_matches_the_raw_search_on_random_queries():
 
 
 def test_piece_tree_is_the_brace_decomposition():
-    # a second route to the braces: one cut scan and a maximal laminar family
+    # a second route to the braces: one cut scan, every cut contracted, as
+    # the 3-edge cuts of a cubic 3-connected graph never cross
     rng = random.Random(21)
     graphs = [rec.graph for rec in generate(24) if rec.family]
     graphs += _ladder_splices() + [catalog("horton").graph, _b_horton_chain(3, rng)]
     for g in graphs:
+        assert family_is_laminar(find_tight_cuts_cubic(g), g.full_mask)
         tree = HamiltonicityEngine(g).tree
-        pieces = [piece.index.g for piece in tree.pieces]
+        pieces = [piece.graph for piece in tree.pieces]
         assert Counter(canonical_form(p) for p in pieces) == tight_cut_decomposition(g).braces
         for p in pieces:
             assert p.is_regular(3) and cubic_three_connected(p)

@@ -168,7 +168,7 @@ def _decomposition_steps(g):
         h = work.pop()
         cut = find_nontrivial_tight_cut(h)
         quotients = () if cut is None else tuple(
-            contract(h, cut, side).graph for side in ("complement", "shore")
+            contract(h, cut, side) for side in ("complement", "shore")
         )
         steps.append((h, cut, quotients))
         work += quotients

@@ -25,7 +25,6 @@ from barnette.tightcut import (
     find_tight_cuts_cubic,
     is_cyclically_4_connected,
     is_tight,
-    maximal_laminar_family,
     tight_cut_decomposition,
 )
 
@@ -157,14 +156,18 @@ def test_contract_pieces_on_asano(asano):
     cut = find_nontrivial_tight_cut(g)
     inner = contract(g, cut, "complement")
     outer = contract(g, cut, "shore")
-    assert inner.graph.n + outer.graph.n == g.n + 2
-    # vertex_map collapses exactly the chosen side
-    collapsed = [v for v in range(g.n) if inner.vertex_map[v] == inner.c]
-    assert len(collapsed) == g.n - inner.graph.n + 1
-    # edge_map: cut edges survive in both pieces
-    for eid in cut.edge_ids:
-        assert inner.edge_map[eid] is not None
-        assert outer.edge_map[eid] is not None
+    # each keeps one side and collapses the other to its last vertex
+    assert inner.n == len(cut.shore_vertices()) + 1
+    assert inner.n + outer.n == g.n + 2
+    # the cut edges survive in both pieces, joining the collapsed vertex to
+    # the kept ends (kept vertices keep their order)
+    for q, kept in ((inner, cut.shore), (outer, cut.complement_mask())):
+        index = {v: i for i, v in enumerate(v for v in range(g.n) if kept >> v & 1)}
+        ends = set()
+        for eid in cut.edge_ids:
+            u, v = g.edges[eid]
+            ends.add(index[u if kept >> u & 1 else v])
+        assert set(q.neighbours[q.n - 1]) == ends
 
 
 def test_contract_family_of_one_cut_is_contract_on_each_side():
@@ -174,13 +177,23 @@ def test_contract_family_of_one_cut_is_contract_on_each_side():
         for cut in rec.family:
             # the first region is the side away from vertex 0, the other collapsed
             sides = ("shore", "complement") if cut.shore & 1 else ("complement", "shore")
-            pieces = contract_family(g, [cut])
-            assert len(pieces) == 2
-            for (graph, edge_ids, cuts), side in zip(pieces, sides):
-                q = contract(g, cut, side)
-                assert graph == q.graph
-                assert [q.edge_map[eid] for eid in edge_ids] == list(range(q.graph.edge_count))
-                assert cuts == ((0, tuple(q.edge_map[eid] for eid in sorted(cut.edge_ids))),)
+            leaf, root = contract_family(g, [cut])
+            assert (leaf.parent, leaf.kids, root.parent, root.up) == (1, (), -1, ())
+            assert [kid for kid, _slot in root.kids] == [0]
+            for piece, side in zip((leaf, root), sides):
+                assert piece.graph == contract(g, cut, side)
+                # _quotient keeps the kept vertices in order, the collapsed one last
+                collapsed = cut.shore if side == "shore" else cut.complement_mask()
+                kept = [v for v in range(g.n) if not collapsed >> v & 1]
+                vertex = {v: i for i, v in enumerate(kept)}
+                for e, eid in enumerate(piece.edge_of):
+                    u, v = g.edges[eid]
+                    ends = {vertex.get(u, len(kept)), vertex.get(v, len(kept))}
+                    assert ends == set(piece.graph.edges[e])
+                assert len(piece.edge_of) == piece.graph.edge_count
+                # the cut's slot lists its edges in sorted g-edge order
+                slot = piece.up or root.kids[0][1]
+                assert [piece.edge_of[e] for e in slot] == sorted(cut.edge_ids)
             cases += 1
     assert cases == 39
 
@@ -314,8 +327,6 @@ def test_laminar_utilities(c6):
     assert not cuts_compatible(a, c, full)  # crossing
     assert family_is_laminar([a, b], full)
     assert not family_is_laminar([a, b, c], full)
-    picked = maximal_laminar_family([a, b, c], full)
-    assert picked == [a, b]
 
 
 def test_heawood_has_no_tight_cuts(heawood):
