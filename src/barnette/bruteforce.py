@@ -1,7 +1,8 @@
 """Brute-force oracles used to audit the main engines.
 
-The class counts enumerate biadjacency matrices row by row and de-duplicate
-through ``canon.canonical_form``, a kernel the generator does not use.
+The class counts enumerate biadjacency matrices in doubly lexical order
+(Lubiw, SIAM J. Comput. 1987) and de-duplicate the connected ones through
+``canon.canonical_form``, a kernel the generator does not use.
 The small Pfaffian and tightness verdicts try every orientation or perfect
 matching and share no logic with the solver.  Slow and bounded on purpose.
 """
@@ -18,43 +19,42 @@ from .matching import enumerate_perfect_matchings
 
 
 def _matrices_with_line_sums_three(half: int) -> Iterator[tuple[int, ...]]:
-    """Row bitmasks of half x half 0-1 matrices, all row and column sums 3.
+    """Row bitmasks of half x half 0-1 matrices, all line sums 3, whose rows
+    (column 0 most significant) and columns (row 0 most significant) are
+    both non-increasing; bit c of a row is column c.
 
-    Symmetry reduction: the first row is fixed to columns {0,1,2} and rows
-    are non-decreasing as integers; every matrix can be brought into this
-    shape by row and column permutations, which are graph isomorphisms.
+    Every real matrix has such a doubly lexical ordering (Lubiw, SIAM J.
+    Comput. 16, 1987; reversing both orders or negating the entries carries
+    one convention into another), and row and column permutations are
+    isomorphisms, so every cubic bipartite graph has a matrix here.  A class
+    may have several, so callers de-duplicate through ``canonical_form``.
+    Column prefixes are non-increasing too: bit c of ``tied`` says columns
+    c and c + 1 agree so far, so the next row may not put 0 in c and 1 in
+    c + 1.  ``sums`` holds the columns whose sums have reached 1, 2 and 3.
     """
-    candidates = [
+    candidates = [  # the 3-subsets of columns, as rows in non-increasing order
         sum(1 << c for c in cols) for cols in itertools.combinations(range(half), 3)
     ]
-    colsum = [0] * half
-    rows = [7]  # columns {0,1,2}
-    for c in range(3):
-        colsum[c] = 1
+    every = (1 << half) - 1
+    rows: list[int] = []
 
-    def extend() -> Iterator[tuple[int, ...]]:
-        i = len(rows)
-        if i == half:
-            if all(s == 3 for s in colsum):
-                yield tuple(rows)
+    def extend(start: int, tied: int, sums: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        left = half - len(rows)
+        if not left:
+            yield tuple(rows)
             return
-        remaining = half - i
-        for mask in candidates:
-            if mask < rows[-1]:
+        ones, twos, full = sums
+        for k in range(start, len(candidates)):
+            mask = candidates[k]
+            if mask & full or mask >> 1 & ~mask & tied:
                 continue
-            cols = [c for c in range(half) if mask >> c & 1]
-            if any(colsum[c] >= 3 for c in cols):
-                continue
-            for c in cols:
-                colsum[c] += 1
-            if all(3 - colsum[c] <= remaining - 1 for c in range(half)):
+            placed = (ones | mask, twos | ones & mask, full | twos & mask)
+            if left > 3 or placed[3 - left] == every:  # every sum can reach 3
                 rows.append(mask)
-                yield from extend()
+                yield from extend(k, tied & ~(mask ^ mask >> 1), placed)
                 rows.pop()
-            for c in cols:
-                colsum[c] -= 1
 
-    yield from extend()
+    yield from extend(0, every >> 1, (0, 0, 0))
 
 
 def cubic_bipartite_classes(n: int) -> Iterator[BipartiteGraph]:

@@ -165,22 +165,21 @@ def _disconnecting_triples(
     """
     m = g.edge_count
     ends = [1 << u | 1 << v for u, v in g.edges]
-    pairs = [
+    edge_of = {label: eid for eid, label in enumerate(labels)}
+    pairs: Iterable[tuple[int, int]] = (  # a seed shuffles every disjoint pair
         (e, f)
         for e in range(m)
         for f in range(e + 1, m)
-        if not ends[e] & ends[f]
-    ]
+        if (rng is not None or labels[e] ^ labels[f] in edge_of) and not ends[e] & ends[f]
+    )
     if rng is not None:
+        pairs = list(pairs)
         rng.shuffle(pairs)
-    edge_of = {label: eid for eid, label in enumerate(labels)}
     found: set[frozenset[int]] = set()
     for e, f in pairs:
         b = edge_of.get(labels[e] ^ labels[f])
-        if b is None:
-            continue
         triple = frozenset((e, f, b))
-        if triple not in found:
+        if b is not None and triple not in found:
             found.add(triple)
             yield triple
 

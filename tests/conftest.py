@@ -1,4 +1,6 @@
+import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import settings
@@ -56,3 +58,45 @@ def random_edge_pair(g: BipartiteGraph, rng: random.Random):
         f = rng.randrange(g.edge_count)
         if e != f and not set(g.edges[e]) & set(g.edges[f]):
             return e, f
+
+
+# The enumerator the oracle used before its doubly lexical one: rows sorted,
+# columns free.  Kept verbatim as the reference the new one must match.
+def reference_matrices_with_line_sums_three(half: int) -> Iterator[tuple[int, ...]]:
+    """Row bitmasks of half x half 0-1 matrices, all row and column sums 3.
+
+    Symmetry reduction: the first row is fixed to columns {0,1,2} and rows
+    are non-decreasing as integers; every matrix can be brought into this
+    shape by row and column permutations, which are graph isomorphisms.
+    """
+    candidates = [
+        sum(1 << c for c in cols) for cols in itertools.combinations(range(half), 3)
+    ]
+    colsum = [0] * half
+    rows = [7]  # columns {0,1,2}
+    for c in range(3):
+        colsum[c] = 1
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        i = len(rows)
+        if i == half:
+            if all(s == 3 for s in colsum):
+                yield tuple(rows)
+            return
+        remaining = half - i
+        for mask in candidates:
+            if mask < rows[-1]:
+                continue
+            cols = [c for c in range(half) if mask >> c & 1]
+            if any(colsum[c] >= 3 for c in cols):
+                continue
+            for c in cols:
+                colsum[c] += 1
+            if all(3 - colsum[c] <= remaining - 1 for c in range(half)):
+                rows.append(mask)
+                yield from extend()
+                rows.pop()
+            for c in cols:
+                colsum[c] -= 1
+
+    yield from extend()

@@ -1,19 +1,23 @@
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
 from barnette.bruteforce import (
+    _matrices_with_line_sums_three,
     cubic_bipartite_classes,
     oracle_class_count,
     pfaffian_by_enumeration,
     oracle_is_tight,
 )
 from barnette.canon import canonical_form
-from barnette.graphs import Cut, GraphError
+from barnette.graphs import BipartiteGraph, Cut, GraphError, is_connected
 from barnette.matching import OracleBoundError
+from conftest import reference_matrices_with_line_sums_three
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "class_counts.json"
+DERIVE_COUNTS = pathlib.Path(__file__).parents[1] / "scripts" / "derive_golden_counts.py"
 
 
 def test_connected_cubic_bipartite_counts():
@@ -21,6 +25,24 @@ def test_connected_cubic_bipartite_counts():
     assert sum(1 for _ in cubic_bipartite_classes(8)) == 1
     assert sum(1 for _ in cubic_bipartite_classes(10)) == 2
     assert sum(1 for _ in cubic_bipartite_classes(12)) == 5
+
+
+def test_doubly_lexical_matrices_give_the_reference_classes():
+    # the row-sorted reference reaches every connected matrix up to row and
+    # column order, so the same canonical forms mean no class is lost
+    for n, matrices in ((8, 1), (10, 5), (12, 25)):
+        half = n // 2
+        reference = set()
+        for rows in reference_matrices_with_line_sums_three(half):
+            edges = tuple(
+                (r, half + c) for r in range(half) for c in range(half) if rows[r] >> c & 1
+            )
+            g = BipartiteGraph(n, edges)
+            if is_connected(g):
+                reference.add(canonical_form(g))
+        assert {canonical_form(g) for g in cubic_bipartite_classes(n)} == reference
+        assert sum(1 for _ in _matrices_with_line_sums_three(half)) == matrices
+    assert sum(1 for _ in _matrices_with_line_sums_three(7)) == 161
 
 
 def test_eight_vertex_class_is_the_cube(cube):
@@ -45,6 +67,14 @@ def test_oracle_counts_small_orders():
     assert oracle_class_count(8) == golden["8"] == 1
     assert oracle_class_count(10) == golden["10"] == 0
     assert oracle_class_count(12) == golden["12"] == 1
+
+
+def test_golden_count_script_covers_the_golden_orders():
+    spec = importlib.util.spec_from_file_location("derive_golden_counts", DERIVE_COUNTS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    golden = json.loads(GOLDEN.read_text())["counts"]
+    assert {str(n) for n in script.ORDERS} == set(golden)
 
 
 def test_pfaffian_enumeration_fixtures(cube, k33, c6):

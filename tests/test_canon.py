@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barnette import canon
-from barnette.bruteforce import _matrices_with_line_sums_three
 from barnette.canon import _merge, _root, are_isomorphic, canonical_form
 from barnette.catalog import catalog
 from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, is_connected
 from barnette.io import adjacency_bits, graph6_from_bitstring
+from conftest import reference_matrices_with_line_sums_three
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
 
@@ -198,7 +198,7 @@ def test_matches_reference_on_oracle_matrices():
     count = 0
     for n in (8, 10, 12):
         half = n // 2
-        for rows in _matrices_with_line_sums_three(half):
+        for rows in reference_matrices_with_line_sums_three(half):
             edges = tuple(
                 (r, half + c) for r in range(half) for c in range(half) if rows[r] >> c & 1
             )
@@ -399,7 +399,7 @@ def test_mask_search_matches_list_search_on_oracle_matrices():
     count = 0
     for n in (8, 10, 12):
         half = n // 2
-        for rows in _matrices_with_line_sums_three(half):
+        for rows in reference_matrices_with_line_sums_three(half):
             edges = tuple(
                 (r, half + c) for r in range(half) for c in range(half) if rows[r] >> c & 1
             )

@@ -46,8 +46,8 @@ def test_counts_match_golden_file():
 
 
 def test_counts_through_twenty():
-    # snapshots from this generator; the orders at 14 and below are cross
-    # checked against the independent enumeration in the oracle tests
+    # snapshots from this generator; the orders at 18 and below are cross
+    # checked against the golden counts from the independent enumeration
     assert class_counts(20) == {8: 1, 12: 1, 14: 1, 16: 2, 18: 2, 20: 8}
 
 

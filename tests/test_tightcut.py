@@ -287,6 +287,20 @@ def test_small_cuts_match_edge_subset_enumeration():
     assert verdicts == {(True, True): 15, (True, False): 6, (False, False): 3}
 
 
+def test_unseeded_triples_come_in_the_order_of_their_first_pair():
+    graphs = [rec.graph for rec in generate(24)] + [catalog("horton").graph]
+    for g in graphs:
+        labels = tightcut._three_connected_labels(g)
+        edge_of = {label: eid for eid, label in enumerate(labels)}
+        want = []
+        for e, f in itertools.combinations(range(g.edge_count), 2):
+            b = edge_of.get(labels[e] ^ labels[f])
+            if b is not None and not set(g.edges[e]) & set(g.edges[f]):
+                if frozenset((e, f, b)) not in want:
+                    want.append(frozenset((e, f, b)))
+        assert list(tightcut._disconnecting_triples(g, labels)) == want
+
+
 def test_cut_labels_disconnected(cube):
     two_cubes = BipartiteGraph(16, cube.edges + tuple((u + 8, v + 8) for u, v in cube.edges))
     assert cut_labels(two_cubes) is None
