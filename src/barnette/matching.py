@@ -19,7 +19,6 @@ from which `tightcut` reads a non-trivial tight cut.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -253,20 +252,18 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
 # ----- extendability and braces -----
 
 
-def _digraph_failure(
-    g: BipartiteGraph, rng: Optional[random.Random] = None
-) -> Optional[tuple[int, int, bool]]:
+def _digraph_failure(g: BipartiteGraph) -> Optional[tuple[int, int, bool]]:
     """The first search that shows D(g, M) is not strongly 2-connected, or None.
 
     D - v is strongly connected iff a search from one root reaches every
     other node both along the arcs and against them: O(n·m) over all nodes v.
-    The nodes v are taken in increasing order, or in an order shuffled by
-    `rng`, and the root is the first other node of that order.  The first
-    search that misses a node gives (R, M(R), along): the masks of the
-    A-nodes R it reached, root included and v not, and of their partners,
-    and whether it went along the arcs.  A g without a perfect matching, or
-    with fewer than three nodes, fails at once with R empty.  None means
-    every D - v is strongly connected, i.e. g is 2-extendable.
+    The nodes v are taken in increasing order, and the root is the least
+    other node.  The first search that misses a node gives (R, M(R), along):
+    the masks of the A-nodes R it reached, root included and v not, and of
+    their partners, and whether it went along the arcs.  A g without a
+    perfect matching, or with fewer than three nodes, fails at once with R
+    empty.  None means every D - v is strongly connected, i.e. g is
+    2-extendable.
     """
     size, partner = _matching(g)
     if 2 * size != g.n or size < 3:
@@ -277,8 +274,6 @@ def _digraph_failure(
         for h in heads:
             into[h].append(a)
     nodes = list(out)
-    if rng is not None:
-        rng.shuffle(nodes)
     for v in nodes:
         root = nodes[1] if v == nodes[0] else nodes[0]
         for along, arcs in ((True, out), (False, into)):
@@ -293,12 +288,6 @@ def _digraph_failure(
                 seen.discard(v)
                 return vertex_mask(seen), vertex_mask(partner[a] for a in seen), along
     return None
-
-
-def _strongly_2_connected(g: BipartiteGraph) -> bool:
-    """Has g a perfect matching M with D(g, M) strongly 2-connected, i.e. at
-    least 3 nodes and D - v strongly connected for every node v?"""
-    return _digraph_failure(g) is None
 
 
 def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
@@ -316,7 +305,7 @@ def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
     g._require_colour()
     if k == 1:
         return g.n >= 4 and is_matching_covered(g)
-    return _strongly_2_connected(g)
+    return _digraph_failure(g) is None
 
 
 def is_brace(g: BipartiteGraph) -> bool:

@@ -9,17 +9,17 @@ exactly once iff it uses no cut edge at a B-vertex of the shore; this is the
 bipartite tight-cut characterisation of Lovász & Plummer, *Matching Theory*,
 restricted to allowed edges.)
 
-For cubic 3-connected bipartite graphs the non-trivial tight cuts are exactly
-the non-trivial 3-edge cuts, and those are automatically 3-matchings, so they
-can be enumerated combinatorially.  One primitive answers every small-cut
-question here: ``cut_labels`` gives each edge the set of fundamental cycles
-through it, and an edge set is a cut exactly when its labels XOR to zero.
+There is one route to a single cut, and it works on every matching covered
+graph: the brace test.  The first D(g, M) - v that the matching kernel finds
+not strongly connected yields a Hall set, a set X on one side with
+|N(X)| = |X| + 1, and X ∪ N(X) is a shore of a non-trivial tight cut.
 
-Graphs that are merely 2-connected (hub-and-gadget shapes) need the general
-route, which reads its cut off the brace test: the first D(g, M) - v that
-the matching kernel finds not strongly connected yields a Hall set, a set
-X on one side with |N(X)| = |X| + 1, and X ∪ N(X) is a shore of a
-non-trivial tight cut.
+For cubic 3-connected bipartite graphs the non-trivial tight cuts are exactly
+the non-trivial 3-edge cuts, and those are automatically 3-matchings, so the
+family questions (all cuts at once, cyclic 4-connectivity) enumerate them
+combinatorially.  One primitive answers every small-cut question here:
+``cut_labels`` gives each edge the set of fundamental cycles through it, and
+an edge set is a cut exactly when its labels XOR to zero.
 
 Contracting either shore to a single vertex (parallel edges merged) preserves
 matching coveredness, and iterating until no non-trivial tight cut remains
@@ -41,7 +41,6 @@ Connectivity*, 2008).  Here λ = 3.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -151,9 +150,7 @@ def _three_connected_labels(g: BipartiteGraph) -> Optional[tuple[int, ...]]:
     return cached or None
 
 
-def _disconnecting_triples(
-    g: BipartiteGraph, labels: tuple[int, ...], rng: Optional[random.Random] = None
-) -> Iterator[frozenset[int]]:
+def _disconnecting_triples(g: BipartiteGraph, labels: tuple[int, ...]) -> Iterator[frozenset[int]]:
     """3-matchings whose removal disconnects g, each once, in the order of
     their first pair; lazily, so a caller that needs one stops there.
 
@@ -166,22 +163,16 @@ def _disconnecting_triples(
     m = g.edge_count
     ends = [1 << u | 1 << v for u, v in g.edges]
     edge_of = {label: eid for eid, label in enumerate(labels)}
-    pairs: Iterable[tuple[int, int]] = (  # a seed shuffles every disjoint pair
-        (e, f)
-        for e in range(m)
-        for f in range(e + 1, m)
-        if (rng is not None or labels[e] ^ labels[f] in edge_of) and not ends[e] & ends[f]
-    )
-    if rng is not None:
-        pairs = list(pairs)
-        rng.shuffle(pairs)
     found: set[frozenset[int]] = set()
-    for e, f in pairs:
-        b = edge_of.get(labels[e] ^ labels[f])
-        triple = frozenset((e, f, b))
-        if b is not None and triple not in found:
-            found.add(triple)
-            yield triple
+    for e in range(m):
+        for f in range(e + 1, m):
+            b = edge_of.get(labels[e] ^ labels[f])
+            if b is None or ends[e] & ends[f]:
+                continue
+            triple = frozenset((e, f, b))
+            if triple not in found:
+                found.add(triple)
+                yield triple
 
 
 def _cut_from_triple(g: BipartiteGraph, triple: frozenset[int]) -> Cut:
@@ -220,11 +211,9 @@ def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     return cuts
 
 
-def _general_tight_cut(
-    g: BipartiteGraph, rng: Optional[random.Random] = None
-) -> Optional[Cut]:
-    """One non-trivial tight cut of a matching covered bipartite graph, or
-    None when g is 2-extendable, i.e. a brace.
+def find_nontrivial_tight_cut(g: BipartiteGraph) -> Optional[Cut]:
+    """Some non-trivial tight cut of a matching covered bipartite g, or None
+    when g is 2-extendable, i.e. a brace.
 
     The cut is read off the failed brace test, `_digraph_failure`: a search
     of D - v from its root, in D = D(g, M), that misses some node, and the
@@ -242,10 +231,15 @@ def _general_tight_cut(
       the cut has at least three vertices: the cut is non-trivial.
 
     The shore is kept on the A-excess side, as `_cut_from_triple` does: the
-    complement of R ∪ N(R), or T ∪ N(T) itself.  rng shuffles the order in
-    which the nodes v are tried.
+    complement of R ∪ N(R), or T ∪ N(T) itself.  The same route serves
+    cubic 3-connected input; `find_tight_cuts_cubic` answers for the whole
+    family at once.
     """
-    failure = _digraph_failure(g, rng)
+    g._require_colour()
+    if g.n <= 4:
+        # shores of a tight cut have odd size, so one of them would be trivial
+        return None
+    failure = _digraph_failure(g)
     if failure is None:
         return None
     reached, mates, along = failure
@@ -257,27 +251,6 @@ def _general_tight_cut(
         raise GraphError("graph is not matching covered")
     shore = hall | neighbours
     return Cut.from_shore(g, g.full_mask & ~shore if along else shore)
-
-
-def find_nontrivial_tight_cut(
-    g: BipartiteGraph, rng: Optional[random.Random] = None
-) -> Optional[Cut]:
-    """Some non-trivial tight cut, or None when g is a brace.
-
-    Cubic 3-connected inputs use the 3-edge-cut scan; everything else goes
-    through the brace test, whose failed search of the matching digraph
-    holds the cut (`_general_tight_cut`).  A supplied rng only changes which
-    cut is returned, never whether one exists.
-    """
-    g._require_colour()
-    if g.n <= 4:
-        # shores of a tight cut have odd size, so one of them would be trivial
-        return None
-    labels = _three_connected_labels(g) if g.is_regular(3) else None
-    if labels is not None:
-        triple = next(_disconnecting_triples(g, labels, rng), None)
-        return None if triple is None else _cut_from_triple(g, triple)
-    return _general_tight_cut(g, rng)
 
 
 def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> BipartiteGraph:
@@ -409,15 +382,13 @@ class DecompositionResult:
     trace: tuple[DecompositionStep, ...]
 
 
-def tight_cut_decomposition(
-    g: BipartiteGraph, rng: Optional[random.Random] = None
-) -> DecompositionResult:
+def tight_cut_decomposition(g: BipartiteGraph) -> DecompositionResult:
     """Brace decomposition of a matching covered bipartite graph.
 
     Contracts non-trivial tight cuts (both shores) until only braces remain
     and returns their canonical forms with multiplicity.  The multiset does
-    not depend on the order of contractions or on which cuts are picked, so a
-    supplied rng perturbs only the trace.
+    not depend on the order of contractions or on which cuts are picked
+    (Lovász 1987); the trace records the choices made.
     """
     if not is_matching_covered(g):
         raise GraphError("decomposition needs a matching covered graph")
@@ -425,9 +396,8 @@ def tight_cut_decomposition(
     trace: list[DecompositionStep] = []
     work = [g]
     while work:
-        idx = rng.randrange(len(work)) if rng is not None else len(work) - 1
-        h = work.pop(idx)
-        cut = find_nontrivial_tight_cut(h, rng)
+        h = work.pop()
+        cut = find_nontrivial_tight_cut(h)
         if cut is None:
             braces[canonical_form(h)] += 1
             continue

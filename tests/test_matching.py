@@ -211,41 +211,35 @@ def _reference_hall_set(g, removed_mask):
     return vertex_mask(t_set | full_n)
 
 
-def _reference_blocking_quartet(g, rng=None):
+def _reference_blocking_quartet(g):
     """The quartet scan blocking_quartet ran before it read spared B-pairs
     from one matching per A-pair."""
-    a_pairs = list(combinations(g.class_a(), 2))
-    b_pairs = list(combinations(g.class_b(), 2))
-    if rng is not None:
-        rng.shuffle(a_pairs)
-        rng.shuffle(b_pairs)
-    for a1, a2 in a_pairs:
-        for b1, b2 in b_pairs:
+    for a1, a2 in combinations(g.class_a(), 2):
+        for b1, b2 in combinations(g.class_b(), 2):
             removed = 1 << a1 | 1 << a2 | 1 << b1 | 1 << b2
             if not has_perfect_matching(g, removed):
                 return removed
     return None
 
 
-def _reference_general_tight_cut(g, rng=None):
-    """The route tightcut._general_tight_cut took before it read the cut off
+def _reference_tight_cut(g):
+    """The route find_nontrivial_tight_cut took before it read the cut off
     the failed digraph search: the first blocking quartet's Hall set
     T ∪ N(T) is the complement of the shore, which is the A-excess side.
     Braces leave at once, as the old route left through the digraph test
     before scanning."""
     if not has_perfect_matching(g):
         raise GraphError("graph has no perfect matching")
-    if matching._strongly_2_connected(g):
+    if matching._digraph_failure(g) is None:
         return None
-    removed = _reference_blocking_quartet(g, rng)
+    removed = _reference_blocking_quartet(g)
     if removed is None:
         return None
     return Cut.from_shore(g, g.full_mask & ~_reference_hall_set(g, removed))
 
 
 def _random_matching_covered(seed, count):
-    """`count` seeded random matching covered graphs that are not cubic, so
-    every one takes the general route."""
+    """`count` seeded random matching covered graphs that are not cubic."""
     rng = random.Random(seed)
     graphs = []
     while len(graphs) < count:
@@ -273,23 +267,30 @@ def _cycle_plus_chords(k, seed):
     return with_colouring(BipartiteGraph(n, tuple(sorted(edges))))
 
 
+def _relabellings(g, seed, count):
+    """`count` seeded permutations of g's vertices, the identity first."""
+    rng = random.Random(seed)
+    return [list(range(g.n))] + [rng.sample(range(g.n), g.n) for _ in range(count - 1)]
+
+
 def test_general_route_cuts_are_tight_nontrivial_a_excess(asano):
     # find_nontrivial_tight_cut answers for four vertices or fewer itself
     graphs = [h for h in _decomposition_pieces(asano.graph) if h.n > 4]
     graphs += _random_matching_covered(16, 150)
     cuts = 0
-    varied = 0  # graphs whose cut depends on the rng's node order
-    for g in graphs:
+    varied = 0  # graphs whose cut depends on the labelling
+    for i, g in enumerate(graphs):
         shores = set()
-        for seed in (None, 1, 5, 9):
-            cut = tightcut._general_tight_cut(g, None if seed is None else random.Random(seed))
+        for perm in _relabellings(g, i, 4):
+            h = g.relabel(perm)
+            cut = find_nontrivial_tight_cut(h)
             if cut is None:
-                assert is_brace(g)
+                assert is_brace(h)
                 continue
-            assert is_tight(g, cut) and oracle_is_tight(g, cut)
+            assert is_tight(h, cut) and oracle_is_tight(h, cut)
             assert not cut.is_trivial
-            assert shore_colour_balance(g, cut.shore) == 1
-            shores.add(cut.shore)
+            assert shore_colour_balance(h, cut.shore) == 1
+            shores.add(vertex_mask(v for v in range(g.n) if cut.shore >> perm[v] & 1))
             cuts += 1
         varied += len(shores) > 1
     assert cuts >= 400 and varied >= 50, (cuts, varied)
@@ -328,7 +329,7 @@ def test_general_route_without_matching_coverage_raises_or_stays_tight():
         if not has_perfect_matching(g) or is_matching_covered(g):
             continue
         try:
-            cut = tightcut._general_tight_cut(g)
+            cut = find_nontrivial_tight_cut(g)
         except GraphError:
             verdicts["raised"] += 1
             continue
@@ -342,16 +343,13 @@ def test_general_route_braces_match_quartet_route(asano, monkeypatch):
     # the old route must give the same ones while the traces may differ
     graphs = [asano.graph, catalog("p5_example").graph, _cycle_plus_chords(30, 3)]
     graphs += _random_matching_covered(16, 150)
-    runs = [(g, seed) for g in graphs for seed in (None, 1, 5, 9)]
+    runs = [g.relabel(perm) for i, g in enumerate(graphs) for perm in _relabellings(g, i, 4)]
 
     def decompose():
-        return [
-            tight_cut_decomposition(g, None if seed is None else random.Random(seed))
-            for g, seed in runs
-        ]
+        return [tight_cut_decomposition(g) for g in runs]
 
     ours = decompose()
-    monkeypatch.setattr(tightcut, "_general_tight_cut", _reference_general_tight_cut)
+    monkeypatch.setattr(tightcut, "find_nontrivial_tight_cut", _reference_tight_cut)
     ref = decompose()
     assert [r.braces for r in ours] == [r.braces for r in ref]
     assert sum(len(r.trace) for r in ours) >= 300
@@ -364,10 +362,10 @@ def test_decomposition_order_invariance_at_200_vertices():
     base = tight_cut_decomposition(g)
     assert len(base.trace) >= 10
     traces = set()
-    for seed in (1, 5, 9):
-        shuffled = tight_cut_decomposition(g, random.Random(seed))
-        assert shuffled.braces == base.braces
-        traces.add(tuple(shuffled.trace))
+    for perm in _relabellings(g, 1, 4):
+        result = tight_cut_decomposition(g.relabel(perm))
+        assert result.braces == base.braces
+        traces.add(tuple((s.shore_size, s.piece_sizes) for s in result.trace))
     assert len(traces) > 1
 
 
@@ -423,7 +421,7 @@ def test_digraph_test_matches_quartet_scan():
     assert sum(not is_connected(g) for g in randoms) >= 10
     verdicts = []
     for g in randoms:
-        ours = matching._strongly_2_connected(g)
+        ours = matching._digraph_failure(g) is None
         assert ours == (_reference_blocking_quartet(g) is None and len(g.class_a()) >= 3)
         verdicts.append(ours)
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
@@ -444,7 +442,7 @@ def test_brace_test_matches_cut_labels_and_decomposition(asano):
 
 
 def test_brace_test_takes_one_matching_and_no_scan(monkeypatch, asano):
-    # the brace test and the general cut route each search one digraph
+    # the brace test and the cut route each search one digraph
     piece = next(
         h
         for h in _decomposition_pieces(asano.graph)

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import pathlib
@@ -139,10 +140,11 @@ def _catalog_cube():
 
 
 def test_decomposition_order_invariance(asano):
-    base = tight_cut_decomposition(asano.graph).braces
-    for seed in range(4):
-        rng = random.Random(seed)
-        assert tight_cut_decomposition(asano.graph, rng).braces == base
+    g = asano.graph
+    base = tight_cut_decomposition(g).braces
+    rng = random.Random(4)
+    for _ in range(4):
+        assert tight_cut_decomposition(g.relabel(rng.sample(range(g.n), g.n))).braces == base
 
 
 def test_brace_decomposes_to_itself(heawood):
@@ -307,7 +309,7 @@ def test_cut_labels_disconnected(cube):
     assert not cubic_three_connected(two_cubes)
 
 
-def test_cut_labels_are_computed_once_per_piece(monkeypatch):
+def test_cut_labels_are_computed_once_per_graph(monkeypatch):
     calls = []
     monkeypatch.setattr(tightcut, "cut_labels", lambda g: calls.append(g) or cut_labels(g))
     allowed = []
@@ -319,17 +321,19 @@ def test_cut_labels_are_computed_once_per_piece(monkeypatch):
 
     monkeypatch.setattr(matching, "allowed_edges", counting)
     monkeypatch.setattr(tightcut, "allowed_edges", counting)
-    # a fresh copy: labels are cached on the graph, and catalog graphs are shared
+    # fresh copies: labels are cached on the graph, and catalog graphs are shared
     horton = catalog("horton").graph
     result = tight_cut_decomposition(BipartiteGraph(horton.n, horton.edges, horton.colour))
-    pieces = 2 * len(result.trace) + 1
-    assert (pieces, sum(result.braces.values())) == (7, 4)
-    # one per piece for the search; contract reads only colours
-    assert len(calls) == pieces
-    # the entry check is the only matching coveredness test
-    assert len(allowed) == 1
+    assert (len(result.trace), sum(result.braces.values())) == (3, 4)
+    # the decomposition reads its cuts off the brace test, not off labels,
+    # and its entry check is the only matching coveredness test
+    assert calls == [] and len(allowed) == 1
     tight_cut_decomposition(catalog("asano").graph)
-    assert len(allowed) == 2
+    assert calls == [] and len(allowed) == 2
+    # the check and the scan share one labelling
+    fresh = BipartiteGraph(horton.n, horton.edges, horton.colour)
+    assert cubic_three_connected(fresh) and len(find_tight_cuts_cubic(fresh)) == 3
+    assert calls == [fresh]
 
 
 def test_laminar_utilities(c6):
@@ -347,22 +351,45 @@ def test_heawood_has_no_tight_cuts(heawood):
     assert find_tight_cuts_cubic(heawood) == []
 
 
+def test_brace_test_cut_is_one_of_the_scan_cuts():
+    # the digraph search and the cut labels share no code
+    graphs = [rec.graph for rec in generate(24)]
+    graphs += [catalog(name).graph for name in ("horton", "p5_example", "b_horton", "heawood")]
+    cuts = 0
+    for g in graphs:
+        cut = find_nontrivial_tight_cut(g)
+        scan = {c.edge_ids for c in find_tight_cuts_cubic(g)}
+        assert (cut is None) == (not scan)
+        if cut is not None:
+            assert cut.edge_ids in scan
+            cuts += 1
+    assert (len(graphs), cuts) == (59, 26)
+
+
 GOLDEN_TRACES = pathlib.Path(__file__).parent / "golden" / "decomposition_traces.json"
+DERIVE_TRACES = pathlib.Path(__file__).parents[1] / "scripts" / "derive_golden_traces.py"
 
 
 def test_decomposition_traces_match_golden():
-    """The cut each route picks, frozen by scripts/derive_golden_traces.py."""
+    """The cut the decomposition picks, frozen by scripts/derive_golden_traces.py."""
     for case in json.loads(GOLDEN_TRACES.read_text())["cases"]:
         g = catalog(case["graph"]).graph
         if case["relabel_seed"] is not None:
             perm = list(range(g.n))
             random.Random(case["relabel_seed"]).shuffle(perm)
             g = with_colouring(g.relabel(perm))
-        rng = None if case["rng_seed"] is None else random.Random(case["rng_seed"])
-        result = tight_cut_decomposition(g, rng)
+        result = tight_cut_decomposition(g)
         trace = [
             [s.n, list(s.cut_edge_ids), s.shore_size, list(s.piece_sizes)]
             for s in result.trace
         ]
         assert trace == case["trace"], case
         assert dict(result.braces) == case["braces"], case
+
+
+def test_golden_trace_script_covers_the_golden_cases():
+    spec = importlib.util.spec_from_file_location("derive_golden_traces", DERIVE_TRACES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    golden = json.loads(GOLDEN_TRACES.read_text())["cases"]
+    assert list(script.cases()) == [(case["graph"], case["relabel_seed"]) for case in golden]
