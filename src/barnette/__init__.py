@@ -9,11 +9,10 @@ from .graphs import (
     is_connected,
     is_k_connected,
     shore_colour_balance,
-    two_colour,
     vertex_mask,
     with_colouring,
 )
-from .canon import are_isomorphic, canonical_form
+from .canon import canonical_form
 from .io import from_bgf, from_graph6, to_bgf, to_graph6
 from .embedding import (
     C4Site,
@@ -27,21 +26,17 @@ from .embedding import (
 from .matching import (
     OracleBoundError,
     PerfectMatching,
-    allowed_edges,
-    cover_graph,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_brace,
     is_k_extendable,
     is_matching_covered,
     oracle_bound,
-    perfect_matching,
 )
 from .hamiltonicity import (
     HamiltonianCycle,
     HamiltonicityEngine,
     PropertyResult,
-    cycle_to_matchings,
     find_hamiltonian_cycle,
     has_h_minus,
     has_h_plus_minus,
@@ -75,7 +70,6 @@ from .constructions import (
     enumerate_simple_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,
-    is_conformal_subgraph,
     is_oddly_oriented,
     splice,
     trisum,

@@ -113,12 +113,15 @@ def _orientation_is_pfaffian(
     return True
 
 
-def pfaffian_by_enumeration(g: BipartiteGraph, max_edges: int = 20) -> bool:
+_MAX_ORIENTED_EDGES = 20
+
+
+def pfaffian_by_enumeration(g: BipartiteGraph) -> bool:
     """Try all 2^m orientations; exponential, for cross-checking tiny graphs."""
     from .constructions import conformal_cycles
 
-    if g.edge_count > max_edges:
-        raise GraphError("orientation enumeration is capped at 2^20")
+    if g.edge_count > _MAX_ORIENTED_EDGES:
+        raise GraphError(f"orientation enumeration is capped at 2^{_MAX_ORIENTED_EDGES}")
     cycles = [tuple(c) for c in conformal_cycles(g)]
     return any(
         _orientation_is_pfaffian(g, bits, cycles) for bits in range(1 << g.edge_count)

@@ -209,37 +209,6 @@ def cubic_trisum(
     return trisum(graphs, quads, _C4_PAIRS)
 
 
-# ---------------------------------------------------------------------------
-# conformal subgraphs
-
-
-def _subgraph_vertices(g: BipartiteGraph, h) -> int:
-    """Vertex mask of a subgraph given as vertices or as edge pairs."""
-    items = list(h)
-    if not items:
-        return 0
-    if isinstance(items[0], int):
-        mask = vertex_mask(items)
-        if mask >= 1 << g.n:
-            raise GraphError("subgraph vertex out of range")
-        return mask
-    mask = 0
-    for a, b in items:
-        if not g.has_edge(a, b):
-            raise GraphError(f"{a}-{b} is not an edge of the host graph")
-        mask |= 1 << a | 1 << b
-    return mask
-
-
-def is_conformal_subgraph(g: BipartiteGraph, h) -> bool:
-    """Does g minus the subgraph's vertices have a perfect matching?
-
-    `h` may be an iterable of vertex ids or of edge pairs (validated against
-    g).  An empty remainder counts as matched.
-    """
-    return has_perfect_matching(g, _subgraph_vertices(g, h))
-
-
 def _simple_paths(
     nbrs: Sequence[Sequence[int]], src: int, dst: int, seen: bytearray
 ) -> Iterator[tuple[int, ...]]:

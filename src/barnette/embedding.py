@@ -74,12 +74,6 @@ def euler_check(g: BipartiteGraph, emb: RotationEmbedding) -> bool:
     return g.n - g.edge_count + f == 2
 
 
-def planar_code(g: BipartiteGraph, emb: RotationEmbedding) -> tuple[int, ...]:
-    """Isomorphism invariant of a connected embedded graph, mirror images
-    equal: the code part of ``planar_code_and_automorphisms``."""
-    return planar_code_and_automorphisms(g, emb)[0]
-
-
 def planar_code_and_automorphisms(
     g: BipartiteGraph, emb: RotationEmbedding
 ) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:

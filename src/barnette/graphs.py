@@ -33,7 +33,8 @@ class BipartiteGraph:
 
     The type admits any simple graph.  ``colour`` holds values 'A' and 'B'
     and is present exactly when the graph is bipartite: explicit colours are
-    validated, and a graph built without them gets the `two_colour` one.
+    validated, and a graph built without them gets the breadth-first one
+    that `_two_colour` gives, the least vertex of each component 'A'.
     Operations that need the colouring raise GraphError on an odd cycle.
     """
 
@@ -303,15 +304,6 @@ def _two_colour(nbrs: Sequence[Sequence[int]]) -> Optional[tuple[str, ...]]:
                 elif colour[w] != want:
                     return None
     return tuple(colour)  # type: ignore[arg-type]
-
-
-def two_colour(g: BipartiteGraph) -> Optional[tuple[str, ...]]:
-    """Proper 2-colouring with vertex 0 coloured 'A', or None if an odd cycle exists.
-
-    Components are coloured independently, the least vertex of each getting
-    'A'; a graph built without colours carries exactly this one.
-    """
-    return _two_colour(g.neighbours)
 
 
 def with_colouring(g: BipartiteGraph) -> BipartiteGraph:

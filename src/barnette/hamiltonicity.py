@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import BipartiteGraph, Cut, GraphError
-from .matching import PerfectMatching
 from .tightcut import contract_family, cubic_three_connected, find_tight_cuts_cubic
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
@@ -298,24 +297,6 @@ def _solve(st: _State) -> bool:
 
 def is_hamiltonian(g: BipartiteGraph) -> bool:
     return HamiltonicityEngine(g).cycle_with() is not None
-
-
-def cycle_to_matchings(
-    g: BipartiteGraph, cycle: HamiltonianCycle
-) -> tuple[PerfectMatching, PerfectMatching]:
-    """Split a Hamiltonian cycle into its two alternating perfect matchings."""
-    cycle.validate(g)
-    if g.n % 2:
-        raise GraphError("odd cycle cannot split into matchings")
-    halves: tuple[list[int], list[int]] = ([], [])
-    for i, v in enumerate(cycle.vertices):
-        w = cycle.vertices[(i + 1) % g.n]
-        halves[i % 2].append(g.edge_id(v, w))
-    m0 = PerfectMatching(frozenset(halves[0]))
-    m1 = PerfectMatching(frozenset(halves[1]))
-    m0.validate(g)
-    m1.validate(g)
-    return m0, m1
 
 
 class _CycleIndex:

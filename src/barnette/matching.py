@@ -1,4 +1,4 @@
-"""Perfect matchings, allowed edges, k-extendability and the brace test.
+"""Perfect matchings, k-extendability and the brace test.
 
 This module alone handles partner arrays.  Every graph gets one
 deterministic maximum matching, computed on first use and cached on the
@@ -7,20 +7,22 @@ vertices removed) starts from it.  One perfect matching M of g answers the
 extendability questions through the alternating digraph D(g, M), with a node
 per A-vertex and an arc a -> M(b) per edge ab outside M: g is k-extendable
 iff D(g, M) is strongly k-connected (Lakhal & Litzler, Inform. Process. Lett.
-65, 1998).  For k = 1, matching covered, D is strongly connected and its
-strongly connected components give the allowed edges; for k = 2, D minus any
-one node stays strongly connected (Robertson, Seymour & Thomas, Ann. Math.
-150, 1999), and the braces are these graphs, K2 and C4.  `_digraph_failure`
-searches each D - v and, for a graph that is not 2-extendable, returns the
-first search that misses a node; the set of nodes it reached is the Hall set
-from which `tightcut` reads a non-trivial tight cut.
+65, 1998).  One reachability search, `_reach`, decides both cases the
+package asks.  For k = 1, matching covered, a search from one node along the
+arcs and one against them must reach every node.  For k = 2, D minus any one
+node stays strongly connected (Robertson, Seymour & Thomas, Ann. Math. 150,
+1999), and the braces are these graphs, K2 and C4; `_digraph_failure` runs
+the same two searches in each D - v and, for a graph that is not
+2-extendable, returns the first that misses a node.  The set of nodes it
+reached is the Hall set from which `tightcut` reads a non-trivial tight cut.
+No strongly connected components and no set of allowed edges are computed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .graphs import (
     BipartiteGraph,
@@ -144,109 +146,59 @@ def has_perfect_matching(g: BipartiteGraph, removed_mask: int = 0) -> bool:
     return 2 * size == count
 
 
-def perfect_matching(g: BipartiteGraph) -> Optional[PerfectMatching]:
-    """One perfect matching (deterministic), or None."""
+# ----- the alternating digraph -----
+
+
+def _alternating_digraph(
+    g: BipartiteGraph,
+) -> Optional[tuple[list[int], list[list[int]], list[list[int]]]]:
+    """D(g, M) for g's cached matching M, or None when M is not perfect.
+
+    Returns the partner array and, indexed by vertex, the out- and in-lists
+    of the A-nodes: one arc a -> M(b) per edge ab of g outside M, the
+    out-lists in edge-id order.
+    """
     size, partner = _matching(g)
     if 2 * size != g.n:
         return None
-    return PerfectMatching(frozenset(g.edge_id(a, partner[a]) for a in g.class_a()))
-
-
-# ----- allowed edges -----
-
-
-def allowed_edges(g: BipartiteGraph) -> frozenset[int]:
-    """Ids of edges contained in some perfect matching (empty if none exists)."""
-    size, partner = _matching(g)
-    if 2 * size != g.n:
-        return frozenset()
-    # An edge not in the matching is allowed iff its arc of the alternating
-    # digraph lies on a directed cycle, i.e. both ends sit in one strongly
-    # connected component.  Matching edges are allowed by definition.
-    a_class = g.class_a()
-    comp = _scc(a_class, _alternating_digraph(g, partner))
-    out = set()
-    for eid, (u, v) in enumerate(g.edges):
-        a, b = (u, v) if g.colour[u] == "A" else (v, u)
-        if partner[a] == b or comp[a] == comp[partner[b]]:
-            out.add(eid)
-    return frozenset(out)
-
-
-def _alternating_digraph(g: BipartiteGraph, partner: list[int]) -> dict[int, list[int]]:
-    """D(g, M) for the perfect matching M in `partner`: one node per A-vertex
-    and an arc a -> M(b) for each edge ab of g outside M."""
-    arcs: dict[int, list[int]] = {a: [] for a in g.class_a()}
+    out: list[list[int]] = [[] for _ in range(g.n)]
+    into: list[list[int]] = [[] for _ in range(g.n)]
     for (u, v) in g.edges:
         a, b = (u, v) if g.colour[u] == "A" else (v, u)
         if partner[a] != b:
-            arcs[a].append(partner[b])
-    return arcs
+            out[a].append(partner[b])
+            into[partner[b]].append(a)
+    return partner, out, into
 
 
-def _scc(nodes: Sequence[int], arcs: dict[int, list[int]]) -> dict[int, int]:
-    """Tarjan strongly connected components, iterative; returns node -> comp id."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = [0]
-    ncomp = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            recursed = False
-            succ = arcs[v]
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if w not in index:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recursed = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recursed:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp[0]
-                    if w == v:
-                        break
-                ncomp[0] += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp
-
-
-def cover_graph(g: BipartiteGraph) -> tuple[BipartiteGraph, dict[int, int]]:
-    """Spanning subgraph on the allowed edges, plus old-id -> new-id map."""
-    keep = sorted(allowed_edges(g))
-    emap = {old: new for new, old in enumerate(keep)}
-    sub = BipartiteGraph(g.n, tuple(g.edges[e] for e in keep), g.colour)
-    return sub, emap
+def _reach(arcs: list[list[int]], root: int, seen: set[int]) -> set[int]:
+    """Adds to ``seen``, which holds root, every node that a search from root
+    along ``arcs`` reaches without passing through a node already in it."""
+    stack = [root]
+    while stack:
+        for w in arcs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def is_matching_covered(g: BipartiteGraph) -> bool:
-    """Connected, at least one edge, and every edge lies in a perfect matching."""
-    if g.n < 2 or g.edge_count == 0:
+    """Connected, at least one edge, and every edge lies in a perfect matching.
+
+    For a perfect matching M, an edge ab outside M lies in another one iff
+    its arc a -> M(b) lies on a directed cycle of D(g, M).  D is connected
+    when g is, so every arc lies on a cycle iff D is strongly connected: a
+    search from one node reaches every node along the arcs and against them.
+    """
+    if g.n < 2 or g.edge_count == 0 or not is_connected(g):
         return False
-    if not is_connected(g):
+    digraph = _alternating_digraph(g)
+    if digraph is None:
         return False
-    return len(allowed_edges(g)) == g.edge_count
+    _, out, into = digraph
+    root = g.class_a()[0]
+    return all(len(_reach(arcs, root, {root})) == g.n // 2 for arcs in (out, into))
 
 
 # ----- extendability and braces -----
@@ -255,7 +207,7 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
 def _digraph_failure(g: BipartiteGraph) -> Optional[tuple[int, int, bool]]:
     """The first search that shows D(g, M) is not strongly 2-connected, or None.
 
-    D - v is strongly connected iff a search from one root reaches every
+    D - v is strongly connected iff `_reach` from one root reaches every
     other node both along the arcs and against them: O(n·m) over all nodes v.
     The nodes v are taken in increasing order, and the root is the least
     other node.  The first search that misses a node gives (R, M(R), along):
@@ -265,26 +217,16 @@ def _digraph_failure(g: BipartiteGraph) -> Optional[tuple[int, int, bool]]:
     empty.  None means every D - v is strongly connected, i.e. g is
     2-extendable.
     """
-    size, partner = _matching(g)
-    if 2 * size != g.n or size < 3:
+    digraph = _alternating_digraph(g)
+    if digraph is None or g.n < 6:
         return 0, 0, True
-    out = _alternating_digraph(g, partner)
-    into: dict[int, list[int]] = {a: [] for a in out}
-    for a, heads in out.items():
-        for h in heads:
-            into[h].append(a)
-    nodes = list(out)
+    partner, out, into = digraph
+    nodes = g.class_a()
     for v in nodes:
         root = nodes[1] if v == nodes[0] else nodes[0]
         for along, arcs in ((True, out), (False, into)):
-            seen = {v, root}
-            stack = [root]
-            while stack:
-                for w in arcs[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) < size:
+            seen = _reach(arcs, root, {v, root})
+            if len(seen) < len(nodes):
                 seen.discard(v)
                 return vertex_mask(seen), vertex_mask(partner[a] for a in seen), along
     return None

@@ -1,13 +1,13 @@
 """Tight cuts in matching covered bipartite graphs.
 
 A cut is tight when every perfect matching crosses it exactly once.  The
-recognition test reads the allowed edges (those in some perfect matching):
-the shore must carry a colour imbalance of exactly one, and no allowed edge
-may leave it from its minority class.  (With imbalance +1 every perfect
-matching crosses once more from class A than from class B, so it crosses
-exactly once iff it uses no cut edge at a B-vertex of the shore; this is the
-bipartite tight-cut characterisation of Lovász & Plummer, *Matching Theory*,
-restricted to allowed edges.)
+recognition test asks the matching kernel about the cut edges: the shore
+must carry a colour imbalance of exactly one, and no cut edge that leaves it
+from its minority class may lie in a perfect matching, i.e. g minus its two
+ends must have none.  (With imbalance +1 every perfect matching crosses once
+more from class A than from class B, so it crosses exactly once iff it uses
+no cut edge at a B-vertex of the shore; this is the bipartite tight-cut
+characterisation of Lovász & Plummer, *Matching Theory*.)
 
 There is one route to a single cut, and it works on every matching covered
 graph: the brace test.  The first D(g, M) - v that the matching kernel finds
@@ -54,20 +54,17 @@ from .graphs import (
     connected_components,
     shore_colour_balance,
 )
-from .matching import (
-    _digraph_failure,
-    allowed_edges,
-    has_perfect_matching,
-    is_matching_covered,
-)
+from .matching import _digraph_failure, has_perfect_matching, is_matching_covered
 
 
 def is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     """Does every perfect matching cross the cut exactly once?
 
-    Exactly when the shore's colour imbalance is ±1 and no allowed edge
-    leaves the shore from its minority class; the graph must be bipartite
-    and have a perfect matching.
+    Exactly when the shore's colour imbalance is ±1 and no cut edge uv that
+    leaves the shore from its minority class lies in a perfect matching,
+    that is, g - u - v has none; the graph must be bipartite and have a
+    perfect matching.  A cut whose edges all leave from the majority class,
+    as every 3-edge cut of a class member does, asks no further question.
     """
     g._require_colour()
     if not has_perfect_matching(g):
@@ -76,11 +73,10 @@ def is_tight(g: BipartiteGraph, cut: Cut) -> bool:
     if abs(balance) != 1:
         return False
     minority = "B" if balance == 1 else "A"
-    allowed = allowed_edges(g)
     for eid in cut.edge_ids:
         u, v = g.edges[eid]
         inside = u if cut.shore >> u & 1 else v
-        if g.colour[inside] == minority and eid in allowed:
+        if g.colour[inside] == minority and has_perfect_matching(g, 1 << u | 1 << v):
             return False
     return True
 
@@ -279,8 +275,8 @@ def _quotient(
     The cut is tight iff the collapsed side has colour balance ±1 and every
     cut edge leaves it from its majority colour, the colour its new vertex
     takes.  This suffices in any bipartite graph, as each minority vertex is
-    matched inside the side, and is `is_tight`'s test when every edge is
-    allowed.
+    matched inside the side, and is `is_tight`'s test when every edge lies
+    in a perfect matching.
     """
     vertex = {v: i for i, v in enumerate(bits(own))}
     colour = [g.colour[v] for v in vertex]

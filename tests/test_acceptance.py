@@ -21,7 +21,7 @@ from barnette.constructions import (
 )
 from barnette.expansion import general_c4_expand
 from barnette.generator import generate
-from barnette.graphs import is_k_connected, two_colour
+from barnette.graphs import is_k_connected
 from barnette.hamiltonicity import (
     HamiltonicityEngine,
     _CycleIndex,
@@ -195,7 +195,7 @@ def test_c09_horton_construction(capsys):
         g = entry.graph
         assert g.n == 96
         assert g.is_regular(3)
-        assert two_colour(g) is not None
+        assert g.colour is not None
         assert is_k_connected(g, 3)
         braces = tight_cut_decomposition(g).braces
         k33_form = canonical_form(catalog("k33").graph)

@@ -4,7 +4,7 @@ import pytest
 
 from barnette.catalog import CatalogError, catalog, catalog_names
 from barnette.embedding import embed_planar, euler_check
-from barnette.graphs import is_k_connected, two_colour
+from barnette.graphs import is_k_connected
 from barnette.hamiltonicity import (
     HamiltonicityEngine,
     find_hamiltonian_cycle,
@@ -80,7 +80,7 @@ def test_all_entries_bipartite():
     for name in catalog_names():
         if name == "georges_kelmans":
             continue
-        assert two_colour(catalog(name).graph) is not None
+        assert catalog(name).graph.colour is not None
 
 
 def test_cube_rotation_is_planar_embedding():

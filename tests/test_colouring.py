@@ -1,6 +1,6 @@
 """Every graph is 2-coloured once, when it is built.
 
-A graph built without colours carries the `two_colour` colouring exactly
+A graph built without colours carries its breadth-first 2-colouring exactly
 when it is bipartite, so callers never colour a graph themselves; entry
 points that need classes still reject an odd cycle with GraphError.
 """
@@ -19,7 +19,6 @@ from barnette.constructions import (
     conformal_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,
-    is_conformal_subgraph,
 )
 from barnette.embedding import facial_c4_expansion_sites
 from barnette.expansion import cube_expand
@@ -29,18 +28,14 @@ from barnette.graphs import (
     Cut,
     GraphError,
     shore_colour_balance,
-    two_colour,
     with_colouring,
 )
 from barnette.io import to_graph6
 from barnette.matching import (
-    allowed_edges,
-    cover_graph,
     has_perfect_matching,
     is_brace,
     is_k_extendable,
     is_matching_covered,
-    perfect_matching,
 )
 from barnette.tightcut import (
     contract,
@@ -58,9 +53,6 @@ PRISM = BipartiteGraph(
 
 ENTRY_POINTS = {
     "has_perfect_matching": has_perfect_matching,
-    "perfect_matching": perfect_matching,
-    "allowed_edges": allowed_edges,
-    "cover_graph": cover_graph,
     "is_matching_covered": is_matching_covered,
     "is_k_extendable_1": lambda g: is_k_extendable(g, 1),
     "is_k_extendable_2": lambda g: is_k_extendable(g, 2),
@@ -73,7 +65,6 @@ ENTRY_POINTS = {
     "find_conformal_k33_bisubdivision": find_conformal_k33_bisubdivision,
     "braces_pfaffian_consistency": braces_pfaffian_consistency,
     "conformal_cycles": conformal_cycles,
-    "is_conformal_subgraph": lambda g: is_conformal_subgraph(g, [0]),
     "shore_colour_balance": lambda g: shore_colour_balance(g, 0b1),
     "class_a": lambda g: g.class_a(),
     "with_colouring": with_colouring,
@@ -83,7 +74,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("graph", [TRIANGLE, C5, PRISM], ids=["triangle", "c5", "prism"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_bipartite_input_raises_graph_error(entry, graph):
-    assert graph.colour is None and two_colour(graph) is None
+    assert graph.colour is None
     with pytest.raises(GraphError):
         ENTRY_POINTS[entry](graph)
 
@@ -137,7 +128,7 @@ def _colouring_calls(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("with_colouring", "two_colour"):
+            if name in ("with_colouring", "_two_colour"):
                 yield f"{path.name}:{node.lineno} {name}"
 
 

@@ -18,7 +18,6 @@ from barnette.constructions import (
     enumerate_simple_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,
-    is_conformal_subgraph,
     is_oddly_oriented,
     splice,
     trisum,
@@ -96,16 +95,6 @@ def test_trisum_validation(cube):
         trisum([cube] * 3, [(0, 1, 2, 4)] * 3)  # not a 4-cycle
     with pytest.raises(GraphError):
         trisum([cube] * 3, [(0, 1, 2, 3)] * 3, removed=((0, 2),))  # a diagonal
-
-
-def test_conformal_subgraph_cube(cube):
-    # removing an edge's endpoints leaves a matchable remainder
-    assert is_conformal_subgraph(cube, [0, 1])
-    assert is_conformal_subgraph(cube, [(0, 1)])
-    # a facial square is conformal too
-    assert is_conformal_subgraph(cube, [0, 1, 2, 3])
-    with pytest.raises(GraphError):
-        is_conformal_subgraph(cube, [(0, 2)])  # not an edge
 
 
 def test_conformal_cross_k33(k33):

@@ -16,7 +16,6 @@ from barnette.embedding import (
     faces,
     facial_c4_expansion_sites,
     next_dart,
-    planar_code,
     planar_code_and_automorphisms,
 )
 from barnette.io import adjacency_bits, graph6_from_bitstring
@@ -122,7 +121,7 @@ def test_generator_skips_only_candidates_an_earlier_one_repeats(monkeypatch):
     for rec in parents:
         g, emb = rec.graph, rec.embedding
         keys = list(range(g.n)) + facial_c4_expansion_sites(g, emb)
-        codes = [planar_code(*cand) for cand in _all_expansions(rec)]
+        codes = [planar_code_and_automorphisms(*cand)[0] for cand in _all_expansions(rec)]
         kept = set()
         for key, code in zip(keys, codes):
             if (g.edges, key) in built:
@@ -143,8 +142,7 @@ def test_planar_code_ties_give_the_automorphism_group(cube, cube_rotation):
     # any embedding; the ties must give exactly that many distinct maps
     assert len(planar_code_and_automorphisms(cube, cube_rotation)[2]) == 48
     for g, emb in [(cube, cube_rotation)] + [(r.graph, r.embedding) for r in generate(20)]:
-        code, order, maps = planar_code_and_automorphisms(g, emb)
-        assert code == planar_code(g, emb)
+        _, order, maps = planar_code_and_automorphisms(g, emb)
         assert sorted(order) == list(range(g.n))
         assert maps[0] == tuple(range(g.n))
         assert len(set(maps)) == len(maps) == _graph_automorphism_count(g)
@@ -170,7 +168,7 @@ def test_planar_code_partitions_candidates_like_canonical_form():
     # candidates up to 26 vertices, all candidates of at most 24 among them
     cands = [c for rec in generate(20) for c in _all_expansions(rec)]
     assert len(cands) == 898
-    codes = [planar_code(g, emb) for g, emb in cands]
+    codes = [planar_code_and_automorphisms(g, emb)[0] for g, emb in cands]
     forms = [canonical_form(g) for g, _emb in cands]
     pairs = set(zip(codes, forms))
     assert len(pairs) == len(set(codes)) == len(set(forms)) == 84
@@ -180,14 +178,14 @@ def test_planar_code_ignores_labels_and_mirroring():
     rng = random.Random(4)
     for rec in generate(20):
         g, emb = rec.graph, rec.embedding
-        code = planar_code(g, emb)
+        code = planar_code_and_automorphisms(g, emb)[0]
         assert len(code) == g.n + 2 * g.edge_count
         mirror = RotationEmbedding(tuple(r[::-1] for r in emb.rotation))
-        assert planar_code(g, mirror) == code
+        assert planar_code_and_automorphisms(g, mirror)[0] == code
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert planar_code(*_relabelled(g, emb, perm)) == code
+            assert planar_code_and_automorphisms(*_relabelled(g, emb, perm))[0] == code
 
 
 def test_first_tie_order_names_records_canonically():
@@ -206,7 +204,9 @@ def test_first_tie_order_names_records_canonically():
 
 
 def test_planar_code_separates_the_first_members():
-    codes = {rec.n: planar_code(rec.graph, rec.embedding) for rec in generate(14)}
+    codes = {
+        rec.n: planar_code_and_automorphisms(rec.graph, rec.embedding)[0] for rec in generate(14)
+    }
     assert sorted(codes) == [8, 12, 14]
     assert len(set(codes.values())) == 3
 
@@ -215,4 +215,4 @@ def test_planar_code_needs_a_connected_graph():
     g = BipartiteGraph(4, ((0, 1), (2, 3)))
     emb = RotationEmbedding(((0,), (0,), (1,), (1,)))
     with pytest.raises(GraphError):
-        planar_code(g, emb)
+        planar_code_and_automorphisms(g, emb)

@@ -13,7 +13,6 @@ from barnette.graphs import (
     is_connected,
     is_k_connected,
     shore_colour_balance,
-    two_colour,
     with_colouring,
 )
 
@@ -50,13 +49,13 @@ def test_colour_must_be_proper():
 
 def test_two_colour_odd_cycle_fails():
     odd = BipartiteGraph(3, ((0, 1), (1, 2), (0, 2)))
-    assert two_colour(odd) is None
+    assert odd.colour is None
     with pytest.raises(GraphError):
         with_colouring(odd)
 
 
 def test_two_colour_classes(cube):
-    colour = two_colour(cube)
+    colour = BipartiteGraph(cube.n, cube.edges).colour
     for u, v in cube.edges:
         assert colour[u] != colour[v]
     assert colour[0] == "A"  # least vertex anchors class A
@@ -116,7 +115,7 @@ def test_two_colour_random_bipartite_double_cover(data):
         (min(u, v + n), max(u, v + n)) for u, v in edges
     ) + tuple((min(v, u + n), max(v, u + n)) for u, v in edges)
     g = BipartiteGraph(2 * n, tuple(sorted(set(doubled))))
-    colour = two_colour(g)
+    colour = g.colour
     for u, v in g.edges:
         assert colour[u] != colour[v]
 

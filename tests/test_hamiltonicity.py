@@ -19,7 +19,6 @@ from barnette.hamiltonicity import (
     HamiltonicityEngine,
     PropertyResult,
     _State,
-    cycle_to_matchings,
     find_hamiltonian_cycle,
     has_h_minus,
     has_h_plus_minus,
@@ -99,14 +98,6 @@ def test_forced_input_validation(cube):
 def test_unsatisfiable_but_wellformed_returns_none(cube):
     # forbid all three edges at a vertex: no cycle can pass through it
     assert find_hamiltonian_cycle(cube, forbidden=cube.incident[0]) is None
-
-
-def test_cycle_to_matchings(cube):
-    cyc = find_hamiltonian_cycle(cube)
-    m0, m1 = cycle_to_matchings(cube, cyc)
-    assert m0.edge_ids | m1.edge_ids == cyc.edge_ids
-    assert not m0.edge_ids & m1.edge_ids
-    assert len(m0.edge_ids) == len(m1.edge_ids) == 4
 
 
 def test_engine_caches_positive_and_negative(cube):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from barnette.graphs import BipartiteGraph, GraphError, two_colour
+from barnette.graphs import BipartiteGraph, GraphError
 from barnette.io import (
     detect_format,
     from_bgf,
@@ -111,7 +111,7 @@ def test_bgf_uncoloured_uses_question_marks():
     assert from_bgf(text)[0].colour is None
     path = "3 2\n???\n0 1\n1 2\n"
     parsed, _, _ = from_bgf(path)
-    assert parsed.colour == two_colour(parsed) == ("A", "B", "A")
+    assert parsed.colour == ("A", "B", "A")
 
 
 def test_bgf_rejects_partial_rotation(cube, cube_rotation):

@@ -20,15 +20,12 @@ from barnette.graphs import (
 from barnette.matching import (
     OracleBoundError,
     _matching,
-    allowed_edges,
-    cover_graph,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_brace,
     is_k_extendable,
     is_matching_covered,
     oracle_bound,
-    perfect_matching,
 )
 from barnette.tightcut import (
     contract,
@@ -39,18 +36,24 @@ from barnette.tightcut import (
 )
 
 
-def test_perfect_matching_on_fixtures(cube, k33, heawood):
-    for g in (cube, k33, heawood):
-        pm = perfect_matching(g)
-        assert pm is not None
-        pm.validate(g)
+def _allowed(g):
+    """Which edges lie in a perfect matching, asked as `is_tight` asks:
+    edge uv does iff g - u - v has one."""
+    return [has_perfect_matching(g, 1 << u | 1 << v) for u, v in g.edges]
+
+
+def _allowed_by_enumeration(g):
+    found = set()
+    for pm in enumerate_perfect_matchings(g):
+        found |= pm.edge_ids
+    return [eid in found for eid in range(g.edge_count)]
 
 
 def test_no_perfect_matching_on_star():
     star = with_colouring(BipartiteGraph(4, ((0, 1), (0, 2), (0, 3))))
-    assert perfect_matching(star) is None
     assert not has_perfect_matching(star)
-    assert allowed_edges(star) == frozenset()
+    assert _allowed(star) == [False] * 3
+    assert not is_matching_covered(star)
 
 
 def test_has_perfect_matching_with_deletions(cube):
@@ -63,19 +66,15 @@ def test_has_perfect_matching_with_deletions(cube):
 
 def test_allowed_edges_full_on_fixtures(cube, k33, heawood):
     for g in (cube, k33, heawood):
-        assert allowed_edges(g) == frozenset(range(g.edge_count))
+        assert all(_allowed(g))
         assert is_matching_covered(g)
 
 
 def test_allowed_edges_partial():
     # path on 4 vertices: only the end edges lie in the unique perfect matching
     p4 = with_colouring(BipartiteGraph(4, ((0, 1), (1, 2), (2, 3))))
-    assert allowed_edges(p4) == frozenset({0, 2})
+    assert _allowed(p4) == [True, False, True]
     assert not is_matching_covered(p4)
-    sub, emap = cover_graph(p4)
-    assert sub.edge_count == 2
-    assert emap == {0: 0, 2: 1}
-    assert sub.edges == ((0, 1), (2, 3))
 
 
 def test_chorded_six_cycle_chord_is_allowed():
@@ -85,7 +84,7 @@ def test_chorded_six_cycle_chord_is_allowed():
         BipartiteGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)))
     )
     chord = g.edge_id(0, 3)
-    assert chord in allowed_edges(g)
+    assert _allowed(g)[chord] and is_matching_covered(g)
     witness = frozenset({chord, g.edge_id(1, 2), g.edge_id(4, 5)})
     assert witness in {pm.edge_ids for pm in enumerate_perfect_matchings(g)}
 
@@ -144,10 +143,45 @@ def test_oracle_bound_default(monkeypatch):
 
 def test_allowed_edges_matches_enumeration(cube, heawood, c6):
     for g in (cube, heawood, c6):
-        by_enum = set()
-        for pm in enumerate_perfect_matchings(g):
-            by_enum |= pm.edge_ids
-        assert allowed_edges(g) == frozenset(by_enum)
+        assert _allowed(g) == _allowed_by_enumeration(g)
+
+
+def test_matching_covered_matches_definition(cube, k33, heawood, c6):
+    # connected, with every edge in some perfect matching that a plain
+    # backtrack lists (it shares no code with _matching or the digraph
+    # search), and at least one edge; 1-extendability also needs n >= 4
+    c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+    graphs = [
+        BipartiteGraph(2, ((0, 1),)),  # K2: matching covered, not 1-extendable
+        BipartiteGraph(4, c4),
+        BipartiteGraph(5, c4),  # an isolated vertex
+        BipartiteGraph(4, ((0, 1), (2, 3))),  # disconnected, perfectly matched
+        BipartiteGraph(4, ((0, 1), (1, 2), (2, 3))),  # P4
+        BipartiteGraph(6, ((0, 1), (1, 2), (1, 4), (3, 4), (4, 5))),  # no perfect matching
+        BipartiteGraph(4, ((0, 1), (0, 2), (0, 3))),  # unbalanced sides
+        c6, cube, k33, heawood,
+    ]
+    rng = random.Random(24)
+    while len(graphs) < 400:
+        half_a = rng.randint(1, 6)
+        half_b = min(6, max(1, half_a + rng.choice((-1, 0, 0, 0, 1))))
+        g = _random_bipartite(rng, half_a, half_b, rng.choice((0.3, 0.5, 0.7, 0.9)))
+        graphs.append(g.relabel(rng.sample(range(g.n), g.n)))
+    verdicts = []
+    for g in graphs:
+        covered = g.edge_count > 0 and is_connected(g) and all(_allowed_by_enumeration(g))
+        assert is_matching_covered(g) == covered
+        assert is_k_extendable(g, 1) == (covered and g.n >= 4)
+        verdicts.append(covered)
+    assert verdicts[:7] == [True, True, False, False, False, False, False]
+    assert all(verdicts[7:11])
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50
+    assert sum(len(g.class_a()) != len(g.class_b()) for g in graphs) >= 50
+    assert sum(not is_connected(g) for g in graphs) >= 20
+    connected = [g for g in graphs if is_connected(g) and len(g.class_a()) == len(g.class_b())]
+    matched = [has_perfect_matching(g) for g in connected]
+    assert matched.count(False) >= 3
+    assert sum(m and not c for m, c in zip(matched, map(is_matching_covered, connected))) >= 20
 
 
 def test_has_perfect_matching_on_long_path():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from barnette import matching, tightcut
+from barnette import tightcut
 from barnette.bruteforce import cubic_bipartite_classes, oracle_is_tight
 from barnette.canon import canonical_form
 from barnette.catalog import catalog
@@ -312,24 +312,20 @@ def test_cut_labels_disconnected(cube):
 def test_cut_labels_are_computed_once_per_graph(monkeypatch):
     calls = []
     monkeypatch.setattr(tightcut, "cut_labels", lambda g: calls.append(g) or cut_labels(g))
-    allowed = []
-    real_allowed = matching.allowed_edges
-
-    def counting(g):
-        allowed.append(g)
-        return real_allowed(g)
-
-    monkeypatch.setattr(matching, "allowed_edges", counting)
-    monkeypatch.setattr(tightcut, "allowed_edges", counting)
+    covered = []
+    real_covered = tightcut.is_matching_covered
+    monkeypatch.setattr(
+        tightcut, "is_matching_covered", lambda g: covered.append(g) or real_covered(g)
+    )
     # fresh copies: labels are cached on the graph, and catalog graphs are shared
     horton = catalog("horton").graph
     result = tight_cut_decomposition(BipartiteGraph(horton.n, horton.edges, horton.colour))
     assert (len(result.trace), sum(result.braces.values())) == (3, 4)
     # the decomposition reads its cuts off the brace test, not off labels,
     # and its entry check is the only matching coveredness test
-    assert calls == [] and len(allowed) == 1
+    assert calls == [] and len(covered) == 1
     tight_cut_decomposition(catalog("asano").graph)
-    assert calls == [] and len(allowed) == 2
+    assert calls == [] and len(covered) == 2
     # the check and the scan share one labelling
     fresh = BipartiteGraph(horton.n, horton.edges, horton.colour)
     assert cubic_three_connected(fresh) and len(find_tight_cuts_cubic(fresh)) == 3
