@@ -419,7 +419,10 @@ class CycleSaturationError(GraphError):
     """Cycle enumeration hit its cap; results would be incomplete."""
 
 
-def _simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> Iterator[tuple[int, ...]]:
+CYCLE_CAP = 10 ** 6  # read at call time, so a test can lower it
+
+
+def _simple_cycles(g: BipartiteGraph) -> Iterator[tuple[int, ...]]:
     """Simple cycles, lazily: `_simple_paths` walks of 4+ entries from the least
     vertex back to itself over larger ones, each kept in one direction only."""
     nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
@@ -431,19 +434,20 @@ def _simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> Iterator[tuple[int,
             continue  # a cycle leaves its least vertex by two larger neighbours
         for walk in _simple_paths(nbrs, anchor, anchor, seen):
             if len(walk) >= 4 and walk[1] < walk[-2]:
-                if found >= cap:
-                    raise CycleSaturationError(f"more than {cap} simple cycles")
+                if found >= CYCLE_CAP:
+                    raise CycleSaturationError(f"more than {CYCLE_CAP} simple cycles")
                 found += 1
                 yield walk[:-1]
 
 
-def enumerate_simple_cycles(g: BipartiteGraph, cap: int = 10 ** 6) -> list[tuple[int, ...]]:
+def enumerate_simple_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """All simple cycles, each reported once, anchored at its least vertex.
 
     Lists an iterative, lazy walk that `find_pfaffian_orientation` may stop
-    early; raises CycleSaturationError beyond `cap` cycles, never truncates.
+    early; raises CycleSaturationError beyond `CYCLE_CAP` cycles, never
+    truncates.
     """
-    return list(_simple_cycles(g, cap))
+    return list(_simple_cycles(g))
 
 
 def conformal_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:

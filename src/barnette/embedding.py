@@ -3,8 +3,9 @@
 A rotation system stores, for every vertex, the cyclic order of its incident
 edge ids.  Faces are orbits of the dart successor rule: after traversing edge
 e into vertex w, the walk leaves w along the successor of e in the rotation at
-w.  A connected rotation system is planar iff V - E + F = 2; every surgery in
-this package re-checks that equality rather than trusting its own bookkeeping.
+w.  A connected rotation system is planar iff V - E + F = 2.  The expansions
+keep that equality by construction; ``generator.verify_record`` (behind
+``barnette verify``) and the tests check it.
 """
 
 from __future__ import annotations

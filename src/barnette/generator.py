@@ -9,10 +9,10 @@ checking downstream.
 
 Duplicates are rejected by the planar code of the rotation system each
 candidate carries (``embedding.planar_code_and_automorphisms``), which
-decides isomorphism because every surgery checks that its result is
-3-connected; buckets are keyed and ordered by it.  A candidate with a new
-code gets its family and its name, the graph6 string under the code's BFS
-order: a canonical form on the class, independent of ``canon``.
+decides isomorphism because both surgeries keep the graph 3-connected
+(``expansion`` says why); buckets are keyed and ordered by it.  A candidate
+with a new code gets its family and its name, the graph6 string under the
+code's BFS order: a canonical form on the class, independent of ``canon``.
 
 The same scan gives each graph its automorphisms, held until it is
 expanded.  Both surgeries commute with automorphisms and mirrors, so the
@@ -102,15 +102,12 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         level = buckets.setdefault(g2.n, {})
         if code in level:
             return
-        fam = update_family(parent.family, g2, *args)
-        if not _family_bound_ok(fam, g2.n):
-            raise GraphError("family outgrew its bound")
         if g2.n + 4 <= n_max:
             groups[code] = group
         level[code] = GenerationRecord(
             graph=g2,
             embedding=emb2,
-            family=fam,
+            family=update_family(parent.family, g2, *args),
             canonical=graph6_from_bitstring(g2.n, adjacency_bits(g2, order)),
             parent_canonical=parent.canonical,
             site=site,

@@ -250,18 +250,7 @@ def connected_components(
 
 
 def is_connected(g: BipartiteGraph, removed_mask: int = 0) -> bool:
-    alive = g.full_mask & ~removed_mask
-    if alive == 0:
-        return True
-    start = (alive & -alive).bit_length() - 1
-    comp = 1 << start
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        fresh = g.adj[v] & alive & ~comp
-        comp |= fresh
-        frontier.extend(bits(fresh))
-    return comp == alive
+    return len(connected_components(g, removed_mask)) <= 1
 
 
 def is_k_connected(g: BipartiteGraph, k: int) -> bool:

@@ -116,12 +116,13 @@ def test_conformal_cross_absent_on_cube(cube, cube_rotation):
         assert conformal_cross(cube, quad) is None
 
 
-def test_cycle_enumeration_counts(cube, k33, c6):
+def test_cycle_enumeration_counts(cube, k33, c6, monkeypatch):
     assert len(enumerate_simple_cycles(c6)) == 1
     assert len(enumerate_simple_cycles(k33)) == 15  # nine 4-cycles, six 6-cycles
     assert len(enumerate_simple_cycles(cube)) == 28  # 6 + 16 + 6 by length
+    monkeypatch.setattr(constructions, "CYCLE_CAP", 5)
     with pytest.raises(CycleSaturationError):
-        enumerate_simple_cycles(cube, cap=5)
+        enumerate_simple_cycles(cube)
 
 
 def _reference_cycles(g):

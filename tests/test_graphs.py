@@ -146,3 +146,17 @@ def test_only_graphs_builds_cuts_directly():
         for call in _cut_constructions(path)
     ]
     assert calls == []
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips asserts, so with none in the package every check
+    it makes runs the same under ``-O``."""
+    paths = sorted(pathlib.Path(barnette.__file__).parent.glob("*.py"))
+    assert "expansion.py" in [path.name for path in paths]
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
