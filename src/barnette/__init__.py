@@ -31,7 +31,6 @@ from .matching import (
     is_brace,
     is_k_extendable,
     is_matching_covered,
-    oracle_bound,
 )
 from .hamiltonicity import (
     HamiltonianCycle,

@@ -23,7 +23,7 @@ from .graphs import BipartiteGraph, GraphError, with_colouring
 from .generator import GenerationRecord, generate, survey, verify_record
 from .hamiltonicity import property_profile
 from .io import detect_format, from_bgf, from_graph6, split_records, to_bgf, to_graph6
-from .matching import OracleBoundError, oracle_bound
+from . import matching
 from .tightcut import cut_from_edge_ids, tight_cut_decomposition
 
 ParsedRecord = tuple[BipartiteGraph, Optional[tuple[tuple[int, ...], ...]], list[tuple[int, tuple[int, ...]]]]
@@ -120,7 +120,7 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
         g = with_colouring(g)
         report = braces_pfaffian_consistency(g)
         witness = None
-        if not report["pfaffian"] and g.n <= oracle_bound():
+        if not report["pfaffian"] and g.n <= matching.ORACLE_BOUND:
             found = find_conformal_k33_bisubdivision(g)
             if found is not None:
                 witness = {
@@ -265,7 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GraphError, CatalogError, OracleBoundError, OSError, ValueError) as exc:
+    except (GraphError, CatalogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,12 +29,12 @@ from .graphs import (
     connected_components,
     vertex_mask,
 )
+from . import matching
 from .io import from_graph6
 from .matching import (
     has_perfect_matching,
     is_brace,
     is_matching_covered,
-    oracle_bound,
     OracleBoundError,
 )
 from .tightcut import tight_cut_decomposition
@@ -319,7 +319,7 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     matching.  Returns None exactly when no witness exists, which for
     bipartite graphs with a perfect matching means the graph is Pfaffian.
     """
-    limit = oracle_bound()
+    limit = matching.ORACLE_BOUND
     if g.n > limit:
         raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
     if not has_perfect_matching(g):
@@ -454,11 +454,7 @@ def conformal_cycles(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """Simple cycles whose vertex-complement has a perfect matching."""
     if not has_perfect_matching(g):
         return []
-    return [
-        cyc
-        for cyc in _simple_cycles(g)
-        if len(cyc) % 2 == 0 and has_perfect_matching(g, vertex_mask(cyc))
-    ]
+    return [cyc for cyc in _simple_cycles(g) if has_perfect_matching(g, vertex_mask(cyc))]
 
 
 def _cycle_constraint(
@@ -521,7 +517,7 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     possibly long before the cycle cap.  A Pfaffian verdict sees every cycle
     and is re-checked against every conformal row.
     """
-    limit = oracle_bound()
+    limit = matching.ORACLE_BOUND
     if g.n > limit:
         raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
     if not is_matching_covered(g):
@@ -579,7 +575,7 @@ def braces_pfaffian_consistency(g: BipartiteGraph) -> dict:
             via_braces = False
             break
     direct: Optional[bool] = None
-    if g.n <= oracle_bound():
+    if g.n <= matching.ORACLE_BOUND:
         direct = find_pfaffian_orientation(g) is not None
     return {
         "pfaffian": via_braces,

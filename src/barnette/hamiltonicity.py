@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import BipartiteGraph, Cut, GraphError
+from .graphs import BipartiteGraph, Cut, GraphError, connected_components
 from .tightcut import contract_family, cubic_three_connected, find_tight_cuts_cubic
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
@@ -57,18 +57,22 @@ _UNDECIDED, _IN, _OUT = 0, 1, 2
 
 @dataclass(frozen=True)
 class HamiltonianCycle:
-    """A spanning cycle: vertices in traversal order plus its edge ids."""
+    """A spanning cycle as a frozenset of edge ids of its host graph."""
 
-    vertices: tuple[int, ...]
     edge_ids: frozenset[int]
 
     def validate(self, g: BipartiteGraph) -> None:
-        if len(self.vertices) != g.n or len(set(self.vertices)) != g.n:
+        degree = [0] * g.n
+        for eid in self.edge_ids:
+            if not 0 <= eid < g.edge_count:
+                raise GraphError(f"edge id {eid} out of range")
+            for v in g.edges[eid]:
+                degree[v] += 1
+        if any(d != 2 for d in degree):
+            raise GraphError("cycle does not have degree 2 at every vertex")
+        skip = set(range(g.edge_count)) - self.edge_ids
+        if len(connected_components(g, edge_skip=skip)) != 1:
             raise GraphError("cycle does not span the vertex set")
-        for i, v in enumerate(self.vertices):
-            w = self.vertices[(i + 1) % g.n]
-            if not g.has_edge(v, w):
-                raise GraphError(f"cycle step {v}-{w} is not an edge")
 
 
 @dataclass(frozen=True)
@@ -192,27 +196,6 @@ class _State:
                         return False
         return True
 
-    def extract_cycle(self) -> HamiltonianCycle:
-        g = self.g
-        return _cycle_through(g, frozenset(e for e in range(g.edge_count) if self.status[e] == _IN))
-
-
-def _cycle_through(g: BipartiteGraph, edge_ids: frozenset[int]) -> HamiltonianCycle:
-    """The spanning cycle on ``edge_ids``, walked from vertex 0 along ``g.incident``."""
-    edges, incident = g.edges, g.incident
-    order = [0]
-    prev = here = 0
-    while len(order) < g.n:
-        for eid in incident[here]:
-            if eid in edge_ids:
-                u, v = edges[eid]
-                nxt = u ^ v ^ here
-                if nxt != prev:
-                    prev, here = here, nxt
-                    order.append(nxt)
-                    break
-    return HamiltonianCycle(tuple(order), edge_ids)
-
 
 def find_hamiltonian_cycle(
     g: BipartiteGraph,
@@ -236,7 +219,7 @@ def find_hamiltonian_cycle(
     if not st.propagate():
         return None
     if _solve(st):
-        return st.extract_cycle()
+        return HamiltonianCycle(frozenset(e for e, s in enumerate(st.status) if s == _IN))
     return None
 
 
@@ -411,7 +394,7 @@ class _PieceTree:
         edges = set()
         for piece, cycle in zip(self.pieces, chosen):
             edges.update(piece.edge_of[e] for e in cycle.edge_ids)
-        return _cycle_through(self.g, frozenset(edges))
+        return HamiltonianCycle(frozenset(edges))
 
     def _cycle(
         self, p: int, contains: frozenset[int], avoids: frozenset[int]
@@ -539,30 +522,16 @@ def has_h_plus_minus(
     """For every ordered pair (e, f) of distinct edges, is there a
     Hamiltonian cycle through e avoiding f?
 
-    ``avoided[e]`` is the edge mask of the f that some kept cycle through e
-    avoids; only the other f, in increasing order, reach the solver.
+    Pairs are walked in increasing order; only those no kept cycle serves,
+    ``every & holding[e] & ~holding[f] == 0``, reach the solver.
     """
     engine = engine or HamiltonicityEngine(g)
-    full = (1 << g.edge_count) - 1
-    avoided = [0] * g.edge_count
-
-    def keep(cycle: HamiltonianCycle) -> None:
-        outside = full ^ sum(1 << eid for eid in cycle.edge_ids)
-        for eid in cycle.edge_ids:
-            avoided[eid] |= outside
-
-    for cycle in engine.cycles:
-        keep(cycle)
+    holding = engine.holding
     for e in range(g.edge_count):
-        missing = full & ~(avoided[e] | 1 << e)
-        while missing:
-            low = missing & -missing
-            f = low.bit_length() - 1
-            cycle = engine.cycle_with(contains=(e,), avoids=(f,))
-            if cycle is None:
-                return PropertyResult(False, (e, f))
-            keep(cycle)
-            missing &= ~avoided[e] & -(low << 1)
+        for f in range(g.edge_count):
+            if f != e and not engine.every & holding[e] & ~holding[f]:
+                if engine.cycle_with(contains=(e,), avoids=(f,)) is None:
+                    return PropertyResult(False, (e, f))
     return PropertyResult(True)
 
 

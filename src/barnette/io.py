@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import BipartiteGraph, GraphError
 

@@ -20,7 +20,6 @@ No strongly connected components and no set of allowed edges are computed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,21 +30,11 @@ from .graphs import (
     vertex_mask,
 )
 
-DEFAULT_ORACLE_BOUND = 40
+ORACLE_BOUND = 40  # vertex cap of the exact oracles, read at call time, so a test can lower it
 
 
 class OracleBoundError(GraphError):
     """Raised when an enumeration oracle is asked to exceed its vertex bound."""
-
-
-def oracle_bound() -> int:
-    raw = os.environ.get("BARNETTE_ORACLE_BOUND")
-    if raw is None:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise GraphError("BARNETTE_ORACLE_BOUND must be an integer") from exc
 
 
 @dataclass(frozen=True)
@@ -263,13 +252,12 @@ def is_brace(g: BipartiteGraph) -> bool:
 def enumerate_perfect_matchings(g: BipartiteGraph) -> list[PerfectMatching]:
     """All perfect matchings, deterministically ordered; oracle-bounded.
 
-    Raises OracleBoundError when the graph has more vertices than the bound
-    (BARNETTE_ORACLE_BOUND, default 40).
+    Raises OracleBoundError when the graph has more vertices than
+    `ORACLE_BOUND`.
     """
-    limit = oracle_bound()
-    if g.n > limit:
+    if g.n > ORACLE_BOUND:
         raise OracleBoundError(
-            f"graph has {g.n} vertices, enumeration bound is {limit}"
+            f"graph has {g.n} vertices, enumeration bound is {ORACLE_BOUND}"
         )
     if g.n % 2:
         return []

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from barnette import matching
 from barnette.bruteforce import (
     _matrices_with_line_sums_three,
     cubic_bipartite_classes,
@@ -97,6 +98,6 @@ def test_oracle_tightness(c6, cube):
 
 
 def test_oracle_tightness_bound(cube, monkeypatch):
-    monkeypatch.setenv("BARNETTE_ORACLE_BOUND", "4")
+    monkeypatch.setattr(matching, "ORACLE_BOUND", 4)
     with pytest.raises(OracleBoundError):
         oracle_is_tight(cube, Cut.from_shore(cube, 0b1111))

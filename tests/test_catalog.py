@@ -12,7 +12,7 @@ from barnette.hamiltonicity import (
     is_pk_hamiltonian,
 )
 from barnette.io import to_graph6
-from barnette.matching import is_brace, is_matching_covered, oracle_bound
+from barnette.matching import is_brace, is_matching_covered
 from barnette.tightcut import is_tight
 
 # properties that can be re-derived within the default oracle bound

@@ -160,3 +160,29 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module imports is read there.  ``__init__.py`` imports
+    to re-export, and a ``__future__`` import is a compiler directive."""
+    paths = sorted(pathlib.Path(barnette.__file__).parent.glob("*.py"))
+    assert "hamiltonicity.py" in [path.name for path in paths]
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}:{name}" for name in names if name not in read]
+    assert unused == []

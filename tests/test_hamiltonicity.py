@@ -14,6 +14,7 @@ from barnette.embedding import faces
 from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, GraphError, with_colouring
 from barnette.hamiltonicity import (
+    _IN,
     _UNDECIDED,
     HamiltonianCycle,
     HamiltonicityEngine,
@@ -169,6 +170,27 @@ def test_forced_cycle_that_closes_early_is_rejected(cube, cube_rotation):
         find_hamiltonian_cycle(cube, forced=[eid for _v, eid in face])
 
 
+def test_validate_rejects_edge_sets_that_are_not_one_spanning_cycle(cube, cube_rotation):
+    last = cube.edge_count - 1
+    cycle = find_hamiltonian_cycle(cube, forced=[last]).edge_ids
+    HamiltonianCycle(cycle).validate(cube)
+    # two opposite 4-faces: 8 edges and degree 2 everywhere, but two components
+    face_ids = [frozenset(eid for _v, eid in face) for face in faces(cube, cube_rotation)]
+    ends = [{v for eid in ids for v in cube.edges[eid]} for ids in face_ids]
+    opposite = next(i for i in range(len(ends)) if not ends[i] & ends[0])
+    chord = min(set(range(cube.edge_count)) - cycle)
+    bad = [
+        face_ids[0] | face_ids[opposite],
+        cycle | {chord},
+        cycle - {min(cycle)},
+        cycle - {last} | {-1},  # -1 would index the last edge
+        cycle | {cube.edge_count},
+    ]
+    for edge_ids in bad:
+        with pytest.raises(GraphError):
+            HamiltonianCycle(frozenset(edge_ids)).validate(cube)
+
+
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # the circular ladder C1200 x K2: 2,400 vertices, one branch level per rung
     k = 1200
@@ -275,7 +297,7 @@ def _reference_find_hamiltonian_cycle(
     if not st.propagate():
         return None
     if _reference_solve(st):
-        return st.extract_cycle()
+        return HamiltonianCycle(frozenset(e for e, s in enumerate(st.status) if s == _IN))
     return None
 
 
@@ -319,7 +341,7 @@ def _outcome(search, g, forced, forbidden):
         cycle = search(g, forced, forbidden)
     except GraphError:
         return "raise"
-    return None if cycle is None else (cycle.vertices, cycle.edge_ids)
+    return None if cycle is None else cycle.edge_ids
 
 
 _CATALOG_NAMES = ("c4", "cube", "k33", "heawood", "p5_example", "asano", "b_horton")

@@ -25,7 +25,6 @@ from barnette.matching import (
     is_brace,
     is_k_extendable,
     is_matching_covered,
-    oracle_bound,
 )
 from barnette.tightcut import (
     contract,
@@ -128,17 +127,11 @@ def test_enumeration_counts(cube, k33, c6):
 
 
 def test_enumeration_respects_bound(cube, monkeypatch):
-    monkeypatch.setenv("BARNETTE_ORACLE_BOUND", "7")
-    assert oracle_bound() == 7
+    monkeypatch.setattr(matching, "ORACLE_BOUND", 7)
     with pytest.raises(OracleBoundError):
         enumerate_perfect_matchings(cube)
-    monkeypatch.setenv("BARNETTE_ORACLE_BOUND", "8")
+    monkeypatch.setattr(matching, "ORACLE_BOUND", 8)
     assert len(enumerate_perfect_matchings(cube)) == 9
-
-
-def test_oracle_bound_default(monkeypatch):
-    monkeypatch.delenv("BARNETTE_ORACLE_BOUND", raising=False)
-    assert oracle_bound() == 40
 
 
 def test_allowed_edges_matches_enumeration(cube, heawood, c6):
