@@ -12,16 +12,12 @@ shores of its three splicing cuts.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .constructions import splice
 from .embedding import RotationEmbedding
 from .graphs import BipartiteGraph, Cut, GraphError
-from .io import detect_format, from_bgf, from_graph6
-
-GEORGES_KELMANS_ENV = "BARNETTE_GEORGES_KELMANS"
 
 
 class CatalogError(GraphError):
@@ -267,32 +263,6 @@ def _horton() -> CatalogEntry:
     )
 
 
-def _georges_kelmans() -> CatalogEntry:
-    path = os.environ.get(GEORGES_KELMANS_ENV)
-    if not path:
-        raise CatalogError(
-            "catalog entry 'georges_kelmans' has no bundled adjacency; "
-            f"point {GEORGES_KELMANS_ENV} at a graph6 or bgf file to enable it"
-        )
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if detect_format(text) == "bgf":
-        g, _rot, _cuts = from_bgf(text)
-    else:
-        g = from_graph6(text.strip().splitlines()[0])
-    if g.colour is None or g.n != 50 or not g.is_regular(3):
-        raise CatalogError(
-            "external file does not contain the 50-vertex cubic bipartite graph"
-        )
-    return CatalogEntry(
-        name="georges_kelmans",
-        graph=g,
-        provenance="the 50-vertex graph found independently by Georges and "
-        "by Kelmans (externally supplied adjacency)",
-        expected_properties={"cubic": True},
-    )
-
-
 _BUILDERS = {
     "cube": _cube,
     "c4": _c4,
@@ -302,7 +272,6 @@ _BUILDERS = {
     "p5_example": _p5_example,
     "b_horton": _b_horton,
     "horton": _horton,
-    "georges_kelmans": _georges_kelmans,
 }
 
 

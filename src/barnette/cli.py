@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .canon import canonical_form
-from .catalog import CatalogError, catalog, catalog_names
+from .catalog import catalog, catalog_names
 from .constructions import (
     braces_pfaffian_consistency,
     find_conformal_k33_bisubdivision,
@@ -265,7 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GraphError, CatalogError, OSError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

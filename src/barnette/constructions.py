@@ -410,10 +410,6 @@ class Orientation:
 
     bits: tuple[int, ...]
 
-    def direction(self, g: BipartiteGraph, eid: int) -> tuple[int, int]:
-        u, v = g.edges[eid]
-        return (u, v) if self.bits[eid] == 0 else (v, u)
-
 
 class CycleSaturationError(GraphError):
     """Cycle enumeration hit its cap; results would be incomplete."""

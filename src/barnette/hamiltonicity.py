@@ -141,10 +141,9 @@ class _State:
             self.link[ev] = v
 
     def set_out(self, eid: int) -> bool:
-        if self.status[eid] == _OUT:
-            return True
-        if self.status[eid] == _IN:
-            return False
+        """Decide ``eid`` out; False if an end keeps under two available edges.
+        ``eid`` is undecided, as in `set_in`; `find_hamiltonian_cycle` also sets
+        the distinct forbidden edges, disjoint from the forced, on a fresh state."""
         u, v = self.g.edges[eid]
         self.status[eid] = _OUT
         self.trail.append((eid, -1, -1))
@@ -154,10 +153,10 @@ class _State:
         return self.avail[u] >= 2 and self.avail[v] >= 2
 
     def set_in(self, eid: int) -> bool:
-        if self.status[eid] == _IN:
-            return True
-        if self.status[eid] == _OUT:
-            return False
+        """Decide ``eid`` in; False if an end has two chosen edges or it closes a
+        short cycle.  ``eid`` is undecided: `propagate` checks, `_branch_edge`
+        picks an undecided edge and `undo` restores it, and `_forced_state`
+        sets distinct edges of a fresh state."""
         u, v = self.g.edges[eid]
         if self.deg_in[u] >= 2 or self.deg_in[v] >= 2:
             return False

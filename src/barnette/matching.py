@@ -46,6 +46,8 @@ class PerfectMatching:
     def validate(self, g: BipartiteGraph) -> None:
         covered = 0
         for eid in self.edge_ids:
+            if not 0 <= eid < g.edge_count:
+                raise GraphError(f"edge id {eid} out of range")
             u, v = g.edges[eid]
             if covered >> u & 1 or covered >> v & 1:
                 raise GraphError("matching edges share a vertex")

@@ -249,19 +249,19 @@ def find_nontrivial_tight_cut(g: BipartiteGraph) -> Optional[Cut]:
     return Cut.from_shore(g, g.full_mask & ~shore if along else shore)
 
 
-def contract(g: BipartiteGraph, cut: Cut, side: str = "shore") -> BipartiteGraph:
-    """Tight cut contraction: the quotient with the chosen side of the cut
-    collapsed to one vertex, the last.
-
-    side="shore" collapses the stored shore, side="complement" the rest.  g
-    must be matching covered; then so is the quotient, which is cubic and
-    3-connected when g is (Lovász & Plummer), as the tests check.
+def contract(g: BipartiteGraph, cut: Cut) -> tuple[BipartiteGraph, BipartiteGraph]:
+    """Tight cut contraction: the quotients (inner, outer), ``inner`` keeping
+    the shore and ``outer`` the complement, the other side collapsed to one
+    vertex, the last.  g must be matching covered; then so is each quotient,
+    which is cubic and 3-connected when g is (Lovász & Plummer), as the tests
+    check.
     """
-    if side not in ("shore", "complement"):
-        raise GraphError(f"unknown side {side!r}")
     g._require_colour()
-    collapsed = cut.shore if side == "shore" else cut.complement_mask()
-    return _quotient(g, g.full_mask ^ collapsed, [(collapsed, cut.edge_ids)])[0]
+    shore, rest = cut.shore, cut.complement_mask()
+    return (
+        _quotient(g, shore, [(rest, cut.edge_ids)])[0],
+        _quotient(g, rest, [(shore, cut.edge_ids)])[0],
+    )
 
 
 def _quotient(
@@ -397,8 +397,7 @@ def tight_cut_decomposition(g: BipartiteGraph) -> DecompositionResult:
         if cut is None:
             braces[canonical_form(h)] += 1
             continue
-        inner = contract(h, cut, "complement")
-        outer = contract(h, cut, "shore")
+        inner, outer = contract(h, cut)
         trace.append(
             DecompositionStep(
                 h.n,

@@ -130,7 +130,7 @@ def test_c06_contraction_transfer_suite(generated_16, capsys):
             g = rec.graph
             engine = _CycleIndex(g)  # searched whole, not folded over its pieces
             for cut in rec.family:
-                pieces = [contract(g, cut, side) for side in ("shore", "complement")]
+                pieces = contract(g, cut)
                 piece_engines = [HamiltonicityEngine(p) for p in pieces]
                 checks = (
                     ("h_minus", has_h_minus),

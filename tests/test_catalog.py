@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from barnette.catalog import CatalogError, catalog, catalog_names
@@ -47,7 +45,6 @@ def test_names_are_stable():
         "p5_example",
         "b_horton",
         "horton",
-        "georges_kelmans",
     )
 
 
@@ -78,8 +75,6 @@ def test_horton_structure_only():
 
 def test_all_entries_bipartite():
     for name in catalog_names():
-        if name == "georges_kelmans":
-            continue
         assert catalog(name).graph.colour is not None
 
 
@@ -139,23 +134,6 @@ def test_b_horton_graph6_round_trip():
     assert len(to_graph6(g)) > 4  # serializes cleanly at 32 vertices
 
 
-def test_georges_kelmans_requires_env(monkeypatch, tmp_path):
-    monkeypatch.delenv("BARNETTE_GEORGES_KELMANS", raising=False)
-    catalog.cache_clear()
-    with pytest.raises(CatalogError):
-        catalog("georges_kelmans")
-    # a well-formed but wrong-sized file is rejected too
-    bad = tmp_path / "not50.g6"
-    bad.write_text(to_graph6(catalog("cube").graph) + "\n", encoding="ascii")
-    monkeypatch.setenv("BARNETTE_GEORGES_KELMANS", str(bad))
-    catalog.cache_clear()
-    with pytest.raises(CatalogError):
-        catalog("georges_kelmans")
-    catalog.cache_clear()
-
-
 def test_provenance_strings_present():
     for name in catalog_names():
-        if name == "georges_kelmans":
-            continue
         assert catalog(name).provenance

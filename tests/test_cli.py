@@ -208,6 +208,19 @@ def test_bgf_line_without_label_is_an_input_error(capsys, monkeypatch, line):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [("0 1 2", "does not split"), ("0 3 8 5", "boundary disagrees")],
+)
+def test_verify_rejects_a_cut_line_that_is_not_a_cut(capsys, monkeypatch, ids, message):
+    _, bgf, _ = run(capsys, "catalog", "cube")
+    text = bgf + f"cut 0: {ids}\n"
+    code, out, err = run(capsys, "verify", stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("name", ["asano", "c6"])
 def test_verify_reports_a_graph_outside_the_class(capsys, monkeypatch, asano, c6, name):
     from barnette.embedding import embed_planar
@@ -256,6 +269,14 @@ def test_survey_table(capsys):
     header, *rows = [ln for ln in out.splitlines() if ln.strip()]
     assert "graphs" in header and "p2" in header
     assert len(rows) == 2  # orders 8 and 12; order 10 is empty
+
+
+def test_survey_table_with_h_plus_minus(capsys):
+    code, out, _ = run(capsys, "survey", "--max-n", "12", "--h-plus-minus")
+    assert code == 0
+    header, *rows = [ln for ln in out.splitlines() if ln.strip()]
+    assert "h_plus_minus" in header.split()
+    assert len(rows) == 2
 
 
 def test_survey_json(capsys):

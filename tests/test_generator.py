@@ -159,8 +159,7 @@ def test_generation_is_deterministic():
 def test_contracting_the_family_cut_recovers_cubes(generated_16, cube):
     rec = next(r for r in generated_16 if r.family)
     cut = rec.family[0]
-    inner = contract(rec.graph, cut, "complement")
-    outer = contract(rec.graph, cut, "shore")
+    inner, outer = contract(rec.graph, cut)
     target = canonical_form(cube)
     assert canonical_form(inner) == target
     assert canonical_form(outer) == target

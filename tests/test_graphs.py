@@ -186,3 +186,30 @@ def test_package_has_no_unused_imports():
                 continue
             unused += [f"{path.name}:{node.lineno}:{name}" for name in names if name not in read]
     assert unused == []
+
+
+def _reads_files_or_the_environment(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "os" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            return True
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in ("environ", "getenv"):
+            return True
+    return False
+
+
+def test_only_the_cli_reads_files_or_the_environment():
+    """The package reads files only where the CLI opens them and no
+    environment variable anywhere, so every engine takes its input as
+    arguments."""
+    paths = sorted(pathlib.Path(barnette.__file__).parent.glob("*.py"))
+    readers = [
+        path.name
+        for path in paths
+        if _reads_files_or_the_environment(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert readers == ["cli.py"]

@@ -101,6 +101,15 @@ def test_unsatisfiable_but_wellformed_returns_none(cube):
     assert find_hamiltonian_cycle(cube, forbidden=cube.incident[0]) is None
 
 
+def test_graphs_with_no_hamiltonian_cycle_return_none():
+    k2 = BipartiteGraph(2, ((0, 1),))  # fewer than three vertices
+    p4 = BipartiteGraph(4, ((0, 1), (1, 2), (2, 3)))
+    c4_pendant = BipartiteGraph(5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))
+    # the degree-1 vertices fail the root propagation's avail < 2 rule
+    for g in (k2, p4, c4_pendant):
+        assert find_hamiltonian_cycle(g) is None
+
+
 def test_engine_caches_positive_and_negative(cube):
     engine = HamiltonicityEngine(cube)
     first = engine.cycle_with()

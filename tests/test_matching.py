@@ -19,6 +19,7 @@ from barnette.graphs import (
 )
 from barnette.matching import (
     OracleBoundError,
+    PerfectMatching,
     _matching,
     enumerate_perfect_matchings,
     has_perfect_matching,
@@ -126,6 +127,15 @@ def test_enumeration_counts(cube, k33, c6):
         pm.validate(cube)
 
 
+def test_validate_rejects_edge_ids_out_of_range(cube):
+    last = cube.edge_count - 1
+    pm = next(pm for pm in enumerate_perfect_matchings(cube) if last in pm.edge_ids)
+    pm.validate(cube)
+    for eid in (-1, cube.edge_count):
+        with pytest.raises(GraphError, match="out of range"):
+            PerfectMatching(pm.edge_ids - {last} | {eid}).validate(cube)
+
+
 def test_enumeration_respects_bound(cube, monkeypatch):
     monkeypatch.setattr(matching, "ORACLE_BOUND", 7)
     with pytest.raises(OracleBoundError):
@@ -189,14 +199,12 @@ def test_has_perfect_matching_on_long_path():
 
 def _decomposition_steps(g):
     """Each piece of g's decomposition, with the cut found on it and its two
-    contractions (the complement's first); a brace has neither."""
+    contractions (inner, outer); a brace has neither."""
     steps, work = [], [g]
     while work:
         h = work.pop()
         cut = find_nontrivial_tight_cut(h)
-        quotients = () if cut is None else tuple(
-            contract(h, cut, side) for side in ("complement", "shore")
-        )
+        quotients = () if cut is None else contract(h, cut)
         steps.append((h, cut, quotients))
         work += quotients
     return steps
@@ -459,7 +467,7 @@ def test_brace_test_matches_cut_labels_and_decomposition(asano):
     # with the alternating digraph
     for rec in generate(24):
         assert is_brace(rec.graph) == rec.is_brace
-    graphs = [catalog(name).graph for name in catalog_names() if name != "georges_kelmans"]
+    graphs = [catalog(name).graph for name in catalog_names()]
     graphs = [g for g in graphs if is_matching_covered(g)]
     graphs += _decomposition_pieces(asano.graph)
     verdicts = {is_brace(g) for g in graphs}

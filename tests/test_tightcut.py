@@ -156,8 +156,7 @@ def test_brace_decomposes_to_itself(heawood):
 def test_contract_pieces_on_asano(asano):
     g = asano.graph
     cut = find_nontrivial_tight_cut(g)
-    inner = contract(g, cut, "complement")
-    outer = contract(g, cut, "shore")
+    inner, outer = contract(g, cut)
     # each keeps one side and collapses the other to its last vertex
     assert inner.n == len(cut.shore_vertices()) + 1
     assert inner.n + outer.n == g.n + 2
@@ -178,14 +177,16 @@ def test_contract_family_of_one_cut_is_contract_on_each_side():
         g = rec.graph
         for cut in rec.family:
             # the first region is the side away from vertex 0, the other collapsed
-            sides = ("shore", "complement") if cut.shore & 1 else ("complement", "shore")
+            inner, outer = contract(g, cut)
+            quotients = [(outer, cut.shore), (inner, cut.complement_mask())]
+            if not cut.shore & 1:
+                quotients.reverse()
             leaf, root = contract_family(g, [cut])
             assert (leaf.parent, leaf.kids, root.parent, root.up) == (1, (), -1, ())
             assert [kid for kid, _slot in root.kids] == [0]
-            for piece, side in zip((leaf, root), sides):
-                assert piece.graph == contract(g, cut, side)
+            for piece, (quotient, collapsed) in zip((leaf, root), quotients):
+                assert piece.graph == quotient
                 # _quotient keeps the kept vertices in order, the collapsed one last
-                collapsed = cut.shore if side == "shore" else cut.complement_mask()
                 kept = [v for v in range(g.n) if not collapsed >> v & 1]
                 vertex = {v: i for i, v in enumerate(kept)}
                 for e, eid in enumerate(piece.edge_of):
@@ -215,13 +216,12 @@ def test_contract_colour_count_agrees_with_is_tight(cube, k33, c6):
         for shore in range(1, g.full_mask):
             cut = Cut.from_shore(g, shore)
             expected = is_tight(g, cut)
-            for side in ("shore", "complement"):
-                try:
-                    contract(g, cut, side)
-                except GraphError:
-                    assert not expected
-                else:
-                    assert expected
+            try:
+                contract(g, cut)
+            except GraphError:
+                assert not expected
+            else:
+                assert expected
             tight[-1] += expected
     # the braces have only their 2n trivial shores; C6 adds its six 3-paths
     assert tight == [16, 12, 18, 24]
