@@ -13,6 +13,7 @@ import itertools
 from typing import Iterator
 
 from .canon import canonical_form
+from .constructions import conformal_cycles
 from .embedding import embed_planar
 from .graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
 from .matching import enumerate_perfect_matchings
@@ -118,8 +119,6 @@ _MAX_ORIENTED_EDGES = 20
 
 def pfaffian_by_enumeration(g: BipartiteGraph) -> bool:
     """Try all 2^m orientations; exponential, for cross-checking tiny graphs."""
-    from .constructions import conformal_cycles
-
     if g.edge_count > _MAX_ORIENTED_EDGES:
         raise GraphError(f"orientation enumeration is capped at 2^{_MAX_ORIENTED_EDGES}")
     cycles = [tuple(c) for c in conformal_cycles(g)]

@@ -33,8 +33,10 @@ independent witness for it.
 
 from __future__ import annotations
 
-from .graphs import BipartiteGraph, bits
+from .graphs import BipartiteGraph, GraphError, bits
 from .io import adjacency_bits as _adjacency_key, graph6_from_bitstring
+
+SEARCH_DEPTH_CAP = 256  # vertices one search path individualises, one frame each; read at call time
 
 
 def _refine(g: BipartiteGraph, cells: list[int], applied: set[int]):
@@ -99,7 +101,11 @@ def _merge(parent: list[int], gamma: dict[int, int]) -> None:
 
 
 def canonical_form(g: BipartiteGraph) -> str:
-    """Canonical graph6 string; equal strings iff isomorphic graphs."""
+    """Canonical graph6 string; equal strings iff isomorphic graphs.
+
+    Raises GraphError when a search path would individualise more than
+    `SEARCH_DEPTH_CAP` vertices; class members to n = 24 need 3, the catalog 6.
+    """
     if g.n == 0:
         return graph6_from_bitstring(0, b"")
     leaves: dict[bytes, list[int]] = {}  # leaf key -> first labelling giving it
@@ -122,6 +128,8 @@ def canonical_form(g: BipartiteGraph) -> str:
             for orbits in path[: depth + 1]:
                 _merge(orbits, gamma)
             return depth
+        if len(fixed) >= SEARCH_DEPTH_CAP:
+            raise GraphError(f"canonical form would individualise more than {SEARCH_DEPTH_CAP} vertices")
         orbits = list(range(g.n))
         for gamma in autos:
             if gamma.keys().isdisjoint(fixed):

@@ -26,7 +26,6 @@ from .graphs import (
     Cut,
     GraphError,
     bits,
-    connected_components,
     vertex_mask,
 )
 from . import matching
@@ -35,7 +34,6 @@ from .matching import (
     has_perfect_matching,
     is_brace,
     is_matching_covered,
-    OracleBoundError,
 )
 from .tightcut import tight_cut_decomposition
 
@@ -319,9 +317,7 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     matching.  Returns None exactly when no witness exists, which for
     bipartite graphs with a perfect matching means the graph is Pfaffian.
     """
-    limit = matching.ORACLE_BOUND
-    if g.n > limit:
-        raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
+    matching.check_oracle_bound(g)
     if not has_perfect_matching(g):
         raise GraphError("host graph needs a perfect matching")
     side_a = g.class_a()
@@ -365,32 +361,17 @@ def _grow_paths(
     for v in (*tri_a, *tri_b):
         seen[v] = 1
 
-    def reachable_ok(used: int, from_idx: int) -> bool:
-        # every remaining pair must still reach dst, as the walker would list
-        # every path before giving up: directly, or through one free component
-        comps = connected_components(g, used | branch_mask)
-        return all(
-            g.has_edge(src, dst) or any(c & g.adj[src] and c & g.adj[dst] for c in comps)
-            for src, dst in ((tri_a[i], tri_b[j]) for i, j in pair_order[from_idx:])
-        )
-
     def grow(idx: int, used: int) -> bool:
         if idx == len(pair_order):
             return has_perfect_matching(g, used)
         i, j = pair_order[idx]
         for path in _simple_paths(nbrs, tri_a[i], tri_b[j], seen):
             nxt = used | vertex_mask(path)
-            if (
-                _free_vertex_alive(g, nxt, branch_mask)
-                and reachable_ok(nxt, idx + 1)
-                and grow(idx + 1, nxt)
-            ):
+            if _free_vertex_alive(g, nxt, branch_mask) and grow(idx + 1, nxt):
                 done[i, j] = path
                 return True
         return False
 
-    if not reachable_ok(branch_mask, 0):
-        return None
     if grow(0, branch_mask):
         return K33Bisubdivision(
             tuple(tri_a),
@@ -513,9 +494,7 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     possibly long before the cycle cap.  A Pfaffian verdict sees every cycle
     and is re-checked against every conformal row.
     """
-    limit = matching.ORACLE_BOUND
-    if g.n > limit:
-        raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {limit}")
+    matching.check_oracle_bound(g)
     if not is_matching_covered(g):
         raise GraphError("Pfaffian test expects a matching covered graph")
     rows: list[tuple[list[int], int]] = []

@@ -50,7 +50,6 @@ class BipartiteGraph:
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
         edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
-        seen = set()
         adj = [0] * self.n
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         inc: list[list[int]] = [[] for _ in range(self.n)]
@@ -59,9 +58,8 @@ class BipartiteGraph:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) in seen:
+            if adj[u] >> v & 1:
                 raise GraphError(f"parallel edge ({u}, {v})")
-            seen.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             nbrs[u].append(v)

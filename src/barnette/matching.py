@@ -37,6 +37,12 @@ class OracleBoundError(GraphError):
     """Raised when an enumeration oracle is asked to exceed its vertex bound."""
 
 
+def check_oracle_bound(g: BipartiteGraph) -> None:
+    """Raise OracleBoundError when g has more vertices than `ORACLE_BOUND`."""
+    if g.n > ORACLE_BOUND:
+        raise OracleBoundError(f"{g.n} vertices exceed the exact-search bound {ORACLE_BOUND}")
+
+
 @dataclass(frozen=True)
 class PerfectMatching:
     """A perfect matching as a frozenset of edge ids of its host graph."""
@@ -257,10 +263,7 @@ def enumerate_perfect_matchings(g: BipartiteGraph) -> list[PerfectMatching]:
     Raises OracleBoundError when the graph has more vertices than
     `ORACLE_BOUND`.
     """
-    if g.n > ORACLE_BOUND:
-        raise OracleBoundError(
-            f"graph has {g.n} vertices, enumeration bound is {ORACLE_BOUND}"
-        )
+    check_oracle_bound(g)
     if g.n % 2:
         return []
     if len(g.class_a()) != len(g.class_b()):

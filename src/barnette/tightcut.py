@@ -171,40 +171,35 @@ def _disconnecting_triples(g: BipartiteGraph, labels: tuple[int, ...]) -> Iterat
                 yield triple
 
 
-def _cut_from_triple(g: BipartiteGraph, triple: frozenset[int]) -> Cut:
-    """Cut object for a disconnecting 3-matching, shore on the A-excess side."""
-    comps = connected_components(g, edge_skip=triple)
+def cut_from_edge_ids(g: BipartiteGraph, edge_ids: Iterable[int]) -> Cut:
+    """Cut of edge ids that split g in two, shore on the A-excess side."""
+    g._require_colour()
+    ids = frozenset(edge_ids)
+    comps = connected_components(g, edge_skip=ids)
     if len(comps) != 2:
         raise GraphError("triple does not split the graph in two")
     shore = comps[0]
     if shore_colour_balance(g, shore) < 0:
         shore = comps[1]
     cut = Cut.from_shore(g, shore)
-    if cut.edge_ids != triple:
+    if cut.edge_ids != ids:
         raise GraphError("component boundary disagrees with the triple")
     return cut
-
-
-def cut_from_edge_ids(g: BipartiteGraph, edge_ids: Iterable[int]) -> Cut:
-    """Rebuild a Cut from a serialized edge-id set by splitting the graph."""
-    g._require_colour()
-    return _cut_from_triple(g, frozenset(edge_ids))
 
 
 def find_tight_cuts_cubic(g: BipartiteGraph) -> list[Cut]:
     """All non-trivial tight cuts of a cubic 3-connected bipartite graph.
 
     These are exactly the non-trivial 3-edge cuts, which in this class are
-    3-matchings, so the cut-label enumeration is exhaustive.  Results
-    are sorted by edge-id triple.
+    3-matchings, so the cut-label enumeration is exhaustive.  Results come
+    sorted by edge-id triple: the scan meets a triple x < y < z first at its
+    pair (x, y), as any two of its labels XOR to the third's.
     """
     g._require_colour()
     labels = _three_connected_labels(g)
     if labels is None:
         raise GraphError("graph is not 3-connected")
-    cuts = [_cut_from_triple(g, t) for t in _disconnecting_triples(g, labels)]
-    cuts.sort(key=lambda c: sorted(c.edge_ids))
-    return cuts
+    return [cut_from_edge_ids(g, t) for t in _disconnecting_triples(g, labels)]
 
 
 def find_nontrivial_tight_cut(g: BipartiteGraph) -> Optional[Cut]:
@@ -226,7 +221,7 @@ def find_nontrivial_tight_cut(g: BipartiteGraph) -> Optional[Cut]:
     - R contains the root and misses a node other than v, so each side of
       the cut has at least three vertices: the cut is non-trivial.
 
-    The shore is kept on the A-excess side, as `_cut_from_triple` does: the
+    The shore is kept on the A-excess side, as `cut_from_edge_ids` does: the
     complement of R ∪ N(R), or T ∪ N(T) itself.  The same route serves
     cubic 3-connected input; `find_tight_cuts_cubic` answers for the whole
     family at once.
@@ -281,9 +276,8 @@ def _quotient(
     vertex = {v: i for i, v in enumerate(bits(own))}
     colour = [g.colour[v] for v in vertex]
     kept = {eid for v in vertex for eid in g.incident[v]}
-    colour_a = g.colour_mask("A")
     for side, edge_ids in far:
-        balance = 2 * (side & colour_a).bit_count() - side.bit_count()
+        balance = shore_colour_balance(g, side)
         c_colour = "A" if balance == 1 else "B"
         if abs(balance) != 1:
             raise GraphError("cut is not tight")

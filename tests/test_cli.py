@@ -311,6 +311,35 @@ def test_decompose_long_path_is_a_clean_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_a_record_too_deep_for_the_canonical_search(capsys, tmp_path):
+    # an edgeless graph individualises every vertex but the last
+    n = 1100
+    bgf = tmp_path / "edgeless.bgf"
+    bgf.write_text(f"{n} 0\n{'?' * n}\n" + "".join(f"rot {v}:\n" for v in range(n)), encoding="ascii")
+    code, out, err = run(capsys, "verify", str(bgf))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 1\n", "truncated bgf record"),
+        ("2 1\nAB\n", "bgf record missing edge lines"),
+        ("2 1\nAB\n0 1\n\n3 x y\nABA\n", "bgf header must be 'n m'"),
+    ],
+)
+def test_decompose_rejects_a_malformed_bgf_record(capsys, monkeypatch, text, message):
+    code, out, err = run(capsys, "decompose", stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in err
+
+
 def test_package_import_loads_neither_numpy_nor_networkx():
     src = str(Path(barnette.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from barnette import constructions
+from barnette import constructions, matching
 from barnette.bruteforce import cubic_bipartite_classes, pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
@@ -24,7 +24,7 @@ from barnette.constructions import (
 )
 from barnette.catalog import catalog
 from barnette.graphs import BipartiteGraph, GraphError, vertex_mask
-from barnette.matching import has_perfect_matching, is_brace, is_matching_covered
+from barnette.matching import OracleBoundError, has_perfect_matching, is_brace, is_matching_covered
 from barnette.tightcut import is_tight
 
 
@@ -354,6 +354,24 @@ def test_bisubdivision_witnesses(cube, k33, heawood):
     w.validate(k33)
     assert w.vertices() == frozenset(range(6))
     assert find_conformal_k33_bisubdivision(heawood) is None  # Heawood is Pfaffian
+
+
+def test_exact_searches_refuse_graphs_over_the_oracle_bound(cube, monkeypatch):
+    monkeypatch.setattr(matching, "ORACLE_BOUND", 6)
+    with pytest.raises(OracleBoundError):
+        find_conformal_k33_bisubdivision(cube)
+    with pytest.raises(OracleBoundError):
+        find_pfaffian_orientation(cube)
+
+
+def test_k33_search_needs_a_perfect_matching():
+    claw = BipartiteGraph(4, ((0, 1), (0, 2), (0, 3)))
+    with pytest.raises(GraphError, match="perfect matching"):
+        find_conformal_k33_bisubdivision(claw)
+
+
+def test_conformal_cycles_without_a_perfect_matching():
+    assert conformal_cycles(BipartiteGraph(3, ((0, 1), (1, 2)))) == []
 
 
 def test_routes_agree_on_fixtures(cube, k33, heawood, c6):
