@@ -29,7 +29,6 @@ from .matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_brace,
-    is_k_extendable,
     is_matching_covered,
 )
 from .hamiltonicity import (
@@ -60,7 +59,6 @@ from .tightcut import (
 from .constructions import (
     CycleSaturationError,
     K33Bisubdivision,
-    Orientation,
     Splice,
     braces_pfaffian_consistency,
     conformal_cross,

@@ -1,7 +1,7 @@
 """Splices, trisums, conformal subgraph machinery, and Pfaffian recognition.
 
 A splice glues two graphs at deleted vertices of equal degree by joining
-their neighbourhoods with a bijection; in the bipartite matching covered
+their neighbourhoods in ascending order; in the bipartite matching covered
 setting the seam is a tight cut.  A trisum glues three graphs along a common
 4-cycle and removes a chosen subset of its edges; removing all four keeps
 cubic inputs cubic.
@@ -56,31 +56,23 @@ class Splice:
     map2: tuple[Optional[int], ...]
 
 
-def splice(
-    g1: BipartiteGraph,
-    u: int,
-    g2: BipartiteGraph,
-    v: int,
-    pairing: Optional[dict[int, int]] = None,
-) -> Splice:
+def splice(g1: BipartiteGraph, u: int, g2: BipartiteGraph, v: int) -> Splice:
     """Splice g1 and g2 at u and v.
 
-    The deleted vertices must have equal degree; `pairing` maps N(u) onto
-    N(v) and defaults to matching both neighbourhoods in ascending order.
-    The seam is tight when both inputs are bipartite with colour classes of
-    equal size: the shore g1 - u then has colour balance ±1, and every seam
-    edge leaves it from N(u), its majority colour, which is `contract`'s
-    colour count.  Otherwise it need not be: splicing two copies of K1,3 at
-    their centres gives 3K2, whose one perfect matching crosses three times.
+    The deleted vertices must have equal degree; the i-th least vertex of
+    N(u) is joined to the i-th least of N(v).  The glued graph is coloured
+    when it is built, as every graph built without colours is: the least
+    vertex of each component gets 'A'.  The seam is tight when both inputs
+    are bipartite with colour classes of equal size: the shore g1 - u then
+    has colour balance ±1, and every seam edge leaves it from N(u), its
+    majority colour, which is `contract`'s colour count.  Otherwise it need
+    not be: splicing two copies of K1,3 at their centres gives 3K2, whose
+    one perfect matching crosses three times.
     """
     nu = sorted(g1.neighbours[u])
     nv = sorted(g2.neighbours[v])
     if len(nu) != len(nv):
         raise GraphError("spliced vertices must have equal degree")
-    if pairing is None:
-        pairing = dict(zip(nu, nv))
-    if sorted(pairing) != nu or sorted(pairing.values()) != nv:
-        raise GraphError("pairing is not a bijection between the neighbourhoods")
 
     map1: list[Optional[int]] = [None] * g1.n
     nxt = 0
@@ -103,24 +95,11 @@ def splice(
         if v not in (a, b):
             x, y = map2[a], map2[b]
             edges.append((min(x, y), max(x, y)))
-    for x in nu:
-        a, b = map1[x], map2[pairing[x]]
+    for x, y in zip(nu, nv):
+        a, b = map1[x], map2[y]
         edges.append((min(a, b), max(a, b)))
 
-    colour = None
-    if g1.colour is not None and g2.colour is not None:
-        # flip g2's classes if needed so the seam edges join opposite colours
-        flip = g1.colour[u] == g2.colour[v]
-        tr = {"A": "B", "B": "A"}
-        side1 = [g1.colour[w] for w in range(g1.n) if w != u]
-        side2 = [
-            tr[g2.colour[w]] if flip else g2.colour[w]
-            for w in range(g2.n)
-            if w != v
-        ]
-        colour = tuple(side1 + side2)
-
-    glued = BipartiteGraph(g1.n + g2.n - 2, tuple(edges), colour)
+    glued = BipartiteGraph(g1.n + g2.n - 2, tuple(edges))
     cut = Cut.from_shore(glued, vertex_mask(w for w in map1 if w is not None))
     return Splice(glued, cut, tuple(map1), tuple(map2))
 
@@ -279,13 +258,6 @@ class K33Bisubdivision:
     branches_b: tuple[int, int, int]
     paths: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def vertices(self) -> frozenset[int]:
-        out = set(self.branches_a) | set(self.branches_b)
-        for row in self.paths:
-            for path in row:
-                out.update(path)
-        return frozenset(out)
-
     def validate(self, g: BipartiteGraph) -> None:
         seen: set[int] = set(self.branches_a) | set(self.branches_b)
         if len(seen) != 6:
@@ -385,13 +357,6 @@ def _grow_paths(
 # Pfaffian orientations
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """One direction bit per edge: 0 keeps the stored (u, v) order u -> v."""
-
-    bits: tuple[int, ...]
-
-
 class CycleSaturationError(GraphError):
     """Cycle enumeration hit its cap; results would be incomplete."""
 
@@ -485,13 +450,15 @@ def _eliminate(rows: Iterable[tuple[list[int], int]], width: int) -> Optional[li
     return x
 
 
-def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
+def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[tuple[int, ...]]:
     """Orientation making every conformal cycle oddly oriented, or None.
 
-    Each conformal cycle contributes one GF(2) parity constraint on the edge
-    direction bits.  The route is lazy: cycles are walked, tested and reduced
-    one at a time, so None (not Pfaffian) comes at the first contradiction,
-    possibly long before the cycle cap.  A Pfaffian verdict sees every cycle
+    The orientation is one direction bit per edge id: bit e = 0 keeps edge
+    e's stored order (u, v) as u -> v, 1 reverses it.  Each conformal cycle
+    contributes one GF(2) parity constraint on these bits.  The route is
+    lazy: cycles are walked, tested and reduced one at a time, so None (not
+    Pfaffian) comes at the first contradiction, possibly long before the
+    cycle cap.  A Pfaffian verdict sees every cycle
     and is re-checked against every conformal row.
     """
     matching.check_oracle_bound(g)
@@ -512,11 +479,11 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[Orientation]:
     for ids, b in rows:
         if sum(solution[e] for e in ids) % 2 != b:
             raise AssertionError("solver returned an infeasible orientation")
-    return Orientation(tuple(solution))
+    return tuple(solution)
 
 
 def is_oddly_oriented(
-    g: BipartiteGraph, orientation: Orientation, cycle: tuple[int, ...]
+    g: BipartiteGraph, orientation: tuple[int, ...], cycle: tuple[int, ...]
 ) -> bool:
     """Does the cycle have an odd number of co-directed edges for a fixed
     (hence, as the cycle is even, for either) traversal?"""
@@ -524,7 +491,7 @@ def is_oddly_oriented(
     for x, y in zip(cycle, cycle[1:] + cycle[:1]):
         eid = g.edge_id(x, y)
         traversed_reverse = g.edges[eid] != (x, y)
-        if int(traversed_reverse) == orientation.bits[eid]:
+        if int(traversed_reverse) == orientation[eid]:
             agree += 1
     return agree % 2 == 1
 

@@ -191,13 +191,6 @@ class Cut:
         )
         return cls(mask, ids, g.n)
 
-    @property
-    def order(self) -> int:
-        return len(self.edge_ids)
-
-    def shore_vertices(self) -> tuple[int, ...]:
-        return tuple(bits(self.shore))
-
     def complement_mask(self) -> int:
         return ((1 << self.n) - 1) ^ self.shore
 

@@ -1,21 +1,19 @@
-"""Perfect matchings, k-extendability and the brace test.
+"""Perfect matchings and the brace test.
 
 This module alone handles partner arrays.  Every graph gets one
 deterministic maximum matching, computed on first use and cached on the
 graph object; each further matching question (``has_perfect_matching`` with
 vertices removed) starts from it.  One perfect matching M of g answers the
 extendability questions through the alternating digraph D(g, M), with a node
-per A-vertex and an arc a -> M(b) per edge ab outside M: g is k-extendable
-iff D(g, M) is strongly k-connected (Lakhal & Litzler, Inform. Process. Lett.
-65, 1998).  One reachability search, `_reach`, decides both cases the
-package asks.  For k = 1, matching covered, a search from one node along the
-arcs and one against them must reach every node.  For k = 2, D minus any one
-node stays strongly connected (Robertson, Seymour & Thomas, Ann. Math. 150,
-1999), and the braces are these graphs, K2 and C4; `_digraph_failure` runs
-the same two searches in each D - v and, for a graph that is not
-2-extendable, returns the first that misses a node.  The set of nodes it
-reached is the Hall set from which `tightcut` reads a non-trivial tight cut.
-No strongly connected components and no set of allowed edges are computed.
+per A-vertex and an arc a -> M(b) per edge ab outside M.  One reachability
+search, `_reach`, decides both questions the package asks.  Matching
+covered is D strongly connected: a search from one node along the arcs and
+one against them must reach every node.  `is_brace` is the one
+2-extendability entry: `_digraph_failure` runs the same two searches in
+each D - v and, for a graph that is not 2-extendable, returns the first
+that misses a node.  The set of nodes it reached is the Hall set from which
+`tightcut` reads a non-trivial tight cut.  No strongly connected components
+and no set of allowed edges are computed.
 """
 
 from __future__ import annotations
@@ -198,7 +196,7 @@ def is_matching_covered(g: BipartiteGraph) -> bool:
     return all(len(_reach(arcs, root, {root})) == g.n // 2 for arcs in (out, into))
 
 
-# ----- extendability and braces -----
+# ----- the brace test -----
 
 
 def _digraph_failure(g: BipartiteGraph) -> Optional[tuple[int, int, bool]]:
@@ -229,29 +227,20 @@ def _digraph_failure(g: BipartiteGraph) -> Optional[tuple[int, int, bool]]:
     return None
 
 
-def is_k_extendable(g: BipartiteGraph, k: int) -> bool:
-    """k-extendability for k in {1, 2}: every k disjoint edges extend to a
-    perfect matching of the connected graph g on at least 2k+2 vertices.
-
-    For a perfect matching M of g, this holds iff D(g, M) is strongly
-    k-connected (Lakhal & Litzler 1998).  k = 1 is D strongly connected, i.e.
-    g matching covered; k = 2 is D strongly 2-connected (Robertson, Seymour
-    & Thomas 1999), which `_digraph_failure` tests in O(n·m).  The same
-    search hands `tightcut` its cut when g is not 2-extendable.
-    """
-    if k not in (1, 2):
-        raise GraphError("k must be 1 or 2")
-    g._require_colour()
-    if k == 1:
-        return g.n >= 4 and is_matching_covered(g)
-    return _digraph_failure(g) is None
-
-
 def is_brace(g: BipartiteGraph) -> bool:
-    """A brace is K2, C4 or a 2-extendable graph (which has six vertices or more)."""
+    """A brace is K2, C4 or a 2-extendable graph: any two disjoint edges lie
+    in a perfect matching, which needs six vertices or more.
+
+    For a perfect matching M of a connected g, that holds iff D(g, M) is
+    strongly 2-connected (Lakhal & Litzler, Inform. Process. Lett. 65, 1998),
+    i.e. D minus any one node stays strongly connected (Robertson, Seymour &
+    Thomas, Ann. Math. 150, 1999), which `_digraph_failure` tests in O(n·m).
+    The same search hands `tightcut` its cut when g is not a brace.
+    """
+    g._require_colour()
     if g.n in (2, 4) and g.is_regular(g.n // 2) and is_connected(g):
         return True
-    return is_k_extendable(g, 2)
+    return _digraph_failure(g) is None
 
 
 # ----- enumeration oracle -----

@@ -147,28 +147,25 @@ def _three_connected_labels(g: BipartiteGraph) -> Optional[tuple[int, ...]]:
 
 
 def _disconnecting_triples(g: BipartiteGraph, labels: tuple[int, ...]) -> Iterator[frozenset[int]]:
-    """3-matchings whose removal disconnects g, each once, in the order of
-    their first pair; lazily, so a caller that needs one stops there.
+    """3-matchings whose removal disconnects g, each once, at its least pair,
+    in sorted order; lazily, so a caller that needs one stops there.
 
     Needs a 3-edge-connected g and its cut labels, non-zero and distinct:
     the third edge of a disconnecting triple through disjoint e and f is
     then the one edge labelled label[e] ^ label[f].  It is disjoint from
     both, since a cut edge sharing a vertex w with another would leave a
-    2-edge cut once w changes sides.
+    2-edge cut once w changes sides.  A triple x < y < z is met at each of
+    its three pairs, and only at (x, y) is the third edge the largest, so
+    the scan yields when b > f and keeps no memory of what it has yielded.
     """
     m = g.edge_count
     ends = [1 << u | 1 << v for u, v in g.edges]
     edge_of = {label: eid for eid, label in enumerate(labels)}
-    found: set[frozenset[int]] = set()
     for e in range(m):
         for f in range(e + 1, m):
             b = edge_of.get(labels[e] ^ labels[f])
-            if b is None or ends[e] & ends[f]:
-                continue
-            triple = frozenset((e, f, b))
-            if triple not in found:
-                found.add(triple)
-                yield triple
+            if b is not None and b > f and not ends[e] & ends[f]:
+                yield frozenset((e, f, b))
 
 
 def cut_from_edge_ids(g: BipartiteGraph, edge_ids: Iterable[int]) -> Cut:
@@ -396,7 +393,7 @@ def tight_cut_decomposition(g: BipartiteGraph) -> DecompositionResult:
             DecompositionStep(
                 h.n,
                 tuple(sorted(cut.edge_ids)),
-                len(cut.shore_vertices()),
+                cut.shore.bit_count(),
                 (inner.n, outer.n),
             )
         )

@@ -30,7 +30,7 @@ from barnette.hamiltonicity import (
     is_hamiltonian,
     is_pk_hamiltonian,
 )
-from barnette.matching import is_brace, is_k_extendable, is_matching_covered
+from barnette.matching import is_brace, is_matching_covered
 from barnette.tightcut import (
     contract,
     find_tight_cuts_cubic,
@@ -230,7 +230,7 @@ def test_c10_random_expansion_properties(capsys):
             for _ in range(reps):
                 e, f = random_edge_pair(g, rng)
                 expanded = general_c4_expand(g, e, f)
-                assert is_k_extendable(expanded, 2)
+                assert is_brace(expanded)
                 assert is_matching_covered(expanded)
                 total += 1
         assert total >= 200

@@ -87,8 +87,8 @@ def test_cube_rotation_is_planar_embedding():
 def test_asano_marked_cut(asano):
     cut = asano.marked_cut
     assert cut is not None
-    assert cut.order == 3
-    assert len(cut.shore_vertices()) == 9  # one hub plus one gadget
+    assert len(cut.edge_ids) == 3
+    assert cut.shore.bit_count() == 9  # one hub plus one gadget
     assert is_tight(asano.graph, cut)
 
 
@@ -96,7 +96,7 @@ def test_p5_example_marked_structure():
     entry = catalog("p5_example")
     g = entry.graph
     cut = entry.marked_cut
-    assert cut.order == 3
+    assert len(cut.edge_ids) == 3
     assert is_tight(g, cut)
     path = entry.marked_path
     assert len(path) == 5
@@ -125,7 +125,7 @@ def test_horton_splice_shores_are_tight():
     for shore in entry.splice_shores:
         assert len(shore) == 31
         cut = Cut.from_shore(g, shore)
-        assert cut.order == 3
+        assert len(cut.edge_ids) == 3
         assert is_tight(g, cut)
 
 

@@ -340,6 +340,24 @@ def test_decompose_rejects_a_malformed_bgf_record(capsys, monkeypatch, text, mes
     assert len(lines) == 1 and lines[0].startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("é\n", "invalid graph6 bytes"), ("~??\n", "truncated graph6 size")],
+)
+def test_decompose_rejects_a_malformed_graph6_line(capsys, monkeypatch, text, message):
+    code, out, err = run(capsys, "decompose", stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_decompose_separates_records_by_one_blank_line(capsys, monkeypatch, cube, k33):
+    stdin = to_graph6(cube) + "\n" + to_graph6(k33) + "\n"
+    code, out, _ = run(capsys, "decompose", stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == f"{canonical_form(cube)}\n\n{canonical_form(k33)}\n"
+
+
 def test_package_import_loads_neither_numpy_nor_networkx():
     src = str(Path(barnette.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

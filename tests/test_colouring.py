@@ -19,6 +19,7 @@ from barnette.constructions import (
     conformal_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,
+    splice,
 )
 from barnette.embedding import facial_c4_expansion_sites
 from barnette.expansion import cube_expand
@@ -34,7 +35,6 @@ from barnette.io import to_graph6
 from barnette.matching import (
     has_perfect_matching,
     is_brace,
-    is_k_extendable,
     is_matching_covered,
 )
 from barnette.tightcut import (
@@ -54,8 +54,6 @@ PRISM = BipartiteGraph(
 ENTRY_POINTS = {
     "has_perfect_matching": has_perfect_matching,
     "is_matching_covered": is_matching_covered,
-    "is_k_extendable_1": lambda g: is_k_extendable(g, 1),
-    "is_k_extendable_2": lambda g: is_k_extendable(g, 2),
     "is_brace": is_brace,
     "tight_cut_decomposition": tight_cut_decomposition,
     "find_nontrivial_tight_cut": find_nontrivial_tight_cut,
@@ -92,12 +90,27 @@ def _twin(g):
     return BipartiteGraph(g.n, g.edges)
 
 
+def _splices():
+    names = ("cube", "k33", "heawood", "b_horton")
+    cube, k33, heawood, bh = (catalog(name).graph for name in names)
+    once = splice(k33, 3, bh, 0)
+    return {
+        "cube+cube": splice(cube, 0, cube, 0).graph,
+        "heawood+cube": splice(heawood, 0, cube, 0).graph,
+        "k33+b_horton": once.graph,
+        "k33+2b_horton": splice(once.graph, once.map1[4], bh, 0).graph,
+    }
+
+
 def test_uncoloured_twin_equals_the_graph():
     for name in catalog_names():
         g = catalog(name).graph
         assert _twin(g) == g, name
     for rec in generate(20):
         assert _twin(rec.graph) == rec.graph, rec.canonical
+    # a splice is coloured like any graph built without colours
+    for name, g in _splices().items():
+        assert _twin(g) == g, name
 
 
 def test_uncoloured_twin_is_accepted_where_colours_are_needed():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -33,7 +34,7 @@ def test_splice_two_cubes(cube, heawood, k33):
     assert s.graph.n == 14
     assert s.graph.is_regular(3)
     assert is_matching_covered(s.graph)
-    assert s.cut.order == 3
+    assert len(s.cut.edge_ids) == 3
     assert is_tight(s.graph, s.cut)
     # maps are injective on survivors and cover the glued vertex range
     survivors = [v for v in s.map1 if v is not None] + [
@@ -43,7 +44,7 @@ def test_splice_two_cubes(cube, heawood, k33):
     assert s.map1[0] is None and s.map2[0] is None
     # balanced inputs give a tight seam, by the colour count splice states
     for other in (splice(heawood, 0, cube, 0), splice(k33, 3, catalog("b_horton").graph, 0)):
-        assert other.cut.order == 3
+        assert len(other.cut.edge_ids) == 3
         assert is_tight(other.graph, other.cut)
 
 
@@ -53,7 +54,7 @@ def test_splice_of_unbalanced_stars_has_a_loose_seam():
     star = BipartiteGraph(4, ((0, 1), (0, 2), (0, 3)))
     s = splice(star, 0, star, 0)
     assert s.graph.n == 6 and s.graph.edge_count == 3
-    assert s.cut.order == 3
+    assert len(s.cut.edge_ids) == 3
     assert has_perfect_matching(s.graph)
     assert not is_tight(s.graph, s.cut)
 
@@ -61,15 +62,6 @@ def test_splice_of_unbalanced_stars_has_a_loose_seam():
 def test_splice_rejects_degree_mismatch(cube, c6):
     with pytest.raises(GraphError):
         splice(cube, 0, c6, 0)  # degree 3 against degree 2
-
-
-def test_splice_explicit_pairing(cube):
-    nu = sorted(cube.neighbours[0])
-    pairing = {nu[0]: nu[1], nu[1]: nu[0], nu[2]: nu[2]}
-    s = splice(cube, 0, cube, 0, pairing)
-    assert s.graph.is_regular(3)
-    with pytest.raises(GraphError):
-        splice(cube, 0, cube, 0, {nu[0]: nu[0], nu[1]: nu[1], nu[2]: 99})
 
 
 def test_trisum_of_cubes(cube):
@@ -105,6 +97,11 @@ def test_conformal_cross_k33(k33):
     assert left[0] == 0 and left[-1] == 1
     assert right[0] == 3 and right[-1] == 4
     assert not set(left) & set(right)
+
+
+def test_conformal_cross_needs_a_brace(c6):
+    with pytest.raises(GraphError, match="braces"):
+        conformal_cross(c6, (0, 1, 2, 3))
 
 
 def test_conformal_cross_absent_on_cube(cube, cube_rotation):
@@ -352,8 +349,38 @@ def test_bisubdivision_witnesses(cube, k33, heawood):
     w = find_conformal_k33_bisubdivision(k33)
     assert w is not None
     w.validate(k33)
-    assert w.vertices() == frozenset(range(6))
+    assert all(len(path) == 2 for row in w.paths for path in row)  # K33 itself
     assert find_conformal_k33_bisubdivision(heawood) is None  # Heawood is Pfaffian
+
+
+def test_bisubdivision_validate_rejects_each_broken_witness():
+    g = catalog("b_horton").graph
+    w = find_conformal_k33_bisubdivision(g)
+    w.validate(g)
+    a, b = w.branches_a, w.branches_b
+
+    def with_path(i, j, path):
+        rows = [list(row) for row in w.paths]
+        rows[i][j] = tuple(path)
+        return dataclasses.replace(w, paths=tuple(map(tuple, rows)))
+
+    i, j = next((i, j) for i in range(3) for j in range(3) if len(w.paths[i][j]) >= 4)
+    p = w.paths[i][j]
+    # a path a1 ~ b1 ~ a0 ~ b0 through two other paths and two branches
+    detour = w.paths[1][1] + w.paths[0][1][::-1][1:] + w.paths[0][0][1:]
+    assert detour[0] == a[1] and detour[-1] == b[0]
+    assert len(w.paths[0][1]) > 2  # so the detour shares its inner vertices too
+    broken = {
+        "not distinct": dataclasses.replace(w, branches_a=(a[0], a[0], a[2])),
+        "endpoints disagree": with_path(0, 0, w.paths[0][0][::-1]),
+        "even length": with_path(i, j, p[:1] + p[2:]),
+        # p[0] and p[2] share a colour, so the first step is no edge
+        "is not an edge": with_path(i, j, (p[0], p[2], p[1]) + p[3:]),
+        "not internally disjoint": with_path(1, 0, detour),
+    }
+    for message, witness in broken.items():
+        with pytest.raises(GraphError, match=message):
+            witness.validate(g)
 
 
 def test_exact_searches_refuse_graphs_over_the_oracle_bound(cube, monkeypatch):
@@ -362,6 +389,13 @@ def test_exact_searches_refuse_graphs_over_the_oracle_bound(cube, monkeypatch):
         find_conformal_k33_bisubdivision(cube)
     with pytest.raises(OracleBoundError):
         find_pfaffian_orientation(cube)
+
+
+def test_pfaffian_orientation_needs_a_matching_covered_graph():
+    p4 = BipartiteGraph(4, ((0, 1), (1, 2), (2, 3)))
+    assert has_perfect_matching(p4) and not is_matching_covered(p4)
+    with pytest.raises(GraphError, match="matching covered"):
+        find_pfaffian_orientation(p4)
 
 
 def test_k33_search_needs_a_perfect_matching():
@@ -412,7 +446,7 @@ def test_streaming_orientation_matches_batch_solve(cube, k33):
         for h in [g] + [g.relabel(p) for p in perms]:
             orientation = find_pfaffian_orientation(h)
             assert orientation is not None
-            assert list(orientation.bits) == _batch_orientation(h)
+            assert list(orientation) == _batch_orientation(h)
     for g in (k33, catalog("b_horton").graph, splice(cube, 0, k33, 0).graph):
         assert find_pfaffian_orientation(g) is None
         assert _batch_orientation(g) is None

@@ -24,7 +24,6 @@ from barnette.matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_brace,
-    is_k_extendable,
     is_matching_covered,
 )
 from barnette.tightcut import (
@@ -94,18 +93,6 @@ def test_matching_covered_rejects_disconnected():
     assert not is_matching_covered(two_edges)
 
 
-def test_extendability_ladder(cube, k33, heawood, c6):
-    assert is_k_extendable(c6, 1)
-    assert not is_k_extendable(c6, 2)  # C6 has only two perfect matchings
-    for g in (cube, k33, heawood):
-        assert is_k_extendable(g, 1)
-        assert is_k_extendable(g, 2)
-    from barnette.graphs import GraphError
-
-    with pytest.raises(GraphError):
-        is_k_extendable(cube, 3)
-
-
 def test_brace_fixtures(cube, k33, heawood, c6):
     c4 = BipartiteGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     assert is_brace(c4)  # special case below the 2-extendability threshold
@@ -134,6 +121,15 @@ def test_validate_rejects_edge_ids_out_of_range(cube):
     for eid in (-1, cube.edge_count):
         with pytest.raises(GraphError, match="out of range"):
             PerfectMatching(pm.edge_ids - {last} | {eid}).validate(cube)
+
+
+def test_validate_rejects_a_shared_vertex_and_an_uncovered_vertex(cube):
+    pm = enumerate_perfect_matchings(cube)[0]
+    extra = next(eid for eid in range(cube.edge_count) if eid not in pm.edge_ids)
+    with pytest.raises(GraphError, match="share a vertex"):
+        PerfectMatching(pm.edge_ids | {extra}).validate(cube)
+    with pytest.raises(GraphError, match="does not cover"):
+        PerfectMatching(pm.edge_ids - {min(pm.edge_ids)}).validate(cube)
 
 
 def test_enumeration_respects_bound(cube, monkeypatch):
@@ -174,7 +170,6 @@ def test_matching_covered_matches_definition(cube, k33, heawood, c6):
     for g in graphs:
         covered = g.edge_count > 0 and is_connected(g) and all(_allowed_by_enumeration(g))
         assert is_matching_covered(g) == covered
-        assert is_k_extendable(g, 1) == (covered and g.n >= 4)
         verdicts.append(covered)
     assert verdicts[:7] == [True, True, False, False, False, False, False]
     assert all(verdicts[7:11])
