@@ -1,8 +1,13 @@
 """Brute-force oracles used to audit the main engines.
 
 The class counts enumerate biadjacency matrices in doubly lexical order
-(Lubiw, SIAM J. Comput. 1987) and de-duplicate the connected ones through
-``canon.canonical_form``, a kernel the generator does not use.
+(Lubiw, SIAM J. Comput. 1987) and de-duplicate through
+``canon.canonical_form``, a kernel the generator does not use.  The class
+count drops a matrix with fewer than six 4-cycles, then a graph that is
+disconnected, non-planar or not 3-connected, before any canonical form.
+The first filter is exact: a 2-connected plane cubic graph on n vertices has
+n/2 + 2 faces, so Euler's formula gives sum(6 - |f|) = 12 over its faces,
+and as its faces are distinct even cycles, at least six are 4-cycles.
 The small Pfaffian and tightness verdicts try every orientation or perfect
 matching and share no logic with the solver.  Slow and bounded on purpose.
 """
@@ -10,6 +15,7 @@ matching and share no logic with the solver.  Slow and bounded on purpose.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 from .canon import canonical_form
@@ -58,23 +64,34 @@ def _matrices_with_line_sums_three(half: int) -> Iterator[tuple[int, ...]]:
     yield from extend(0, every >> 1, (0, 0, 0))
 
 
+def _check_order(n: int) -> None:
+    if n % 2 != 0 or n < 8:
+        raise GraphError("cubic bipartite graphs need an even order, at least 8")
+
+
+def _matrix_graph(rows: tuple[int, ...]) -> BipartiteGraph:
+    """The graph of a square 0-1 matrix: rows are vertices 0..h-1, columns h..2h-1."""
+    half = len(rows)
+    edges = tuple(
+        (r, half + c) for r in range(half) for c in range(half) if rows[r] >> c & 1
+    )
+    return BipartiteGraph(2 * half, edges)
+
+
+def _four_cycles(rows: tuple[int, ...]) -> int:
+    """4-cycles of a matrix's graph: each is a row pair and two common columns."""
+    return sum(math.comb((a & b).bit_count(), 2) for a, b in itertools.combinations(rows, 2))
+
+
 def cubic_bipartite_classes(n: int) -> Iterator[BipartiteGraph]:
     """All connected cubic bipartite graphs on n vertices, up to isomorphism.
 
     Vertices 0..n/2-1 are the rows, the rest the columns.
     """
-    if n % 2 != 0 or n < 8:
-        raise GraphError("cubic bipartite graphs need an even order, at least 8")
-    half = n // 2
+    _check_order(n)
     seen: set[str] = set()
-    for rows in _matrices_with_line_sums_three(half):
-        edges = tuple(
-            (r, half + c)
-            for r in range(half)
-            for c in range(half)
-            if rows[r] >> c & 1
-        )
-        g = BipartiteGraph(n, edges)
+    for rows in _matrices_with_line_sums_three(n // 2):
+        g = _matrix_graph(rows)
         if not is_connected(g):
             continue
         form = canonical_form(g)
@@ -85,15 +102,23 @@ def cubic_bipartite_classes(n: int) -> Iterator[BipartiteGraph]:
 
 
 def oracle_class_count(n: int) -> int:
-    """Number of cubic, 3-connected, planar, bipartite graphs on n vertices."""
-    count = 0
-    for g in cubic_bipartite_classes(n):
-        if not is_k_connected(g, 3):
+    """Number of cubic, 3-connected, planar, bipartite graphs on n vertices.
+
+    A class member has at least six 4-cycles (its quadrilateral faces, by
+    Euler's formula), so a matrix with fewer is dropped before its graph is
+    built.  Connectivity, planarity (cheaper than 3-connectivity, and it
+    rejects more) and 3-connectivity follow, and ``canonical_form``
+    de-duplicates only the survivors.
+    """
+    _check_order(n)
+    forms: set[str] = set()
+    for rows in _matrices_with_line_sums_three(n // 2):
+        if _four_cycles(rows) < 6:
             continue
-        if embed_planar(g) is None:
-            continue
-        count += 1
-    return count
+        g = _matrix_graph(rows)
+        if is_connected(g) and embed_planar(g) is not None and is_k_connected(g, 3):
+            forms.add(canonical_form(g))
+    return len(forms)
 
 
 def _orientation_is_pfaffian(

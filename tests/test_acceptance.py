@@ -95,8 +95,8 @@ def test_c03_oracle_count_agreement(capsys):
         golden = json.loads(
             (pathlib.Path(__file__).parent / "golden" / "class_counts.json").read_text()
         )["counts"]
-        generated = Counter(rec.n for rec in generate(16))
-        for n in (8, 10, 12, 14, 16):
+        generated = Counter(rec.n for rec in generate(18))
+        for n in (8, 10, 12, 14, 16, 18):
             live = oracle_class_count(n)
             assert live == golden[str(n)], f"n={n}: oracle drifted from golden"
             assert generated.get(n, 0) == live, f"n={n}: generation disagrees"

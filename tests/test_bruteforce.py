@@ -4,16 +4,19 @@ import pathlib
 
 import pytest
 
-from barnette import matching
+from barnette import bruteforce, matching
 from barnette.bruteforce import (
+    _four_cycles,
     _matrices_with_line_sums_three,
+    _matrix_graph,
     cubic_bipartite_classes,
     oracle_class_count,
     pfaffian_by_enumeration,
     oracle_is_tight,
 )
 from barnette.canon import canonical_form
-from barnette.graphs import BipartiteGraph, Cut, GraphError, is_connected
+from barnette.embedding import embed_planar
+from barnette.graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
 from barnette.matching import OracleBoundError
 from conftest import reference_matrices_with_line_sums_three
 
@@ -26,6 +29,7 @@ def test_connected_cubic_bipartite_counts():
     assert sum(1 for _ in cubic_bipartite_classes(8)) == 1
     assert sum(1 for _ in cubic_bipartite_classes(10)) == 2
     assert sum(1 for _ in cubic_bipartite_classes(12)) == 5
+    assert sum(1 for _ in cubic_bipartite_classes(14)) == 13
 
 
 def test_doubly_lexical_matrices_give_the_reference_classes():
@@ -57,10 +61,12 @@ def test_class_yields_are_pairwise_nonisomorphic():
 
 
 def test_order_validation():
-    with pytest.raises(GraphError):
-        list(cubic_bipartite_classes(7))
-    with pytest.raises(GraphError):
-        list(cubic_bipartite_classes(6))
+    message = "cubic bipartite graphs need an even order, at least 8"
+    for n in (7, 6):
+        with pytest.raises(GraphError, match=message):
+            list(cubic_bipartite_classes(n))
+        with pytest.raises(GraphError, match=message):
+            oracle_class_count(n)
 
 
 def test_oracle_counts_small_orders():
@@ -68,6 +74,69 @@ def test_oracle_counts_small_orders():
     assert oracle_class_count(8) == golden["8"] == 1
     assert oracle_class_count(10) == golden["10"] == 0
     assert oracle_class_count(12) == golden["12"] == 1
+
+
+def _direct_four_cycles(g):
+    # closed walks v0 v1 v2 v3 v0 on four distinct vertices; each 4-cycle is
+    # walked from 4 starts in 2 directions
+    walks = 0
+    for v0 in range(g.n):
+        for v1 in g.neighbours[v0]:
+            for v2 in g.neighbours[v1]:
+                if v2 == v0:
+                    continue
+                for v3 in g.neighbours[v2]:
+                    if v3 not in (v0, v1) and g.has_edge(v3, v0):
+                        walks += 1
+    return walks // 8
+
+
+def test_four_cycle_count_matches_a_direct_count(cube, k33, heawood):
+    for g, expected in ((cube, 6), (k33, 9), (heawood, 0)):
+        rows = tuple(
+            sum(1 << c for c, b in enumerate(g.class_b()) if g.has_edge(a, b))
+            for a in g.class_a()
+        )
+        assert _four_cycles(rows) == _direct_four_cycles(g) == expected
+        assert _four_cycles(rows) == _direct_four_cycles(_matrix_graph(rows))
+
+
+def test_class_members_have_six_four_cycles():
+    # the Euler bound that lets the oracle drop a matrix before building it
+    members = 0
+    for n in (8, 10, 12, 14, 16):
+        for rows in _matrices_with_line_sums_three(n // 2):
+            g = _matrix_graph(rows)
+            if is_connected(g) and embed_planar(g) is not None and is_k_connected(g, 3):
+                members += 1
+                assert _four_cycles(rows) >= 6, f"n={n}: {rows}"
+    assert members > 0
+
+
+def test_oracle_matches_the_canonicalise_first_route():
+    for n in (8, 10, 12, 14, 16):
+        first = sum(
+            1
+            for g in cubic_bipartite_classes(n)
+            if is_k_connected(g, 3) and embed_planar(g) is not None
+        )
+        assert oracle_class_count(n) == first, f"n={n}"
+
+
+def test_oracle_canonicalises_only_survivors(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(bruteforce, "canonical_form", counted)
+    made = []
+    for n in (8, 10, 12, 14):
+        calls.clear()
+        oracle_class_count(n)
+        made.append(len(calls))
+    assert made == [1, 0, 2, 6]
 
 
 def test_golden_count_script_covers_the_golden_orders():
