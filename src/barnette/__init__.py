@@ -48,7 +48,6 @@ from .tightcut import (
     contract,
     cubic_three_connected,
     cut_from_edge_ids,
-    cuts_compatible,
     family_is_laminar,
     find_nontrivial_tight_cut,
     find_tight_cuts_cubic,
@@ -61,9 +60,7 @@ from .constructions import (
     K33Bisubdivision,
     Splice,
     braces_pfaffian_consistency,
-    conformal_cross,
     conformal_cycles,
-    cubic_trisum,
     enumerate_simple_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,

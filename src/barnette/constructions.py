@@ -3,16 +3,15 @@
 A splice glues two graphs at deleted vertices of equal degree by joining
 their neighbourhoods in ascending order; in the bipartite matching covered
 setting the seam is a tight cut.  A trisum glues three graphs along a common
-4-cycle and removes a chosen subset of its edges; removing all four keeps
-cubic inputs cubic.
+4-cycle and deletes its four edges, so cubic inputs give a cubic result.
 
 Pfaffian recognition here is desk-scale and exact, twice over: an orientation
 solver that turns every conformal cycle into a parity constraint over GF(2),
 and a search for a conformal bisubdivision of K33, whose absence is
 equivalent to being Pfaffian for bipartite graphs with a perfect matching.
 The two answers are cross-checked in tests rather than merged.
-Cycles, conformal crosses and K33 paths all come from one iterative walker,
-`_simple_paths`, so no search here depends on the recursion limit.
+Cycles and K33 paths both come from one iterative walker, `_simple_paths`,
+so no search here depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ from .graphs import (
 )
 from . import matching
 from .io import from_graph6
-from .matching import (
-    has_perfect_matching,
-    is_brace,
-    is_matching_covered,
-)
+from .matching import has_perfect_matching, is_matching_covered
 from .tightcut import tight_cut_decomposition
 
 
@@ -107,8 +102,6 @@ def splice(g1: BipartiteGraph, u: int, g2: BipartiteGraph, v: int) -> Splice:
 # ---------------------------------------------------------------------------
 # trisum
 
-_C4_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 3))
-
 
 def _check_c4(g: BipartiteGraph, quad: Sequence[int]) -> None:
     if len(quad) != 4 or len(set(quad)) != 4:
@@ -120,28 +113,34 @@ def _check_c4(g: BipartiteGraph, quad: Sequence[int]) -> None:
 
 
 def trisum(
-    graphs: Sequence[BipartiteGraph],
-    quads: Sequence[Sequence[int]],
-    removed: Iterable[tuple[int, int]] = (),
+    graphs: Sequence[BipartiteGraph], quads: Sequence[Sequence[int]]
 ) -> BipartiteGraph:
-    """Glue three graphs along a common 4-cycle and delete `removed` edges.
+    """Glue three bipartite graphs along a common 4-cycle and delete its edges.
 
     `quads` gives the cycle in each graph as four vertices in cyclic order;
     position k of each quad is identified across the three graphs and becomes
-    vertex k of the result.  `removed` lists cycle edges as position pairs,
-    a subset of ((0,1),(1,2),(2,3),(0,3)).
+    vertex k of the result.  Each summand's other vertices follow in turn,
+    and its edges in its edge order.
+
+    All four cycle edges go, as in every cubic trisum of braces (Robertson,
+    Seymour & Thomas 1999; McCuaig 2004), by a degree count: a brace on 6
+    or more vertices has minimum degree 3, so each shared vertex takes at
+    least one edge from each summand, and a cubic one then has no room for
+    a cycle edge.  Cubic summands give a cubic result.  Positions 0 and 2
+    take one colour in every summand, and 1 and 3 the other, so no summand
+    has an edge between two quad vertices besides the cycle edges: the
+    summands share no edge, their colourings agree on the shared vertices,
+    and the glued graph is bipartite.
     """
     if len(graphs) != 3 or len(quads) != 3:
         raise GraphError("trisum needs exactly three graphs and three 4-cycles")
-    removed_set = {(min(a, b), max(a, b)) for a, b in removed}
-    if not removed_set <= set(_C4_PAIRS):
-        raise GraphError("removed edges must lie on the shared 4-cycle")
     for g, quad in zip(graphs, quads):
+        g._require_colour()
         _check_c4(g, quad)
         if g.n <= 4:
             raise GraphError("each summand needs vertices outside the 4-cycle")
 
-    maps: list[list[int]] = []
+    edges: list[tuple[int, int]] = []
     nxt = 4
     for g, quad in zip(graphs, quads):
         m = [-1] * g.n
@@ -151,39 +150,8 @@ def trisum(
             if m[w] < 0:
                 m[w] = nxt
                 nxt += 1
-        maps.append(m)
-
-    pair_seen: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int]] = []
-    for g, m in zip(graphs, maps):
-        for a, b in g.edges:
-            x, y = m[a], m[b]
-            pair = (min(x, y), max(x, y))
-            if pair in removed_set:
-                continue
-            if pair in pair_seen:
-                # only the shared 4-cycle may be common to two summands
-                if pair not in _C4_PAIRS:
-                    raise GraphError("summands share an edge outside the 4-cycle")
-                continue
-            pair_seen[pair] = len(edges)
-            edges.append(pair)
-
-    out = BipartiteGraph(nxt, tuple(edges))
-    if out.colour is None:
-        raise GraphError("trisum result is not bipartite")
-    return out
-
-
-def cubic_trisum(
-    graphs: Sequence[BipartiteGraph], quads: Sequence[Sequence[int]]
-) -> BipartiteGraph:
-    """Trisum deleting all four cycle edges.
-
-    Cubic inputs give a cubic result: each cycle vertex loses its two cycle
-    edges and gains the one edge it has off the cycle in each summand.
-    """
-    return trisum(graphs, quads, _C4_PAIRS)
+        edges.extend((m[a], m[b]) for a, b in g.edges if max(m[a], m[b]) >= 4)
+    return BipartiteGraph(nxt, tuple(edges))
 
 
 def _simple_paths(
@@ -213,33 +181,6 @@ def _simple_paths(
             stack.pop()
             seen[path.pop()] = 0
     seen[src] = 1
-
-
-def conformal_cross(
-    g: BipartiteGraph, c4: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Paths L (a to c) and R (b to d) with C + L + R conformal, or None.
-
-    `c4` lists the cycle as a,b,c,d in cyclic order.  The paths avoid the
-    cycle internally and each other entirely; the first conformal pair in
-    `_simple_paths` order is returned, and None means no cross exists.  The
-    host graph must be a brace.
-    """
-    if not is_brace(g):
-        raise GraphError("conformal crosses are defined over braces")
-    _check_c4(g, c4)
-    a, b, c, d = c4
-    c_mask = vertex_mask(c4)
-    nbrs = [sorted(g.neighbours[v]) for v in range(g.n)]
-    seen = bytearray(g.n)  # marks the cycle, then each walk's path on top
-    for v in c4:
-        seen[v] = 1
-    for left in _simple_paths(nbrs, a, c, seen):
-        for right in _simple_paths(nbrs, b, d, seen):
-            used = c_mask | vertex_mask(left) | vertex_mask(right)
-            if has_perfect_matching(g, used):
-                return left, right
-    return None
 
 
 # ---------------------------------------------------------------------------

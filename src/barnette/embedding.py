@@ -163,14 +163,9 @@ def embed_planar(g: BipartiteGraph) -> Optional[RotationEmbedding]:
     ok, cert = nx.check_planarity(G)
     if not ok:
         return None
-    rotation = []
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            rotation.append(())
-            continue
-        order = list(cert.neighbors_cw_order(v))
-        rotation.append(tuple(g.edge_id(v, w) for w in order))
-    emb = RotationEmbedding(tuple(rotation))
+    emb = RotationEmbedding(
+        tuple(tuple(g.edge_id(v, w) for w in cert.neighbors_cw_order(v)) for v in range(g.n))
+    )
     if g.n >= 1 and is_connected(g) and not euler_check(g, emb):
         raise GraphError("planar embedding failed the Euler check")
     return emb

@@ -114,7 +114,7 @@ def generate(n_max: int, braces_only: bool = False) -> Iterator[GenerationRecord
         )
 
     for n in range(8, n_max + 1, 2):
-        bucket = buckets.get(n)
+        bucket = buckets.pop(n, None)  # complete: admit only fills n + 4 and n + 6
         if not bucket:
             continue
         for code in sorted(bucket):
@@ -177,7 +177,7 @@ def verify_record(rec: GenerationRecord) -> dict:
     checks["family_tight"] = bipartite and all(
         not c.is_trivial and is_tight(g, c) for c in rec.family
     )
-    checks["family_laminar"] = family_is_laminar(rec.family, g.full_mask)
+    checks["family_laminar"] = family_is_laminar(rec.family)
     checks["family_bound"] = _family_bound_ok(rec.family, g.n)
 
     # the 3-cut scan needs both; its cuts never cross, so the family is all of them

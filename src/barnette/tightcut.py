@@ -419,19 +419,14 @@ def is_cyclically_4_connected(g: BipartiteGraph) -> bool:
 # laminar families
 
 
-def cuts_compatible(c1: Cut, c2: Cut, full_mask: int) -> bool:
-    """Laminar compatibility up to shore complementation."""
-    x, y = c1.shore, c2.shore
-    for a in (x, full_mask & ~x):
-        for b in (y, full_mask & ~y):
-            if a & b == 0:
-                return True
-    return False
-
-
-def family_is_laminar(cuts: Iterable[Cut], full_mask: int) -> bool:
-    cuts = list(cuts)
+def family_is_laminar(cuts: Iterable[Cut]) -> bool:
+    """Every two cuts are laminar up to complementation: a shore of one is
+    disjoint from a shore of the other."""
     return all(
-        cuts_compatible(c1, c2, full_mask)
+        any(
+            a & b == 0
+            for a in (c1.shore, c1.complement_mask())
+            for b in (c2.shore, c2.complement_mask())
+        )
         for c1, c2 in itertools.combinations(cuts, 2)
     )

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from barnette import constructions, matching
-from barnette.bruteforce import cubic_bipartite_classes, pfaffian_by_enumeration
+from barnette.bruteforce import pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
     CycleSaturationError,
@@ -13,9 +13,7 @@ from barnette.constructions import (
     _eliminate,
     _free_vertex_alive,
     braces_pfaffian_consistency,
-    conformal_cross,
     conformal_cycles,
-    cubic_trisum,
     enumerate_simple_cycles,
     find_conformal_k33_bisubdivision,
     find_pfaffian_orientation,
@@ -24,7 +22,9 @@ from barnette.constructions import (
     trisum,
 )
 from barnette.catalog import catalog
-from barnette.graphs import BipartiteGraph, GraphError, vertex_mask
+from barnette.embedding import embed_planar
+from barnette.graphs import BipartiteGraph, GraphError
+from barnette.hamiltonicity import is_hamiltonian
 from barnette.matching import OracleBoundError, has_perfect_matching, is_brace, is_matching_covered
 from barnette.tightcut import is_tight
 
@@ -66,18 +66,15 @@ def test_splice_rejects_degree_mismatch(cube, c6):
 
 def test_trisum_of_cubes(cube):
     quad = (0, 1, 2, 3)  # a facial square of the cube
-    out = cubic_trisum([cube, cube, cube], [quad, quad, quad])
+    out = trisum([cube, cube, cube], [quad, quad, quad])
     assert out.n == 16  # 4 shared + 3 * 4 private
     assert out.is_regular(3)
-    assert is_matching_covered(out)
-
-
-def test_trisum_keeps_cycle_edges_when_asked(cube):
-    quad = (0, 1, 2, 3)
-    out = trisum([cube, cube, cube], [quad, quad, quad], removed=())
-    assert out.n == 16
-    degrees = sorted(out.degree(v) for v in range(4))
-    assert degrees == [5, 5, 5, 5]  # three private edges + two kept cycle edges
+    assert not any(out.has_edge(x, (x + 1) % 4) for x in range(4))  # cycle edges gone
+    # the one non-planar cubic Pfaffian brace on 16 vertices
+    assert is_brace(out)
+    assert embed_planar(out) is None
+    assert find_pfaffian_orientation(out) is not None
+    assert is_hamiltonian(out)
 
 
 def test_trisum_validation(cube):
@@ -85,32 +82,11 @@ def test_trisum_validation(cube):
         trisum([cube, cube], [(0, 1, 2, 3)] * 2)
     with pytest.raises(GraphError):
         trisum([cube] * 3, [(0, 1, 2, 4)] * 3)  # not a 4-cycle
-    with pytest.raises(GraphError):
-        trisum([cube] * 3, [(0, 1, 2, 3)] * 3, removed=((0, 2),))  # a diagonal
-
-
-def test_conformal_cross_k33(k33):
-    quad = (0, 3, 1, 4)  # a 4-cycle of K33
-    cross = conformal_cross(k33, quad)
-    assert cross is not None
-    left, right = cross
-    assert left[0] == 0 and left[-1] == 1
-    assert right[0] == 3 and right[-1] == 4
-    assert not set(left) & set(right)
-
-
-def test_conformal_cross_needs_a_brace(c6):
-    with pytest.raises(GraphError, match="braces"):
-        conformal_cross(c6, (0, 1, 2, 3))
-
-
-def test_conformal_cross_absent_on_cube(cube, cube_rotation):
-    # no facial square of the cube carries a conformal cross
-    from barnette.embedding import face_vertices, faces
-
-    for face in faces(cube, cube_rotation):
-        quad = face_vertices(face)
-        assert conformal_cross(cube, quad) is None
+    # the triangular prism has 4-cycles, and a triangle
+    triangles = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+    prism = BipartiteGraph(6, triangles + ((0, 3), (1, 4), (2, 5)))
+    with pytest.raises(GraphError, match="not bipartite"):
+        trisum([prism, cube, cube], [(0, 1, 4, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
 
 
 def test_cycle_enumeration_counts(cube, k33, c6, monkeypatch):
@@ -147,35 +123,6 @@ def test_cycle_walk_order_matches_recursive_reference(c6, k33, cube, heawood):
     # orientation bits that find_pfaffian_orientation returns
     for g in (c6, k33, cube, heawood, catalog("p5_example").graph):
         assert enumerate_simple_cycles(g) == _reference_cycles(g)
-
-
-def _reference_conformal_cross(g, c4):
-    """The recursive path search conformal_cross ran before the shared walker."""
-    a, b, c, d = c4
-    c_mask = vertex_mask(c4)
-
-    def paths(src: int, dst: int, blocked: int):
-        # simple paths src -> dst whose internal vertices avoid `blocked`
-        path = [src]
-
-        def step(here: int, used: int):
-            for w in sorted(g.neighbours[here]):
-                if w == dst:
-                    yield tuple(path) + (dst,)
-                elif not (used >> w & 1 or blocked >> w & 1):
-                    path.append(w)
-                    yield from step(w, used | 1 << w)
-                    path.pop()
-
-        yield from step(src, 1 << src)
-
-    for left in paths(a, c, c_mask | 1 << b | 1 << d):
-        left_mask = vertex_mask(left)
-        for right in paths(b, d, c_mask | left_mask):
-            used = c_mask | left_mask | vertex_mask(right)
-            if has_perfect_matching(g, used):
-                return left, right
-    return None
 
 
 def _reference_grow_paths(g, tri_a, tri_b, branch_mask, pair_order):
@@ -256,26 +203,6 @@ def _walker_inputs(cube, k33):
 def test_cycles_match_recursive_reference_on_relabellings(cube, k33):
     for g in _walker_inputs(cube, k33):
         assert enumerate_simple_cycles(g) == _reference_cycles(g)
-
-
-def test_conformal_cross_matches_recursive_reference(cube, k33):
-    # the catalog braces have at most one path per side; the cubic bipartite
-    # braces on 10 and 12 vertices have several, so their order shows
-    graphs = _walker_inputs(cube, k33) + [g for n in (10, 12) for g in cubic_bipartite_classes(n)]
-    outcomes = set()
-    for g in graphs:
-        if g.n > 14 or not is_brace(g):
-            continue
-        for cyc in enumerate_simple_cycles(g):
-            if len(cyc) != 4:
-                continue
-            for quad in (cyc, cyc[::-1]):
-                for r in range(4):
-                    rotated = quad[r:] + quad[:r]
-                    got = conformal_cross(g, rotated)
-                    assert got == _reference_conformal_cross(g, rotated)
-                    outcomes.add(got is None)
-    assert outcomes == {True, False}
 
 
 def test_k33_witnesses_match_recursive_reference(cube, k33, monkeypatch):

@@ -56,6 +56,11 @@ def test_embed_planar_fixtures(cube, k33, heawood, c6):
     assert embed_planar(k33) is None
     assert embed_planar(heawood) is None  # girth-6 but non-planar
     assert euler_check(c6, embed_planar(c6))
+    # an isolated vertex gets an empty rotation, as every vertex's is built
+    with_isolated = BipartiteGraph(5, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    emb = embed_planar(with_isolated)
+    emb.validate(with_isolated)
+    assert [len(r) for r in emb.rotation] == [2, 2, 2, 2, 0]
 
 
 def test_euler_check_false_on_disconnected():

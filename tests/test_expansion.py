@@ -110,7 +110,7 @@ def test_c4_expand_family_matches_scratch(cube, cube_rotation):
         fam18 = update_family_c4(fam14, g18, site)
         scratch = find_tight_cuts_cubic(g18)
         assert _triples(fam18) == _triples(scratch)
-        assert family_is_laminar(fam18, g18.full_mask)
+        assert family_is_laminar(fam18)
         for cut in fam18:
             assert is_tight(g18, cut)
             assert site.eid_uv not in cut.edge_ids or site.eid_xy not in cut.edge_ids

@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import json
 import pathlib
 import sys
+import weakref
 
 import pytest
 
@@ -145,6 +147,16 @@ def test_generation_is_deterministic():
     second = [rec.canonical for rec in generate(16)]
     assert first == second
     assert first == sorted(set(first), key=first.index)  # no duplicates
+
+
+def test_generation_drops_each_finished_order():
+    # candidates only ever land two or three orders up, so an order is
+    # dropped once its records have been yielded and expanded
+    stream = generate(24)
+    ref = weakref.ref(next(rec for rec in stream if rec.n == 14))
+    next(rec for rec in stream if rec.n >= 18)
+    gc.collect()
+    assert ref() is None
 
 
 def test_contracting_the_family_cut_recovers_cubes(generated_16, cube):

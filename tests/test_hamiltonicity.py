@@ -775,7 +775,7 @@ def test_piece_tree_is_the_brace_decomposition():
     graphs = [rec.graph for rec in generate(24) if rec.family]
     graphs += _ladder_splices() + [catalog("horton").graph, _b_horton_chain(3, rng)]
     for g in graphs:
-        assert family_is_laminar(find_tight_cuts_cubic(g), g.full_mask)
+        assert family_is_laminar(find_tight_cuts_cubic(g))
         tree = HamiltonicityEngine(g).tree
         pieces = [piece.graph for piece in tree.pieces]
         assert Counter(canonical_form(p) for p in pieces) == tight_cut_decomposition(g).braces

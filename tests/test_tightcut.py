@@ -20,7 +20,6 @@ from barnette.tightcut import (
     cubic_three_connected,
     cut_labels,
     cut_from_edge_ids,
-    cuts_compatible,
     family_is_laminar,
     find_nontrivial_tight_cut,
     find_tight_cuts_cubic,
@@ -336,11 +335,11 @@ def test_laminar_utilities(c6):
     a = Cut.from_shore(c6, 0b000111)
     b = Cut.from_shore(c6, 0b000011)
     c = Cut.from_shore(c6, 0b001110)
-    full = c6.full_mask
-    assert cuts_compatible(a, b, full)  # nested
-    assert not cuts_compatible(a, c, full)  # crossing
-    assert family_is_laminar([a, b], full)
-    assert not family_is_laminar([a, b, c], full)
+    assert family_is_laminar([a, b])  # nested
+    assert not family_is_laminar([a, c])  # crossing
+    assert not family_is_laminar([a, b, c])
+    # a shore and its complement name one cut
+    assert family_is_laminar([a, Cut.from_shore(c6, a.complement_mask()), b])
 
 
 def test_heawood_has_no_tight_cuts(heawood):
