@@ -8,8 +8,10 @@ disconnected, non-planar or not 3-connected, before any canonical form.
 The first filter is exact: a 2-connected plane cubic graph on n vertices has
 n/2 + 2 faces, so Euler's formula gives sum(6 - |f|) = 12 over its faces,
 and as its faces are distinct even cycles, at least six are 4-cycles.
-The small Pfaffian and tightness verdicts try every orientation or perfect
-matching and share no logic with the solver.  Slow and bounded on purpose.
+The small Pfaffian verdict tries every orientation against the definition,
+``constructions.is_oddly_oriented`` on every conformal cycle, and shares no
+solver kernel with ``find_pfaffian_orientation``; the tightness verdict
+lists every perfect matching.  Slow and bounded on purpose.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from typing import Iterator
 
 from .canon import canonical_form
-from .constructions import conformal_cycles
+from .constructions import conformal_cycles, is_oddly_oriented
 from .embedding import embed_planar
 from .graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
 from .matching import enumerate_perfect_matchings
@@ -121,24 +123,6 @@ def oracle_class_count(n: int) -> int:
     return len(forms)
 
 
-def _orientation_is_pfaffian(
-    g: BipartiteGraph, bits: int, cycles: list[tuple[int, ...]]
-) -> bool:
-    for cycle in cycles:
-        co_directed = 0
-        k = len(cycle)
-        for i in range(k):
-            a, b = cycle[i], cycle[(i + 1) % k]
-            eid = g.edge_id(a, b)
-            stored_forward = g.edges[eid] == (a, b)
-            direction_forward = not (bits >> eid & 1)
-            if stored_forward == direction_forward:
-                co_directed += 1
-        if co_directed % 2 == 0:
-            return False
-    return True
-
-
 _MAX_ORIENTED_EDGES = 20
 
 
@@ -146,9 +130,10 @@ def pfaffian_by_enumeration(g: BipartiteGraph) -> bool:
     """Try all 2^m orientations; exponential, for cross-checking tiny graphs."""
     if g.edge_count > _MAX_ORIENTED_EDGES:
         raise GraphError(f"orientation enumeration is capped at 2^{_MAX_ORIENTED_EDGES}")
-    cycles = [tuple(c) for c in conformal_cycles(g)]
+    cycles = conformal_cycles(g)
     return any(
-        _orientation_is_pfaffian(g, bits, cycles) for bits in range(1 << g.edge_count)
+        all(is_oddly_oriented(g, o, c) for c in cycles)
+        for o in itertools.product((0, 1), repeat=g.edge_count)
     )
 
 

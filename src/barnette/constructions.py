@@ -229,6 +229,9 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
     vertices, and the system is kept only if its complement has a perfect
     matching.  Returns None exactly when no witness exists, which for
     bipartite graphs with a perfect matching means the graph is Pfaffian.
+    A witness is not re-checked: the walker enters only unused vertices, an
+    A-B path in a bipartite graph is odd, and ``grow`` ends with the
+    conformality test that ``K33Bisubdivision.validate`` runs.
     """
     matching.check_oracle_bound(g)
     if not has_perfect_matching(g):
@@ -246,7 +249,6 @@ def find_conformal_k33_bisubdivision(g: BipartiteGraph) -> Optional[K33Bisubdivi
             branch_mask = vertex_mask(tri_a) | vertex_mask(tri_b)
             witness = _grow_paths(g, nbrs, tri_a, tri_b, branch_mask, pair_order)
             if witness is not None:
-                witness.validate(g)
                 return witness
     return None
 

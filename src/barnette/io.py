@@ -16,7 +16,8 @@ all-``?`` colour line is written only for a graph with an odd cycle, and a
 
 graph6 follows the published byte-level definition: N(n) followed by the
 upper-triangle adjacency bits in column order, 6 bits per byte, each byte
-offset by 63.
+offset by 63.  The packer takes those bits 8 to a byte, zero-padded, and
+cuts every 3 bytes into four 6-bit groups.
 """
 
 from __future__ import annotations
@@ -47,20 +48,14 @@ def graph6_from_bitstring(n: int, packed: bytes) -> str:
     """graph6 string from n and upper-triangle bits packed MSB-first in bytes.
 
     Bit b of the column-order triangle sequence is bit (7 - b % 8) of
-    packed[b // 8]; the caller supplies exactly the n(n-1)/2 bits.
+    packed[b // 8]; the caller supplies the n(n-1)/2 bits and zero-pads the
+    last byte.
     """
-    nbits = n * (n - 1) // 2
-    out = bytearray(_n_encode(n))
-    for start in range(0, nbits, 6):
-        group = 0
-        for k in range(6):
-            b = start + k
-            bit = 0
-            if b < nbits:
-                bit = (packed[b >> 3] >> (7 - (b & 7))) & 1
-            group = (group << 1) | bit
-        out.append(group + 63)
-    return out.decode("ascii")
+    out = bytearray()
+    for k in range(0, len(packed), 3):
+        word = int.from_bytes(packed[k : k + 3].ljust(3, b"\0"), "big")
+        out += bytes((word >> s & 63) + 63 for s in (18, 12, 6, 0))
+    return (_n_encode(n) + out[: (n * (n - 1) // 2 + 5) // 6]).decode("ascii")
 
 
 def adjacency_bits(g: BipartiteGraph, perm: Sequence[int]) -> bytes:

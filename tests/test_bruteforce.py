@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import pathlib
@@ -151,6 +152,29 @@ def test_pfaffian_enumeration_fixtures(cube, k33, c6):
     assert pfaffian_by_enumeration(c6)
     assert pfaffian_by_enumeration(cube)
     assert not pfaffian_by_enumeration(k33)
+
+
+def test_oracle_shares_no_kernel_with_the_solvers():
+    """The brute-force module imports nothing from ``tightcut`` and reads
+    none of the Pfaffian solver's or the K33 search's names, so its verdicts
+    are independent of the engines it audits."""
+    tree = ast.parse(pathlib.Path(bruteforce.__file__).read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[-1])
+            names |= {alias.name for alias in node.names}
+            modules |= {alias.name for alias in node.names if node.module is None}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "constructions" in modules and "conformal_cycles" in names
+    assert "tightcut" not in modules
+    solver = {"_cycle_constraint", "_eliminate", "find_pfaffian_orientation"}
+    assert names & (solver | {"find_conformal_k33_bisubdivision"}) == set()
 
 
 def test_pfaffian_enumeration_cap(heawood):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from barnette import constructions, matching
-from barnette.bruteforce import pfaffian_by_enumeration
+from barnette.bruteforce import cubic_bipartite_classes, pfaffian_by_enumeration
 from barnette.canon import canonical_form
 from barnette.constructions import (
     CycleSaturationError,
@@ -87,6 +87,9 @@ def test_trisum_validation(cube):
     prism = BipartiteGraph(6, triangles + ((0, 3), (1, 4), (2, 5)))
     with pytest.raises(GraphError, match="not bipartite"):
         trisum([prism, cube, cube], [(0, 1, 4, 3), (0, 1, 2, 3), (0, 1, 2, 3)])
+    c4 = catalog("c4").graph
+    with pytest.raises(GraphError, match="vertices outside the 4-cycle"):
+        trisum([c4, cube, cube], [(0, 1, 2, 3)] * 3)
 
 
 def test_cycle_enumeration_counts(cube, k33, c6, monkeypatch):
@@ -213,6 +216,10 @@ def test_k33_witnesses_match_recursive_reference(cube, k33, monkeypatch):
     )
     assert got == [find_conformal_k33_bisubdivision(g) for g in graphs]
     assert {w is None for w in got} == {True, False}
+    # the search returns its witness unchecked, so check every one here
+    for g, w in zip(graphs, got):
+        if w is not None:
+            w.validate(g)
 
 
 def test_cycle_enumeration_on_long_cycle():
@@ -234,7 +241,11 @@ def test_conformal_cycles_cube(cube):
 
 
 def test_pfaffian_solver_matches_enumeration(cube, k33, c6):
-    for g, expect in ((c6, True), (cube, True), (k33, False)):
+    # the two connected cubic bipartite classes at n = 10 (15 edges each)
+    # contain a conformal K33 bisubdivision, so neither is Pfaffian
+    tens = list(cubic_bipartite_classes(10))
+    assert [g.edge_count for g in tens] == [15, 15]
+    for g, expect in ((c6, True), (cube, True), (k33, False), *((g, False) for g in tens)):
         got = find_pfaffian_orientation(g) is not None
         assert got == expect
         assert pfaffian_by_enumeration(g) == expect

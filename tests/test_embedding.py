@@ -31,10 +31,12 @@ def test_cube_rotation_is_planar(cube, cube_rotation):
     assert sum(len(f) for f in fs) == 2 * cube.edge_count
 
 
-def test_validate_rejects_foreign_rotation(cube):
+def test_validate_rejects_foreign_rotation(cube, cube_rotation):
     bad = RotationEmbedding(((0, 1, 2),) * 8)
     with pytest.raises(GraphError):
         bad.validate(cube)
+    with pytest.raises(GraphError, match="wrong number of vertices"):
+        euler_check(cube, RotationEmbedding(cube_rotation.rotation[:-1]))
 
 
 def test_next_dart_walks_a_face(cube, cube_rotation):
@@ -61,6 +63,17 @@ def test_embed_planar_fixtures(cube, k33, heawood, c6):
     emb = embed_planar(with_isolated)
     emb.validate(with_isolated)
     assert [len(r) for r in emb.rotation] == [2, 2, 2, 2, 0]
+
+
+def test_embed_planar_passes_the_euler_check_on_the_class():
+    # embed_planar returns networkx's certificate unchecked, so check every
+    # record to n = 24 under a seeded relabelling
+    rng = random.Random(33)
+    records = list(generate(24))
+    for rec in records:
+        h = rec.graph.relabel(rng.sample(range(rec.n), rec.n))
+        assert euler_check(h, embed_planar(h)), rec.canonical
+    assert len(records) == 55
 
 
 def test_euler_check_false_on_disconnected():

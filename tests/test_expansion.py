@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -95,6 +96,16 @@ def test_c4_expand_every_cube_site(cube, cube_rotation):
         assert site.u in g2.edges[site.eid_uv]
         assert site.x in g2.edges[site.eid_xy]
         assert find_tight_cuts_cubic(g2) == []  # the 12-vertex member is a brace
+
+
+def test_c4_expand_rejects_a_malformed_site(cube, cube_rotation):
+    site = facial_c4_expansion_sites(cube, cube_rotation)[0]
+    swapped = dataclasses.replace(site, u=site.v, v=site.u)
+    with pytest.raises(GraphError, match="site colour roles are wrong"):
+        c4_expand(cube, cube_rotation, swapped)
+    moved = dataclasses.replace(site, eid_uv=site.eid_xy)
+    with pytest.raises(GraphError, match="site edge ids do not match its vertices"):
+        c4_expand(cube, cube_rotation, moved)
 
 
 def test_c4_expand_family_matches_scratch(cube, cube_rotation):

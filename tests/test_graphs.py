@@ -45,6 +45,19 @@ def test_loop_rejected():
 def test_colour_must_be_proper():
     with pytest.raises(GraphError):
         BipartiteGraph(2, ((0, 1),), colour=("A", "A"))
+    with pytest.raises(GraphError, match="length differs"):
+        BipartiteGraph(2, ((0, 1),), colour=("A",))
+    with pytest.raises(GraphError, match="'A' or 'B'"):
+        BipartiteGraph(2, ((0, 1),), colour=("A", "C"))
+
+
+def test_bad_order_vertex_and_permutation_rejected(cube):
+    with pytest.raises(GraphError, match="non-negative"):
+        BipartiteGraph(-1, ())
+    with pytest.raises(GraphError, match="not on edge"):
+        cube.other_end(cube.edge_id(0, 1), 2)
+    with pytest.raises(GraphError, match="not a permutation"):
+        cube.relabel([0, 0, 1, 2, 3, 4, 5, 6])
 
 
 def test_two_colour_odd_cycle_fails():
@@ -66,12 +79,15 @@ def test_class_split(k33):
     assert set(k33.class_b()) == {3, 4, 5}
 
 
-def test_connectivity_ladder(cube, k33):
+def test_connectivity_ladder(cube, k33, c6):
     assert is_connected(cube)
     for k in (1, 2, 3):
         assert is_k_connected(cube, k)
     with pytest.raises(GraphError):
         is_k_connected(cube, 4)
+    with pytest.raises(GraphError, match="at most n - 1"):
+        is_k_connected(_path(3), 3)
+    assert not is_k_connected(c6, 3)  # refused by the degree check
     assert is_k_connected(k33, 3)
     path = _path(4)
     assert is_k_connected(path, 1)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from barnette.graphs import BipartiteGraph, GraphError
 from barnette.io import (
+    adjacency_bits,
     detect_format,
     from_bgf,
     from_graph6,
@@ -82,6 +83,32 @@ def test_graph6_decoder_matches_reference_order():
             assert list(got.edges) == _reference_graph6_edges(line)
     # padding bits past n(n-1)/2 are ignored: "~" sets all six, n = 3 uses three
     assert list(from_graph6("B~").edges) == _reference_graph6_edges("B~") == [(0, 1), (0, 2), (1, 2)]
+
+
+def _reference_graph6_packer(n: int, packed: bytes) -> str:
+    """The bit-by-bit encoder the 3-byte packer replaced."""
+    nbits = n * (n - 1) // 2
+    head = [n + 63] if n <= 62 else [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    out = bytearray(head)
+    for start in range(0, nbits, 6):
+        group = 0
+        for b in range(start, start + 6):
+            bit = packed[b >> 3] >> (7 - (b & 7)) & 1 if b < nbits else 0
+            group = group << 1 | bit
+        out.append(group + 63)
+    return out.decode("ascii")
+
+
+def test_graph6_packer_matches_the_bit_by_bit_encoder():
+    # n <= 62 takes the 1-byte size form, n >= 63 the 4-byte one; n < 48
+    # gives n(n-1)/2 every residue it takes mod 24, the packer's word size
+    rng = random.Random(33)
+    for n in [*range(48), 62, 63, 64, 65, 90, 130]:
+        for density in (0.0, 0.3, 1.0):
+            pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+            g = BipartiteGraph(n, tuple(pairs))
+            assert to_graph6(g) == _reference_graph6_packer(n, adjacency_bits(g, range(n)))
+    assert to_graph6(BipartiteGraph(63, ()))[:4] == "~??~"
 
 
 def test_bgf_round_trip_plain(heawood):
