@@ -3,11 +3,17 @@
 The class counts enumerate biadjacency matrices in doubly lexical order
 (Lubiw, SIAM J. Comput. 1987) and de-duplicate through
 ``canon.canonical_form``, a kernel the generator does not use.  The class
-count drops a matrix with fewer than six 4-cycles, then a graph that is
-disconnected, non-planar or not 3-connected, before any canonical form.
-The first filter is exact: a 2-connected plane cubic graph on n vertices has
-n/2 + 2 faces, so Euler's formula gives sum(6 - |f|) = 12 over its faces,
-and as its faces are distinct even cycles, at least six are 4-cycles.
+count drops a matrix with fewer than six 4-cycles or with twins (two equal
+rows or two equal columns), then a graph that is disconnected, non-planar
+or not 3-connected, before any canonical form.  Both matrix filters are
+exact.  A 2-connected plane cubic graph on n vertices has n/2 + 2 faces, so
+Euler's formula gives sum(6 - |f|) = 12 over its faces, and as its faces
+are distinct even cycles, at least six are 4-cycles.  Twins u, u' with
+N(u) = N(u') = {c1, c2, c3} span a K2,3, whose plane embedding has three
+faces u ci u' cj; for n >= 8 the other n - 5 vertices lie inside them, and
+each face is entered only by the third edges of its two ci, so a part of
+the graph is cut off by at most 2 edges: a graph with twins is non-planar
+or not 3-connected.
 The small Pfaffian verdict tries every orientation against the definition,
 ``constructions.is_oddly_oriented`` on every conformal cycle, and shares no
 solver kernel with ``find_pfaffian_orientation``; the tightness verdict
@@ -85,6 +91,22 @@ def _four_cycles(rows: tuple[int, ...]) -> int:
     return sum(math.comb((a & b).bit_count(), 2) for a, b in itertools.combinations(rows, 2))
 
 
+def _has_twins(rows: tuple[int, ...]) -> bool:
+    """Does a doubly lexical matrix have two equal rows or two equal columns?
+
+    Equal lines are adjacent in that order, and columns c and c + 1 are
+    equal when no row sets bit c of r ^ r >> 1, the enumerator's ``tied``
+    test.
+    """
+    if any(a == b for a, b in zip(rows, rows[1:])):
+        return True
+    tied = (1 << len(rows) - 1) - 1
+    split = 0
+    for r in rows:
+        split |= r ^ r >> 1
+    return split & tied != tied
+
+
 def cubic_bipartite_classes(n: int) -> Iterator[BipartiteGraph]:
     """All connected cubic bipartite graphs on n vertices, up to isomorphism.
 
@@ -106,16 +128,18 @@ def cubic_bipartite_classes(n: int) -> Iterator[BipartiteGraph]:
 def oracle_class_count(n: int) -> int:
     """Number of cubic, 3-connected, planar, bipartite graphs on n vertices.
 
-    A class member has at least six 4-cycles (its quadrilateral faces, by
-    Euler's formula), so a matrix with fewer is dropped before its graph is
-    built.  Connectivity, planarity (cheaper than 3-connectivity, and it
-    rejects more) and 3-connectivity follow, and ``canonical_form``
-    de-duplicates only the survivors.
+    A matrix is dropped before its graph is built when it has fewer than
+    six 4-cycles (a class member has at least six quadrilateral faces, by
+    Euler's formula) or twins (two vertices with the same three neighbours
+    span a K2,3 whose faces leave a cut of at most 2 edges, so the graph is
+    non-planar or not 3-connected).  Connectivity, planarity and
+    3-connectivity follow, and ``canonical_form`` de-duplicates only the
+    survivors.
     """
     _check_order(n)
     forms: set[str] = set()
     for rows in _matrices_with_line_sums_three(n // 2):
-        if _four_cycles(rows) < 6:
+        if _four_cycles(rows) < 6 or _has_twins(rows):
             continue
         g = _matrix_graph(rows)
         if is_connected(g) and embed_planar(g) is not None and is_k_connected(g, 3):

@@ -401,28 +401,19 @@ def find_pfaffian_orientation(g: BipartiteGraph) -> Optional[tuple[int, ...]]:
     contributes one GF(2) parity constraint on these bits.  The route is
     lazy: cycles are walked, tested and reduced one at a time, so None (not
     Pfaffian) comes at the first contradiction, possibly long before the
-    cycle cap.  A Pfaffian verdict sees every cycle
-    and is re-checked against every conformal row.
+    cycle cap.  A Pfaffian verdict sees every cycle.
     """
     matching.check_oracle_bound(g)
     if not is_matching_covered(g):
         raise GraphError("Pfaffian test expects a matching covered graph")
-    rows: list[tuple[list[int], int]] = []
-
-    def conformal_rows() -> Iterator[tuple[list[int], int]]:
-        # g is bipartite, so every cycle is even; keep each row for the re-check
-        for cyc in _simple_cycles(g):
-            if has_perfect_matching(g, vertex_mask(cyc)):
-                rows.append(_cycle_constraint(g, cyc))
-                yield rows[-1]
-
-    solution = _eliminate(conformal_rows(), g.edge_count)
-    if solution is None:
-        return None
-    for ids, b in rows:
-        if sum(solution[e] for e in ids) % 2 != b:
-            raise AssertionError("solver returned an infeasible orientation")
-    return tuple(solution)
+    # g is bipartite, so every cycle is even
+    rows = (
+        _cycle_constraint(g, cyc)
+        for cyc in _simple_cycles(g)
+        if has_perfect_matching(g, vertex_mask(cyc))
+    )
+    solution = _eliminate(rows, g.edge_count)
+    return None if solution is None else tuple(solution)
 
 
 def is_oddly_oriented(

@@ -8,6 +8,7 @@ import pytest
 from barnette import bruteforce, matching
 from barnette.bruteforce import (
     _four_cycles,
+    _has_twins,
     _matrices_with_line_sums_three,
     _matrix_graph,
     cubic_bipartite_classes,
@@ -17,6 +18,7 @@ from barnette.bruteforce import (
 )
 from barnette.canon import canonical_form
 from barnette.embedding import embed_planar
+from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
 from barnette.matching import OracleBoundError
 from conftest import reference_matrices_with_line_sums_three
@@ -102,16 +104,69 @@ def test_four_cycle_count_matches_a_direct_count(cube, k33, heawood):
         assert _four_cycles(rows) == _direct_four_cycles(_matrix_graph(rows))
 
 
-def test_class_members_have_six_four_cycles():
-    # the Euler bound that lets the oracle drop a matrix before building it
-    members = 0
+def _class_member_matrices():
+    # every connected, planar, 3-connected matrix at n = 8..16
     for n in (8, 10, 12, 14, 16):
         for rows in _matrices_with_line_sums_three(n // 2):
             g = _matrix_graph(rows)
             if is_connected(g) and embed_planar(g) is not None and is_k_connected(g, 3):
-                members += 1
-                assert _four_cycles(rows) >= 6, f"n={n}: {rows}"
-    assert members > 0
+                yield rows
+
+
+def test_class_members_have_six_four_cycles():
+    # the Euler bound that lets the oracle drop a matrix before building it
+    members = list(_class_member_matrices())
+    assert members
+    for rows in members:
+        assert _four_cycles(rows) >= 6, rows
+
+
+def _twins_by_sets(g):
+    # two vertices with one neighbour set, in any labelling
+    return len({frozenset(g.neighbours[v]) for v in range(g.n)}) < g.n
+
+
+def test_twin_check(cube, k33):
+    for g, twins in ((cube, False), (k33, True)):
+        rows = tuple(
+            sum(1 << c for c, b in enumerate(g.class_b()) if g.has_edge(a, b))
+            for a in g.class_a()
+        )
+        assert _has_twins(rows) == _twins_by_sets(g) == twins
+    # a connected doubly lexical matrix whose columns 0 and 1 are its only
+    # equal lines
+    one_column_twin = (0b000111, 0b001011, 0b010011, 0b101100, 0b110100, 0b111000)
+    assert _has_twins(one_column_twin)
+    assert _twins_by_sets(_matrix_graph(one_column_twin))
+    for half in (4, 5, 6, 7):
+        for rows in _matrices_with_line_sums_three(half):
+            assert _has_twins(rows) == _twins_by_sets(_matrix_graph(rows)), rows
+
+
+def test_class_members_have_no_twins():
+    # the K2,3 argument that lets the oracle drop a matrix with twins
+    members = list(_class_member_matrices())
+    assert members
+    for rows in members:
+        assert not _has_twins(rows), rows
+    for rec in generate(24):
+        assert not _twins_by_sets(rec.graph), rec.canonical
+
+
+def test_oracle_tests_planarity_only_on_twin_free_matrices(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return embed_planar(g)
+
+    monkeypatch.setattr(bruteforce, "embed_planar", counted)
+    made = []
+    for n in (8, 10, 12, 14):
+        calls.clear()
+        oracle_class_count(n)
+        made.append(len(calls))
+    assert made == [1, 0, 2, 8]
 
 
 def test_oracle_matches_the_canonicalise_first_route():
