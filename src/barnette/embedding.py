@@ -4,9 +4,9 @@ A rotation system stores, for every vertex, the cyclic order of its incident
 edge ids.  Faces are orbits of the dart successor rule: after traversing edge
 e into vertex w, the walk leaves w along the successor of e in the rotation at
 w.  A connected rotation system is planar iff V - E + F = 2.  The expansions
-keep that equality by construction, and ``embed_planar`` returns networkx's
-certificate unchecked; ``generator.verify_record`` (behind ``barnette
-verify``) and the tests check it.
+keep that equality by construction, and ``embed_planar`` returns the faces
+its path addition built, unchecked; ``generator.verify_record`` (behind
+``barnette verify``) and the tests check it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import BipartiteGraph, GraphError, is_connected
+from .graphs import BipartiteGraph, GraphError, blocks, is_connected, vertex_mask
 
 Dart = tuple[int, int]  # (vertex, edge id): leave vertex along edge
 
@@ -155,18 +155,127 @@ def _bfs_code(n: int, walk: dict, v0: int, e0: int, best: Optional[list[int]]) -
 
 
 def embed_planar(g: BipartiteGraph) -> Optional[RotationEmbedding]:
-    """A planar rotation system, or None for non-planar input."""
-    import networkx as nx  # only this planarity test needs it; keeps package import light
+    """A planar rotation system, or None for non-planar input, for any simple graph.
 
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges)
-    ok, cert = nx.check_planarity(G)
-    if not ok:
-        return None
-    return RotationEmbedding(
-        tuple(tuple(g.edge_id(v, w) for w in cert.neighbors_cw_order(v)) for v in range(g.n))
-    )
+    A graph is planar iff each of its blocks is, as blocks meet at most in
+    a cut vertex (the block lemma).  Each block of three or more vertices is
+    embedded by ``_block_faces``, and each vertex's rotation is read off the
+    oriented faces: after u -> v -> w, the successor of edge vu at v is vw.
+    A cut vertex's per-block cycles are concatenated, which puts each block
+    into one corner of the others; a bridge's ends get the bridge edge, and
+    an isolated vertex gets ().  Path addition costs O(n m) per added
+    path; the one caller in the package is the class oracle, at n <= 20,
+    and a linear-time test (left-right, Boyer-Myrvold) pays only on large
+    graphs, which the package never gives it.
+    """
+    rotation: list[list[int]] = [[] for _ in range(g.n)]
+    for block in blocks(g):
+        if len(block) == 1:
+            for v in g.edges[block[0]]:
+                rotation[v].append(block[0])
+            continue
+        block_faces = _block_faces(g, block)
+        if block_faces is None:
+            return None
+        after: dict[int, dict[int, int]] = {}  # after[v][u] = w: vw follows vu at v
+        for face in block_faces:
+            for i, v in enumerate(face):
+                after.setdefault(v, {})[face[i - 1]] = face[(i + 1) % len(face)]
+        for v, succ in after.items():
+            u = start = next(iter(succ))
+            while True:
+                rotation[v].append(g.edge_id(v, u))
+                u = succ[u]
+                if u == start:
+                    break
+    return RotationEmbedding(tuple(map(tuple, rotation)))
+
+
+def _block_faces(g: BipartiteGraph, block: list[int]) -> Optional[list[list[int]]]:
+    """The faces of a plane embedding of a 2-connected block, as oriented
+    vertex cycles, or None if the block is non-planar.
+
+    Path addition (Demoucron, Malgrange & Pertuiset, Rev. Fr. Rech. Oper.
+    1964): the embedded subgraph H starts as one cycle with its two faces,
+    the cycle and its reverse.  A fragment is an edge off H with both ends
+    in H, or a component of the vertices off H with its edges to H; its
+    attachments are its vertices in H, at least two in a 2-connected block,
+    and a face admits it if the face holds all of them.  Each step takes a
+    fragment with the fewest admissible faces.  If it has none, the block
+    is non-planar; otherwise one of its paths between two attachments
+    splits the first admissible face into two, each path edge run once in
+    each sense.  DMP prove that a planar block never runs out of faces.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for e in block:
+        u, w = g.edges[e]
+        nbrs.setdefault(u, []).append(w)
+        nbrs.setdefault(w, []).append(u)
+    ends = vertex_mask(g.edges[block[0]])
+    cycle = _attachment_path(nbrs, ends, vertex_mask(nbrs) & ~ends, ends)  # closed by the edge
+    on_h = vertex_mask(cycle)
+    faces, masks = [cycle, cycle[::-1]], [on_h, on_h]
+    rest = set(block) - {g.edge_id(v, cycle[i - 1]) for i, v in enumerate(cycle)}
+    while rest:
+        fragments = []  # (attachment mask, its vertices off H as a mask, a path when it is an edge)
+        for e in rest:
+            u, w = g.edges[e]
+            if on_h >> u & on_h >> w & 1:
+                fragments.append((1 << u | 1 << w, 0, [u, w]))
+        seen = on_h
+        for v in nbrs:
+            if seen >> v & 1:
+                continue
+            seen |= 1 << v
+            part, attached = [v], 0
+            for x in part:  # grows while it is read
+                for y in nbrs[x]:
+                    if on_h >> y & 1:
+                        attached |= 1 << y
+                    elif not seen >> y & 1:
+                        seen |= 1 << y
+                        part.append(y)
+            fragments.append((attached, vertex_mask(part), None))
+        fits = [[i for i, m in enumerate(masks) if not attached & ~m] for attached, _, _ in fragments]
+        k = min(range(len(fits)), key=lambda k: len(fits[k]))
+        if not fits[k]:
+            return None
+        attached, part, path = fragments[k]
+        if path is None:
+            path = _attachment_path(nbrs, on_h, part, attached)
+        fit = fits[k][0]
+        face = faces[fit]
+        i = face.index(path[0])
+        ring = face[i:] + face[:i]
+        j = ring.index(path[-1])
+        faces[fit] = ring[: j + 1] + path[-2:0:-1]
+        faces.append(ring[j:] + path[:-1])
+        masks[fit] = vertex_mask(faces[fit])
+        masks.append(vertex_mask(faces[-1]))
+        on_h |= vertex_mask(path)
+        rest -= {g.edge_id(u, w) for u, w in zip(path, path[1:])}
+    return faces
+
+
+def _attachment_path(nbrs: dict[int, list[int]], on_h: int, part: int, attached: int) -> list[int]:
+    """A path from the least vertex of ``attached`` through ``part`` to
+    another vertex of H, as a vertex list.  In a 2-connected block one
+    exists when ``part`` is a fragment with attachments ``attached``, and
+    when H is one edge's ends and ``part`` every other vertex."""
+    a = (attached & -attached).bit_length() - 1
+    x = next(y for y in nbrs[a] if part >> y & 1)
+    parent = {x: a}
+    queue = [x]
+    for v in queue:  # grows while it is read
+        for w in nbrs[v]:
+            if w != a and on_h >> w & 1:
+                path = [w, v]
+                while path[-1] != a:
+                    path.append(parent[path[-1]])
+                return path
+            if part >> w & 1 and w not in parent:
+                parent[w] = v
+                queue.append(w)
 
 
 @dataclass(frozen=True)

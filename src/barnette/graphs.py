@@ -11,7 +11,6 @@ bitmasks throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Container, Iterable, Optional, Sequence
 
 
@@ -244,8 +243,63 @@ def is_connected(g: BipartiteGraph, removed_mask: int = 0) -> bool:
     return len(connected_components(g, removed_mask)) <= 1
 
 
+def blocks(g: BipartiteGraph, removed_mask: int = 0) -> list[list[int]]:
+    """The blocks of g with the vertices in ``removed_mask`` deleted, each as
+    its edge ids (Hopcroft & Tarjan, CACM 1973).
+
+    One depth-first search keeps its tree edges and back edges on a stack
+    and each vertex's lowpoint, the least discovery time reachable from its
+    subtree by one back edge.  When a child w of v finishes with lowpoint at
+    least v's discovery time, v separates w's subtree, and the stack down to
+    the edge vw is one block.  The search keeps its own stack of frames, so
+    deep input raises no RecursionError.  A bridge is a block of one edge;
+    an isolated vertex lies in no block.
+    """
+    disc = [0] * g.n  # discovery time from 1; 0 means unvisited
+    low = [0] * g.n
+    out: list[list[int]] = []
+    edges: list[int] = []
+    clock = 0
+    for root in range(g.n):
+        if disc[root] or removed_mask >> root & 1:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        # (vertex, its tree edge, that edge's index in ``edges``, its unscanned edges)
+        frames = [(root, -1, 0, iter(g.incident[root]))]
+        while frames:
+            v, parent_edge, at, todo = frames[-1]
+            for e in todo:
+                w = g.other_end(e, v)
+                if e == parent_edge or removed_mask >> w & 1:
+                    continue
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    frames.append((w, e, len(edges), iter(g.incident[w])))
+                    edges.append(e)
+                    break
+                if disc[w] < disc[v]:  # a back edge to an ancestor
+                    edges.append(e)
+                    low[v] = min(low[v], disc[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        out.append(edges[at:])
+                        del edges[at:]
+    return out
+
+
 def is_k_connected(g: BipartiteGraph, k: int) -> bool:
-    """k-connectivity for k in 1..3, by vertex-subset enumeration."""
+    """k-connectivity for k in 1..3, from ``blocks``.
+
+    Past the connectivity and degree checks no vertex is isolated, so for
+    k = 2 g is 2-connected iff it has one block, and for k = 3 iff g - v has
+    one block for every vertex v.
+    """
     if k not in (1, 2, 3):
         raise GraphError("k must be between 1 and 3")
     if k > g.n - 1:
@@ -254,11 +308,10 @@ def is_k_connected(g: BipartiteGraph, k: int) -> bool:
         return False
     if any(g.degree(v) < k for v in range(g.n)):
         return False
-    for size in range(1, k):
-        for sub in combinations(range(g.n), size):
-            if not is_connected(g, vertex_mask(sub)):
-                return False
-    return True
+    if k == 1:
+        return True
+    removals = (0,) if k == 2 else (1 << v for v in range(g.n))
+    return all(len(blocks(g, mask)) == 1 for mask in removals)
 
 
 # ----- 2-colouring -----

@@ -1,12 +1,13 @@
 import itertools
 import random
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import settings
 
 from barnette.catalog import catalog
-from barnette.graphs import BipartiteGraph, with_colouring
+from barnette.embedding import RotationEmbedding
+from barnette.graphs import BipartiteGraph, is_connected, vertex_mask, with_colouring
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -49,6 +50,12 @@ def generated_16():
     from barnette.generator import generate
 
     return list(generate(16))
+
+
+def random_graph(rng: random.Random, n: int) -> BipartiteGraph:
+    """A G(n, p) graph with p itself drawn uniformly."""
+    p = rng.random()
+    return BipartiteGraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
 
 
 def random_edge_pair(g: BipartiteGraph, rng: random.Random):
@@ -100,3 +107,33 @@ def reference_matrices_with_line_sums_three(half: int) -> Iterator[tuple[int, ..
                 colsum[c] -= 1
 
     yield from extend()
+
+
+# The planarity test embed_planar ran before its path-addition embedder:
+# networkx's left-right test.  Kept as the reference that shares no code
+# with the package's embedder.
+def nx_embed_planar(g: BipartiteGraph) -> Optional[RotationEmbedding]:
+    """A planar rotation system, or None for non-planar input."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    ok, cert = nx.check_planarity(G)
+    if not ok:
+        return None
+    return RotationEmbedding(
+        tuple(tuple(g.edge_id(v, w) for w in cert.neighbors_cw_order(v)) for v in range(g.n))
+    )
+
+
+def k_connected_by_subsets(g: BipartiteGraph, k: int) -> bool:
+    """k-connectivity for k in 1..3, by deleting every vertex subset of
+    size below k: the reference for ``graphs.is_k_connected``."""
+    if not is_connected(g) or any(g.degree(v) < k for v in range(g.n)):
+        return False
+    return all(
+        is_connected(g, vertex_mask(sub))
+        for size in range(1, k)
+        for sub in itertools.combinations(range(g.n), size)
+    )

@@ -368,6 +368,23 @@ def test_package_import_loads_neither_numpy_nor_networkx():
     assert out.stdout.strip() == "[]"
 
 
+def test_oracle_and_embedder_load_no_networkx():
+    src = str(Path(barnette.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = (
+        "import sys\n"
+        "from barnette.bruteforce import oracle_class_count\n"
+        "from barnette.catalog import catalog\n"
+        "from barnette.embedding import embed_planar\n"
+        "assert oracle_class_count(12) == 1 and embed_planar(catalog('cube').graph) is not None\n"
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 _FUZZ_CHARS = "0123456789 :-\n?ABrotcu@_~"
 
 

@@ -4,10 +4,12 @@ import networkx as nx
 import pytest
 
 from barnette import generator
+from barnette.bruteforce import _matrices_with_line_sums_three, _matrix_graph
 from barnette.canon import canonical_form
+from barnette.catalog import catalog, catalog_names
 from barnette.expansion import c4_expand, cube_expand
 from barnette.generator import generate
-from barnette.graphs import BipartiteGraph, GraphError, with_colouring
+from barnette.graphs import BipartiteGraph, GraphError, is_connected, is_k_connected, with_colouring
 from barnette.embedding import (
     RotationEmbedding,
     embed_planar,
@@ -19,6 +21,7 @@ from barnette.embedding import (
     planar_code_and_automorphisms,
 )
 from barnette.io import adjacency_bits, graph6_from_bitstring
+from conftest import nx_embed_planar, random_graph
 
 
 def test_cube_rotation_is_planar(cube, cube_rotation):
@@ -66,14 +69,62 @@ def test_embed_planar_fixtures(cube, k33, heawood, c6):
 
 
 def test_embed_planar_passes_the_euler_check_on_the_class():
-    # embed_planar returns networkx's certificate unchecked, so check every
-    # record to n = 24 under a seeded relabelling
+    # embed_planar returns the faces its path addition built unchecked, so
+    # check every record to n = 24 under a seeded relabelling
     rng = random.Random(33)
     records = list(generate(24))
     for rec in records:
         h = rec.graph.relabel(rng.sample(range(rec.n), rec.n))
         assert euler_check(h, embed_planar(h)), rec.canonical
     assert len(records) == 55
+
+
+def _agreement_inputs():
+    rng = random.Random(35)
+    yield from (catalog(name).graph for name in catalog_names())
+    for half in (4, 5, 6, 7, 8):
+        for rows in _matrices_with_line_sums_three(half):
+            g = _matrix_graph(rows)
+            if is_connected(g):
+                yield g
+    for rec in generate(24):
+        yield rec.graph.relabel(rng.sample(range(rec.n), rec.n))
+    connected = 0
+    while connected < 1500:
+        g = random_graph(rng, rng.randint(1, 11))
+        if is_connected(g):
+            connected += 1
+            yield g
+    for n in range(1, 12):  # random trees, then forests with isolated vertices
+        yield BipartiteGraph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
+        yield BipartiteGraph(n + 3, tuple((rng.randrange(v), v) for v in range(1, n)))
+    for _ in range(300):  # disconnected: two random graphs side by side
+        a, b = random_graph(rng, rng.randint(1, 7)), random_graph(rng, rng.randint(1, 7))
+        yield BipartiteGraph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+
+
+def test_embed_planar_agrees_with_networkx():
+    verdicts = {True: 0, False: 0}
+    for g in _agreement_inputs():
+        emb = embed_planar(g)
+        assert (emb is not None) == (nx_embed_planar(g) is not None), g.edges
+        verdicts[emb is not None] += 1
+        if emb is not None:
+            emb.validate(g)
+            if g.edges and is_connected(g):
+                assert euler_check(g, emb), g.edges
+    assert min(verdicts.values()) > 500, verdicts
+
+
+def test_deep_input_raises_no_recursion_error():
+    # far past the default recursion limit: the block search keeps its own stack
+    path = BipartiteGraph(5000, tuple((v, v + 1) for v in range(4999)))
+    cycle = BipartiteGraph(3000, tuple((v, (v + 1) % 3000) for v in range(3000)))
+    for g, two_connected in ((path, False), (cycle, True)):
+        emb = embed_planar(g)
+        emb.validate(g)
+        assert euler_check(g, emb)
+        assert is_k_connected(g, 2) == two_connected
 
 
 def test_euler_check_false_on_disconnected():

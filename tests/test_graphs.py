@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,12 +10,15 @@ from barnette.graphs import (
     BipartiteGraph,
     Cut,
     GraphError,
+    blocks,
     connected_components,
     is_connected,
     is_k_connected,
     shore_colour_balance,
     with_colouring,
 )
+from barnette.bruteforce import _matrices_with_line_sums_three, _matrix_graph
+from conftest import k_connected_by_subsets, random_graph
 
 
 def _path(n):
@@ -92,6 +96,33 @@ def test_connectivity_ladder(cube, k33, c6):
     path = _path(4)
     assert is_k_connected(path, 1)
     assert not is_k_connected(path, 2)
+
+
+def test_blocks_split_at_cut_vertices_and_bridges(cube):
+    # two triangles sharing vertex 2, a pendant edge 4-5, an isolated vertex 6
+    g = BipartiteGraph(7, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)))
+    assert sorted(sorted(g.edges[e] for e in b) for b in blocks(g)) == [
+        [(0, 1), (0, 2), (1, 2)],
+        [(2, 3), (2, 4), (3, 4)],
+        [(4, 5)],
+    ]
+    assert sorted(len(b) for b in blocks(g, removed_mask=1 << 2)) == [1, 1, 1]
+    assert [sorted(b) for b in blocks(cube)] == [list(range(12))]
+    assert blocks(BipartiteGraph(3, ())) == []
+
+
+def test_k_connectivity_matches_subset_deletion():
+    # every matrix graph to n = 14 and seeded random graphs on 2..10 vertices
+    graphs = [_matrix_graph(rows) for half in (4, 5, 6, 7) for rows in _matrices_with_line_sums_three(half)]
+    rng = random.Random(35)
+    graphs += [random_graph(rng, rng.randint(2, 10)) for _ in range(1500)]
+    verdicts = set()
+    for g in graphs:
+        for k in range(1, min(3, g.n - 1) + 1):
+            verdict = is_k_connected(g, k)
+            assert verdict == k_connected_by_subsets(g, k), (k, g.edges)
+            verdicts.add((k, verdict))
+    assert verdicts == {(k, v) for k in (1, 2, 3) for v in (False, True)}
 
 
 def test_components_with_edge_skip(cube):
