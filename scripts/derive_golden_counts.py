@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from barnette.bruteforce import oracle_class_count  # noqa: E402
 
-ORDERS = (8, 10, 12, 14, 16, 18, 20)
+ORDERS = (8, 10, 12, 14, 16, 18, 20, 22)
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "class_counts.json"
 
 

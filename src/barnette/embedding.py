@@ -72,7 +72,7 @@ def euler_check(g: BipartiteGraph, emb: RotationEmbedding) -> bool:
     if g.n == 0 or not is_connected(g):
         return False
     emb.validate(g)
-    f = len(faces(g, emb))
+    f = len(faces(g, emb)) or 1  # K1 has no darts to trace but one face
     return g.n - g.edge_count + f == 2
 
 

@@ -7,16 +7,17 @@ import pytest
 
 from barnette import bruteforce, matching
 from barnette.bruteforce import (
-    _four_cycles,
-    _has_twins,
     _matrices_with_line_sums_three,
     _matrix_graph,
+    _plane_three_connected,
+    _six_four_cycles,
     cubic_bipartite_classes,
     oracle_class_count,
     pfaffian_by_enumeration,
     oracle_is_tight,
 )
 from barnette.canon import canonical_form
+from barnette.catalog import catalog, catalog_names
 from barnette.embedding import embed_planar
 from barnette.generator import generate
 from barnette.graphs import BipartiteGraph, Cut, GraphError, is_connected, is_k_connected
@@ -100,8 +101,15 @@ def test_four_cycle_count_matches_a_direct_count(cube, k33, heawood):
             sum(1 << c for c, b in enumerate(g.class_b()) if g.has_edge(a, b))
             for a in g.class_a()
         )
-        assert _four_cycles(rows) == _direct_four_cycles(g) == expected
-        assert _four_cycles(rows) == _direct_four_cycles(_matrix_graph(rows))
+        assert _direct_four_cycles(g) == _direct_four_cycles(_matrix_graph(rows)) == expected
+        assert _six_four_cycles(rows) == (expected >= 6)
+    counts = set()
+    for half in (4, 5, 6, 7):
+        for rows in _matrices_with_line_sums_three(half):
+            direct = _direct_four_cycles(_matrix_graph(rows))
+            assert _six_four_cycles(rows) == (direct >= 6), rows
+            counts.add(direct)
+    assert {5, 6} <= counts  # both sides of the bound are reached
 
 
 def _class_member_matrices():
@@ -119,7 +127,7 @@ def test_class_members_have_six_four_cycles():
     members = list(_class_member_matrices())
     assert members
     for rows in members:
-        assert _four_cycles(rows) >= 6, rows
+        assert _six_four_cycles(rows), rows
 
 
 def _twins_by_sets(g):
@@ -128,30 +136,59 @@ def _twins_by_sets(g):
 
 
 def test_twin_check(cube, k33):
-    for g, twins in ((cube, False), (k33, True)):
-        rows = tuple(
-            sum(1 << c for c, b in enumerate(g.class_b()) if g.has_edge(a, b))
-            for a in g.class_a()
-        )
-        assert _has_twins(rows) == _twins_by_sets(g) == twins
+    # the twin-free enumeration is the full one without the matrices that
+    # have twins in any labelling, in the same order
+    made = []
+    for half in (3, 4, 5, 6, 7, 8, 9):
+        full = list(_matrices_with_line_sums_three(half))
+        twin_free = list(_matrices_with_line_sums_three(half, twin_free=True))
+        assert twin_free == [r for r in full if not _twins_by_sets(_matrix_graph(r))]
+        made.append(len(twin_free))
+    assert made == [0, 1, 2, 12, 87, 662, 5611]
+    assert _twins_by_sets(k33) and not _twins_by_sets(cube)
+    assert list(_matrices_with_line_sums_three(3)) == [(0b111,) * 3]  # K3,3, cut
     # a connected doubly lexical matrix whose columns 0 and 1 are its only
     # equal lines
     one_column_twin = (0b000111, 0b001011, 0b010011, 0b101100, 0b110100, 0b111000)
-    assert _has_twins(one_column_twin)
     assert _twins_by_sets(_matrix_graph(one_column_twin))
-    for half in (4, 5, 6, 7):
-        for rows in _matrices_with_line_sums_three(half):
-            assert _has_twins(rows) == _twins_by_sets(_matrix_graph(rows)), rows
+    assert one_column_twin in _matrices_with_line_sums_three(6)
+    assert one_column_twin not in _matrices_with_line_sums_three(6, twin_free=True)
 
 
 def test_class_members_have_no_twins():
-    # the K2,3 argument that lets the oracle drop a matrix with twins
+    # the K2,3 argument that lets the oracle enumerate twin-free matrices only
     members = list(_class_member_matrices())
     assert members
+    twin_free = {
+        rows for half in (4, 5, 6, 7, 8) for rows in _matrices_with_line_sums_three(half, twin_free=True)
+    }
     for rows in members:
-        assert not _has_twins(rows), rows
+        assert rows in twin_free, rows
     for rec in generate(24):
         assert not _twins_by_sets(rec.graph), rec.canonical
+
+
+def test_face_check_agrees_with_three_connectivity():
+    # the dual argument: on a connected cubic plane graph, 3-connectivity is
+    # no edge with one face on both sides and no two with the same two faces
+    verdicts = {True: 0, False: 0}
+    for half in (4, 5, 6, 7, 8, 9):
+        for rows in _matrices_with_line_sums_three(half):
+            g = _matrix_graph(rows)
+            emb = embed_planar(g) if is_connected(g) else None
+            if emb is not None:
+                three = is_k_connected(g, 3)
+                assert _plane_three_connected(g, emb) == three, rows
+                verdicts[three] += 1
+    assert verdicts == {True: 77, False: 23}
+    planar = 0
+    for name in catalog_names():
+        g = catalog(name).graph
+        emb = embed_planar(g)
+        if emb is not None and all(len(nbrs) == 3 for nbrs in g.neighbours):
+            assert _plane_three_connected(g, emb) == is_k_connected(g, 3), name
+            planar += 1
+    assert planar == 3  # the cube, Asano's graph (2-connected only), p5_example
 
 
 def test_oracle_tests_planarity_only_on_twin_free_matrices(monkeypatch):
@@ -214,8 +251,9 @@ def test_pfaffian_enumeration_fixtures(cube, k33, c6):
 
 def test_oracle_shares_no_kernel_with_the_solvers():
     """The brute-force module imports nothing from ``tightcut`` and reads
-    none of the Pfaffian solver's or the K33 search's names, so its verdicts
-    are independent of the engines it audits."""
+    none of the Pfaffian solver's, the K33 search's, the planar code's or
+    the cut-label 3-connectivity test's names, so its verdicts are
+    independent of the engines it audits."""
     tree = ast.parse(pathlib.Path(bruteforce.__file__).read_text(encoding="utf-8"))
     modules, names = set(), set()
     for node in ast.walk(tree):
@@ -233,6 +271,9 @@ def test_oracle_shares_no_kernel_with_the_solvers():
     assert "tightcut" not in modules
     solver = {"_cycle_constraint", "_eliminate", "find_pfaffian_orientation"}
     assert names & (solver | {"find_conformal_k33_bisubdivision"}) == set()
+    # nor the generator's isomorphism kernel or verify_record's 3-connectivity
+    kernels = {"planar_code_and_automorphisms", "cut_labels", "cubic_three_connected"}
+    assert names & kernels == set()
 
 
 def test_pfaffian_enumeration_cap(heawood):

@@ -111,9 +111,16 @@ def test_embed_planar_agrees_with_networkx():
         verdicts[emb is not None] += 1
         if emb is not None:
             emb.validate(g)
-            if g.edges and is_connected(g):
+            if is_connected(g):
                 assert euler_check(g, emb), g.edges
     assert min(verdicts.values()) > 500, verdicts
+
+
+def test_euler_check_true_on_k1():
+    # K1 is connected and has one face, though no dart traces it
+    k1 = BipartiteGraph(1, ())
+    assert euler_check(k1, embed_planar(k1))
+    assert euler_check(k1, RotationEmbedding(((),)))
 
 
 def test_deep_input_raises_no_recursion_error():
