@@ -12,11 +12,12 @@ from barnette import canon
 from barnette.canon import _merge, _root, canonical_form
 from barnette.catalog import catalog
 from barnette.generator import generate
-from barnette.graphs import BipartiteGraph, is_connected
-from barnette.io import adjacency_bits, graph6_from_bitstring
+from barnette.graphs import BipartiteGraph, bits, is_connected
+from barnette.io import adjacency_bits, from_graph6, graph6_from_bitstring
 from conftest import reference_matrices_with_line_sums_three
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "data" / "expected.json"
+GOLDEN_FORMS = Path(__file__).resolve().parent / "golden" / "canonical_forms.json"
 
 
 # The search as it was before the splitter skip and the automorphism pruning:
@@ -252,6 +253,32 @@ def test_automorphisms_prune_the_search(monkeypatch, name, most):
     assert canonical_form(_shuffled(g, 3)) == form
 
 
+class _CountedRows(tuple):
+    """Adjacency rows that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+@pytest.mark.parametrize(
+    "name, most",
+    # a splitter reads one row per vertex; applying the rest of each child's
+    # target as well read 46, 131 and 10,389 rows, and applying the last
+    # piece of every applied cell split 48, 136 and 12,492
+    [("cube", 34), ("heawood", 95), ("horton", 10231)],
+)
+def test_refinement_leaves_the_last_piece_of_an_applied_cell(name, most):
+    g = catalog(name).graph
+    counted = BipartiteGraph(g.n, g.edges)
+    rows = _CountedRows(counted.adj)
+    object.__setattr__(counted, "adj", rows)
+    assert canonical_form(counted) == canonical_form(g)
+    assert rows.reads <= most
+
+
 # The pruned search as it was with cells kept as vertex lists, before they
 # became vertex masks: refinement restarted at cell 0 after a split and ran
 # on once the cells were discrete.  Kept verbatim as the reference the mask
@@ -344,14 +371,51 @@ def _masks(cells: list[list[int]]) -> list[int]:
     return [sum(1 << v for v in cell) for cell in cells]
 
 
+def _arrays(n: int, cells: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The search's arrays for an ordered partition: ``at[p]`` the mask of the
+    cell that starts at position p, ``start[v]`` the start of v's cell."""
+    at, start, p = [0] * n, [0] * n, 0
+    for cell in cells:
+        at[p] = sum(1 << v for v in cell)
+        for v in cell:
+            start[v] = p
+        p += len(cell)
+    return at, start
+
+
+def _cells(at: list[int]) -> list[list[int]]:
+    return [list(bits(cell)) for cell in at if cell]
+
+
+def _marked(at: list[int], applied: set[int]) -> int:
+    """The starts of the cells to apply: each cell not in ``applied`` but the
+    last of a run of them that makes up an applied cell, as the search cuts
+    an applied target into a vertex and the rest."""
+    todo, run = 0, 0
+    for p, cell in enumerate(at):
+        if not cell:
+            continue
+        if cell in applied or (run := run | cell) in applied:
+            run = 0
+        else:
+            todo |= 1 << p
+    return todo
+
+
+def _equitable(g: BipartiteGraph, cells: list[list[int]]) -> bool:
+    masks = _masks(cells)
+    return all(len({(g.adj[v] & m).bit_count() for v in cell}) == 1 for cell in cells for m in masks)
+
+
 def _assert_refines_alike(g, cells, applied, reference=_list_refine):
-    """Both refinements of one node: equal cells, and equal ``applied`` unless
-    the cells are discrete, where the mask refinement stops early."""
+    """Both refinements of one node, the list cells put into the search's
+    arrays and read back: equal cells and starts, and equitable cells."""
     want_cells, want_applied = reference(g, cells, applied)
-    got_cells, got_applied = canon._refine(g, _masks(cells), applied)
-    assert got_cells == _masks(want_cells)
-    if len(want_cells) < g.n:
-        assert got_applied == want_applied
+    at, start = _arrays(g.n, cells)
+    canon._refine(g, at, start, _marked(at, applied))
+    assert _cells(at) == want_cells
+    assert (at, start) == _arrays(g.n, want_cells)
+    assert _equitable(g, want_cells)
     return want_cells, want_applied
 
 
@@ -426,19 +490,37 @@ def test_mask_search_matches_list_search_on_oracle_matrices():
     )
 )
 def test_mask_refinement_matches_list_refinement_random(data):
-    # a random ordered partition, each cell ascending as the search keeps
-    # them; a random choice of its cells counts as applied already
-    n, edges, order, cuts, skip = data
+    # an equitable partition with every cell applied, as at a search node,
+    # then some of its cells cut into pieces, as a child cuts its target
+    n, edges, order, cuts, split = data
     g = BipartiteGraph(n, tuple(sorted(edges)))
     cells: list[list[int]] = [[]]
     for v, cut in zip(order, cuts):
         if cut and cells[-1]:
             cells.append([])
         cells[-1].append(v)
-    cells = [sorted(cell) for cell in cells]
-    applied = {m for m, s in zip(_masks(cells), skip) if s}
-    _assert_refines_alike(g, cells, applied)
+    settled, _ = _list_refine(g, [sorted(cell) for cell in cells], set())
+    rank = {v: i for i, v in enumerate(order)}
+    node: list[list[int]] = []
+    for cell, cut_up in zip(settled, split):
+        pieces: list[list[int]] = [[]]
+        for v in sorted(cell, key=rank.__getitem__):
+            if cut_up and cuts[rank[v]] and pieces[-1]:
+                pieces.append([])
+            pieces[-1].append(v)
+        node += [sorted(piece) for piece in pieces]
+    _assert_refines_alike(g, node, set(_masks(settled)))
     _assert_searches_alike(g)
+
+
+def test_forms_match_golden():
+    # written by scripts/derive_golden_forms.py: the class to n = 24 as
+    # generated and relabelled, the catalog, the matrix graphs to n = 12, a
+    # star, an edgeless graph and seeded random graphs
+    cases = json.loads(GOLDEN_FORMS.read_text(encoding="ascii"))["forms"]
+    assert len(cases) == 406
+    for name, graph6, form in cases:
+        assert canonical_form(from_graph6(graph6)) == form, name
 
 
 def test_benchmark_pins_the_catalog_brace_forms():
