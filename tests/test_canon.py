@@ -409,7 +409,9 @@ def _equitable(g: BipartiteGraph, cells: list[list[int]]) -> bool:
 
 def _assert_refines_alike(g, cells, applied, reference=_list_refine):
     """Both refinements of one node, the list cells put into the search's
-    arrays and read back: equal cells and starts, and equitable cells."""
+    arrays and read back: equal cells and starts, and equitable cells.  The
+    mask refinement keeps no applied set to compare: it marks the cells to
+    apply, leaving out the last piece of an applied cell."""
     want_cells, want_applied = reference(g, cells, applied)
     at, start = _arrays(g.n, cells)
     canon._refine(g, at, start, _marked(at, applied))
@@ -490,8 +492,10 @@ def test_mask_search_matches_list_search_on_oracle_matrices():
     )
 )
 def test_mask_refinement_matches_list_refinement_random(data):
-    # an equitable partition with every cell applied, as at a search node,
-    # then some of its cells cut into pieces, as a child cuts its target
+    # a random ordered partition, each cell ascending as the search keeps
+    # them and nothing applied, so every cell is marked; then its equitable
+    # refinement with every cell applied, as at a search node, and some of
+    # its cells cut into pieces, as a child cuts its target
     n, edges, order, cuts, split = data
     g = BipartiteGraph(n, tuple(sorted(edges)))
     cells: list[list[int]] = [[]]
@@ -499,7 +503,7 @@ def test_mask_refinement_matches_list_refinement_random(data):
         if cut and cells[-1]:
             cells.append([])
         cells[-1].append(v)
-    settled, _ = _list_refine(g, [sorted(cell) for cell in cells], set())
+    settled, _ = _assert_refines_alike(g, [sorted(cell) for cell in cells], set())
     rank = {v: i for i, v in enumerate(order)}
     node: list[list[int]] = []
     for cell, cut_up in zip(settled, split):
